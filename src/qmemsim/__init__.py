@@ -35,8 +35,8 @@ from .fitting import (
     DecayDataset,
     FitReport,
     calibrate_static_gamma,
+    channel_model,
     closed_form_fidelity,
-    fidelity_at,
     fit_exponential,
     fit_sigma_gamma,
 )
@@ -47,7 +47,6 @@ from .memory import (
     PhaseMatchConfig,
     RetrievalOutcome,
     dephase,
-    dephase_kraus,
     dephasing_factor,
     release,
     retrieval_efficiency,

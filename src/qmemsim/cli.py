@@ -22,9 +22,7 @@ import numpy as np
 
 from .config import ScenarioConfig, load_config
 from .errors import ConfigError, FitError
-from .fitting import DecayDataset, fit_exponential, fit_sigma_gamma
-from .detection import effective_detection_efficiency
-from .memory import retrieval_efficiency
+from .fitting import DecayDataset, channel_model, fit_exponential, fit_sigma_gamma
 from .scenarios import (
     RunArtifact,
     calibrate_table,
@@ -97,14 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
-    cfg = load_config(args.config) if args.config else ScenarioConfig()
+def _scenario_from_args(cfg: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
     overrides = {}
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "pulses", None) is not None:
+    if args.pulses is not None:
         overrides["pulses_per_setting"] = args.pulses
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         overrides["output_dir"] = args.out
     if overrides:
         try:
@@ -177,8 +174,9 @@ def _emit_and_report(artifact: RunArtifact, cfg: ScenarioConfig, args) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.command == "reproduce":
-        cfg = _scenario_from_args(args)
+        cfg = _scenario_from_args(cfg, args)
         runner = {
             "fig3": lambda: run_fig3(cfg),
             "fig4": lambda: run_fig4(cfg, args.expected_counts),
@@ -188,7 +186,7 @@ def _run(args: argparse.Namespace) -> int:
         return _emit_and_report(runner(), cfg, args)
 
     if args.command == "simulate":
-        cfg = _scenario_from_args(args)
+        cfg = _scenario_from_args(cfg, args)
         return _emit_and_report(run_simulate(cfg, args.expected_counts), cfg, args)
 
     if args.command == "fit":
@@ -196,36 +194,20 @@ def _run(args: argparse.Namespace) -> int:
         if args.model == "exponential":
             report = fit_exponential(dataset)
         else:
-            cfg = load_config(args.config) if args.config else ScenarioConfig()
             try:
                 channel = cfg.channel(args.channel)
             except KeyError as exc:
                 raise ConfigError(str(exc)) from None
-            report = fit_sigma_gamma(
-                dataset,
-                r0=retrieval_efficiency(channel.theta, 0.0, cfg.memory),
-                tau=cfg.memory.tau,
-                gamma0=cfg.memory.channel_static_gamma(channel),
-                n_bar=cfg.detection.n_bar,
-                eta=effective_detection_efficiency(cfg.detection),
-                background=cfg.detection.background_n,
-            )
-        payload = {
-            "model": args.model,
-            "params": report.params,
-            "uncertainties": report.uncertainties,
-            "residual_norm": report.residual_norm,
-            "iterations": report.iterations,
-            "converged": report.converged,
-            "at_bound": report.at_bound,
-        }
+            fixed = channel_model(channel, cfg.memory, cfg.detection)
+            del fixed["sigma_gamma"]
+            report = fit_sigma_gamma(dataset, **fixed)
+        payload = {"model": args.model, **dataclasses.asdict(report)}
         print(json.dumps(payload, sort_keys=True, indent=2))
         if args.out:
             _write_json(payload, args.out, "fit.json")
         return EXIT_OK
 
     if args.command == "calibrate":
-        cfg = load_config(args.config) if args.config else ScenarioConfig()
         targets = None
         if args.targets:
             try:
@@ -233,7 +215,7 @@ def _run(args: argparse.Namespace) -> int:
                     raw = json.load(fh)
             except OSError as exc:
                 raise IOError(f"cannot read targets {args.targets}: {exc}") from None
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # malformed JSON or text that is not UTF-8
                 raise ConfigError(f"invalid JSON in {args.targets}: {exc}") from None
             if not isinstance(raw, dict) or not raw:
                 raise ConfigError(f"{args.targets}: expected a non-empty channel->fidelity object")
@@ -266,6 +248,11 @@ def main(argv: list[str] | None = None) -> int:
     except (IOError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        # Model or estimator failures on valid input, such as a basis
+        # with zero total counts.
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_FIT
 
 
 if __name__ == "__main__":

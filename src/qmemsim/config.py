@@ -5,7 +5,8 @@ channel list, the measurement plan (storage times, input states, pulses
 per setting) and the run controls (seed, resample count, output dir).
 Loading is strict: unknown keys are rejected with their full field path
 so a typo in a config file fails loudly instead of silently running
-defaults.
+defaults.  The dataclasses are the only description of the document:
+the accepted schema, the builder and the echo all walk their fields.
 
 ``effective_config`` echoes every parameter a run will actually use,
 defaults included, so an emitted artifact is self-describing and the
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 from .detection import MAX_PULSES, DetectionConfig
 from .errors import ConfigError
@@ -33,51 +35,14 @@ DEFAULT_STORAGE_TIMES = (
 )
 DEFAULT_INPUT_STATES = ("H", "V", "D", "R")
 
-# Leaf types: int means strict int, float accepts int or float, and
-# bools are rejected everywhere (json true/false is never a number
-# here).  "nullable_float" additionally admits null.
-CONFIG_SCHEMA: dict = {
-    "seed": int,
-    "pulses_per_setting": int,
-    "mc_resamples": int,
-    "output_dir": str,
-    "storage_times": [float],
-    "input_states": [str],
-    "rep_rate_hz": float,
-    "cycle_ms": float,
-    "memory": {
-        "r0_axis": float,
-        "r0_ch2": float,
-        "tau": float,
-        "sigma_gamma": float,
-        "theta_w": float,
-        "static_gamma": {"*": float},
-        "r0_overrides": {"*": float},
-        "b0": float,
-        "gradient": float,
-        "sigma_b": float,
-    },
-    "detection": {
-        "eta_fiber": float,
-        "eta_etalons": float,
-        "eta_mmf": float,
-        "eta_spd": float,
-        "eta_total": "nullable_float",
-        "n_bar": float,
-        "background_n": float,
-    },
-    "phase_match": {"delta": float},
-    "channels": [{"id": str, "theta": float}],
-}
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything a reproducible run needs.
 
-    ``rep_rate_hz`` and ``cycle_ms`` are experiment-cycle metadata used
-    only to convert pulse budgets into wall-clock estimates in artifact
-    metadata; they do not enter the simulation.
+    ``rep_rate_hz`` is experiment-cycle metadata used only to convert
+    pulse budgets into acquisition times in artifact metadata; it does
+    not enter the simulation.
     """
 
     memory: MemoryConfig = field(default_factory=MemoryConfig)
@@ -91,7 +56,6 @@ class ScenarioConfig:
     seed: int = DEFAULT_SEED
     output_dir: str = "out"
     rep_rate_hz: float = 20.0
-    cycle_ms: float = 42.0
 
     def __post_init__(self) -> None:
         if not self.channels:
@@ -104,6 +68,8 @@ class ScenarioConfig:
         for t in self.storage_times:
             if not (math.isfinite(t) and t >= 0.0):
                 raise ValueError(f"storage_times entries must be finite and >= 0, got {t}")
+        if len(set(self.storage_times)) != len(self.storage_times):
+            raise ValueError("storage_times must be unique")
         if not self.input_states:
             raise ValueError("input_states must not be empty")
         unknown = [s for s in self.input_states if s not in STATE_LABELS]
@@ -122,8 +88,8 @@ class ScenarioConfig:
             raise ValueError(f"mc_resamples must be >= 2, got {self.mc_resamples}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.rep_rate_hz <= 0 or self.cycle_ms <= 0:
-            raise ValueError("rep_rate_hz and cycle_ms must be > 0")
+        if self.rep_rate_hz <= 0:
+            raise ValueError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
 
     def channel(self, channel_id: str) -> ChannelSpec:
         for ch in self.channels:
@@ -139,6 +105,36 @@ class ScenarioConfig:
         raise KeyError(f"unknown channel {channel_id!r}")
 
 
+def _fields(cls) -> dict:
+    """Field name -> resolved type hint of a config dataclass, in order."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _schema_of(hint):
+    # Dataclasses become objects, tuples lists, dicts {"*": leaf}; the
+    # leaf types are int (strict), float (int or float) and str.
+    if is_dataclass(hint):
+        return {name: _schema_of(h) for name, h in _fields(hint).items()}
+    if get_origin(hint) is tuple:
+        return [_schema_of(get_args(hint)[0])]
+    if get_origin(hint) is dict:
+        return {"*": _schema_of(get_args(hint)[1])}
+    if hint == float | None:
+        return "nullable_float"
+    return hint
+
+
+#: Accepted config document, derived from the ScenarioConfig dataclasses.
+#: Bools are rejected everywhere (json true/false is never a number
+#: here); "nullable_float" additionally admits null.
+CONFIG_SCHEMA: dict = _schema_of(ScenarioConfig)
+
+
+def _join(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
+
+
 def _check_leaf(path: str, value, leaf_type) -> None:
     if leaf_type == "nullable_float":
         if value is None:
@@ -149,6 +145,12 @@ def _check_leaf(path: str, value, leaf_type) -> None:
     if leaf_type is float:
         if not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected number, got {type(value).__name__}")
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise ConfigError(f"{path}: expected a finite number")
     elif not isinstance(value, leaf_type):
         raise ConfigError(
             f"{path}: expected {leaf_type.__name__}, got {type(value).__name__}"
@@ -164,7 +166,7 @@ def _validate(data, schema, path: str) -> None:
                 _check_leaf(f"{path}.{key}", value, schema["*"])
             return
         for key, value in data.items():
-            child = f"{path}.{key}" if path else key
+            child = _join(path, key)
             if key not in schema:
                 raise ConfigError(f"unknown key {child}")
             _validate(value, schema[key], child)
@@ -177,68 +179,31 @@ def _validate(data, schema, path: str) -> None:
         _check_leaf(path, data, schema)
 
 
-def _build(data: dict) -> ScenarioConfig:
-    kwargs: dict = {}
-    if "memory" in data:
-        mem = dict(data["memory"])
-        if "r0_overrides" in mem:
-            try:
-                mem["r0_overrides"] = {
-                    float(k): float(v) for k, v in mem["r0_overrides"].items()
-                }
-            except ValueError:
-                raise ConfigError(
-                    "memory.r0_overrides: keys must parse as angles in degrees"
-                ) from None
+def _build(hint, data, path: str):
+    """Value of type ``hint`` from validated JSON data; errors name the path."""
+    if is_dataclass(hint):
+        hints = _fields(hint)
+        kwargs = {
+            key: _build(hints[key], value, _join(path, key))
+            for key, value in data.items()
+        }
         try:
-            kwargs["memory"] = MemoryConfig(**mem)
+            return hint(**kwargs)
         except ValueError as exc:
-            raise ConfigError(f"memory.{exc}") from None
-        except TypeError as exc:
-            raise ConfigError(f"memory: {exc}") from None
-    if "detection" in data:
-        try:
-            kwargs["detection"] = DetectionConfig(**data["detection"])
-        except ValueError as exc:
-            raise ConfigError(f"detection.{exc}") from None
-        except TypeError as exc:
-            raise ConfigError(f"detection: {exc}") from None
-    if "phase_match" in data:
-        try:
-            kwargs["phase_match"] = PhaseMatchConfig(**data["phase_match"])
-        except ValueError as exc:
-            raise ConfigError(f"phase_match.{exc}") from None
-        except TypeError as exc:
-            raise ConfigError(f"phase_match: {exc}") from None
-    if "channels" in data:
-        channels = []
-        for i, entry in enumerate(data["channels"]):
-            missing = {"id", "theta"} - set(entry)
-            if missing:
-                raise ConfigError(f"channels[{i}]: missing {sorted(missing)}")
-            try:
-                channels.append(ChannelSpec(entry["id"], float(entry["theta"])))
-            except ValueError as exc:
-                raise ConfigError(f"channels[{i}]: {exc}") from None
-        kwargs["channels"] = tuple(channels)
-    if "storage_times" in data:
-        kwargs["storage_times"] = tuple(float(t) for t in data["storage_times"])
-    if "input_states" in data:
-        kwargs["input_states"] = tuple(data["input_states"])
-    for key in (
-        "seed",
-        "pulses_per_setting",
-        "mc_resamples",
-        "output_dir",
-        "rep_rate_hz",
-        "cycle_ms",
-    ):
-        if key in data:
-            kwargs[key] = data[key]
-    try:
-        return ScenarioConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+            raise ConfigError(_join(path, str(exc))) from None
+        except TypeError as exc:  # a required field is missing
+            raise ConfigError(f"{path}: {exc}") from None
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        return tuple(_build(args[0], item, f"{path}[{i}]") for i, item in enumerate(data))
+    if get_origin(hint) is dict:
+        try:  # JSON keys are strings; angle keys parse as floats
+            return {args[0](k): _build(args[1], v, f"{path}.{k}") for k, v in data.items()}
+        except ValueError:
+            raise ConfigError(f"{path}: keys must parse as {args[0].__name__}") from None
+    if hint in (float, float | None) and data is not None:
+        return float(data)
+    return data
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
@@ -246,7 +211,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     _validate(data, CONFIG_SCHEMA, "")
-    return _build(data)
+    return _build(ScenarioConfig, data, "")
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -256,44 +221,24 @@ def load_config(path: str) -> ScenarioConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     return config_from_dict(data)
 
 
+def _echo(value):
+    if is_dataclass(value):
+        return {f.name: _echo(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_echo(item) for item in value]
+    if isinstance(value, dict):
+        return {
+            f"{k:g}" if isinstance(k, float) else k: _echo(v)
+            for k, v in sorted(value.items())
+        }
+    return value
+
+
 def effective_config(cfg: ScenarioConfig) -> dict:
     """Full parameter echo of a scenario, defaults included."""
-    mem, det, pm = cfg.memory, cfg.detection, cfg.phase_match
-    return {
-        "seed": cfg.seed,
-        "pulses_per_setting": cfg.pulses_per_setting,
-        "mc_resamples": cfg.mc_resamples,
-        "output_dir": cfg.output_dir,
-        "storage_times": list(cfg.storage_times),
-        "input_states": list(cfg.input_states),
-        "rep_rate_hz": cfg.rep_rate_hz,
-        "cycle_ms": cfg.cycle_ms,
-        "memory": {
-            "r0_axis": mem.r0_axis,
-            "r0_ch2": mem.r0_ch2,
-            "tau": mem.tau,
-            "sigma_gamma": mem.sigma_gamma,
-            "theta_w": mem.theta_w,
-            "static_gamma": dict(sorted(mem.static_gamma.items())),
-            "r0_overrides": {f"{k:g}": v for k, v in sorted(mem.r0_overrides.items())},
-            "b0": mem.b0,
-            "gradient": mem.gradient,
-            "sigma_b": mem.sigma_b,
-        },
-        "detection": {
-            "eta_fiber": det.eta_fiber,
-            "eta_etalons": det.eta_etalons,
-            "eta_mmf": det.eta_mmf,
-            "eta_spd": det.eta_spd,
-            "eta_total": det.eta_total,
-            "n_bar": det.n_bar,
-            "background_n": det.background_n,
-        },
-        "phase_match": {"delta": pm.delta},
-        "channels": [{"id": ch.id, "theta": ch.theta} for ch in cfg.channels],
-    }
+    return _echo(cfg)

@@ -109,14 +109,6 @@ class CountRecord:
             raise ValueError(f"pulses must be >= 1, got {self.pulses}")
 
 
-def counts_plausible(record: CountRecord, cfg: DetectionConfig) -> bool:
-    """Sanity bound: counts within 10x the no-loss expectation per setting."""
-    bound = 10.0 * record.pulses * (
-        cfg.n_bar * effective_detection_efficiency(cfg) + 2.0 * cfg.background_n
-    )
-    return record.n_plus <= bound and record.n_minus <= bound
-
-
 def expected_rates(
     state: np.ndarray,
     efficiency: float,

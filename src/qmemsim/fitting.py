@@ -25,7 +25,7 @@ import numpy as np
 
 from .detection import DetectionConfig, effective_detection_efficiency
 from .errors import FitError
-from .memory import ChannelSpec, MemoryConfig, dephasing_factor, retrieval_efficiency
+from .memory import ChannelSpec, MemoryConfig, retrieval_efficiency
 
 _MAX_GN_ITERS = 200
 _GN_REL_TOL = 1e-8
@@ -108,19 +108,20 @@ def closed_form_fidelity(
     return out
 
 
-def fidelity_at(
-    t: float,
-    channel: ChannelSpec,
-    memory: MemoryConfig,
-    det: DetectionConfig,
-) -> float:
-    """Model fidelity for a configured channel, honouring measured overrides."""
-    signal = det.n_bar * effective_detection_efficiency(det) * retrieval_efficiency(
-        channel.theta, t, memory
-    )
-    gamma = dephasing_factor(t, channel, memory)
-    n = det.background_n
-    return ((1.0 + gamma) * signal + n) / (2.0 * (signal + 2.0 * n))
+def channel_model(channel: ChannelSpec, memory: MemoryConfig, det: DetectionConfig) -> dict:
+    """``closed_form_fidelity`` keyword arguments for a configured channel.
+
+    R0 honours ``r0_overrides``; eta is the effective detection efficiency.
+    """
+    return {
+        "r0": retrieval_efficiency(channel.theta, 0.0, memory),
+        "tau": memory.tau,
+        "gamma0": memory.channel_static_gamma(channel),
+        "sigma_gamma": memory.sigma_gamma,
+        "n_bar": det.n_bar,
+        "eta": effective_detection_efficiency(det),
+        "background": det.background_n,
+    }
 
 
 def fit_exponential(dataset: DecayDataset) -> FitReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import SIGMA_3, check_density
+from .polarization import check_density
 
 #: Hard cap on the read angle; the efficiency model is only anchored on
 #: measured points inside [0, 5] degrees.
@@ -31,8 +31,8 @@ class ChannelSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= THETA_MAX_DEG:
             raise ValueError(
-                f"channel {self.id}: theta must be in [0, {THETA_MAX_DEG}] deg,"
-                f" got {self.theta}"
+                f"theta must be in [0, {THETA_MAX_DEG}] deg, got {self.theta}"
+                f" (channel {self.id})"
             )
 
 
@@ -57,26 +57,18 @@ class MemoryConfig:
     default pins the 0.8 deg channel to its separately measured 12.7%).
     ``static_gamma`` maps channel ids to a residual coherence factor in
     [0, 1] applied on top of the time-dependent dephasing (default 1.0).
-    ``b0``, ``gradient`` and ``sigma_b`` are field metadata only; the
-    dephasing time ``sigma_gamma`` is the stored parameter.
     """
 
     r0_axis: float = 0.14
-    r0_ch2: float = 0.127
     tau: float = 2.9
     sigma_gamma: float = 104.0
     theta_w: float = 6.684
     static_gamma: dict[str, float] = field(default_factory=dict)
-    r0_overrides: dict[float, float] | None = None
-    b0: float = 12.5
-    gradient: float = 5.0
-    sigma_b: float = 0.4
+    r0_overrides: dict[float, float] = field(default_factory=lambda: {0.8: 0.127})
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r0_axis <= 1.0:
             raise ValueError(f"r0_axis must be in (0, 1], got {self.r0_axis}")
-        if not 0.0 < self.r0_ch2 <= 1.0:
-            raise ValueError(f"r0_ch2 must be in (0, 1], got {self.r0_ch2}")
         if self.tau <= 0.0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.sigma_gamma <= 0.0:
@@ -86,8 +78,6 @@ class MemoryConfig:
         for ch, g in self.static_gamma.items():
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"static_gamma[{ch}] must be in [0, 1], got {g}")
-        if self.r0_overrides is None:
-            object.__setattr__(self, "r0_overrides", {0.8: self.r0_ch2})
         for th, r in self.r0_overrides.items():
             if not 0.0 < r <= 1.0:
                 raise ValueError(f"r0_overrides[{th}] must be in (0, 1], got {r}")
@@ -165,15 +155,6 @@ def dephase(rho: np.ndarray, gamma: float) -> np.ndarray:
     out[0, 1] *= gamma
     out[1, 0] *= gamma
     return out
-
-
-def dephase_kraus(gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus pair of the dephase channel; weights (1+-gamma)/2 on I, sz."""
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    k0 = math.sqrt((1.0 + gamma) / 2.0) * np.eye(2, dtype=complex)
-    k1 = math.sqrt((1.0 - gamma) / 2.0) * SIGMA_3
-    return k0, k1
 
 
 def theta_prime(theta: float, cfg: PhaseMatchConfig) -> float:

@@ -17,15 +17,21 @@ from __future__ import annotations
 import csv
 import json
 import os
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import ScenarioConfig, effective_config
 from .detection import effective_detection_efficiency
 from .errors import ConfigError, FitError
-from .fitting import DecayDataset, FitReport, fidelity_at, fit_exponential, fit_sigma_gamma
+from .fitting import (
+    DecayDataset,
+    calibrate_static_gamma,
+    channel_model,
+    closed_form_fidelity,
+    fit_exponential,
+    fit_sigma_gamma,
+)
 from .memory import ChannelSpec, retrieval_efficiency, walk_off_r0
 from .tomography import monte_carlo_error, run_process_tomography
 
@@ -89,30 +95,13 @@ def _require_tomography_inputs(cfg: ScenarioConfig) -> None:
 
 @dataclass
 class RunArtifact:
-    """One scenario's results: a table, its metadata and the config echo.
-
-    ``created_at`` is wall-clock metadata for in-memory consumers only;
-    emitted files never contain it, so re-runs are byte-identical.
-    """
+    """One scenario's results: a table, its metadata and the config echo."""
 
     name: str
     columns: tuple[str, ...]
     rows: list[tuple]
     config: dict
     meta: dict
-    format_version: int = FORMAT_VERSION
-    created_at: float = field(default_factory=time.time)
-
-
-def _fit_report_dict(report: FitReport) -> dict:
-    return {
-        "params": report.params,
-        "uncertainties": report.uncertainties,
-        "residual_norm": report.residual_norm,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "at_bound": report.at_bound,
-    }
 
 
 def tomography_point(
@@ -150,10 +139,11 @@ def tomography_point(
             lambda j: derive_rng(cfg.seed, _DOMAIN_RESAMPLE, idx, tkey, j),
             cfg.input_states,
         )
+    params = channel_model(channel, cfg.memory, cfg.detection)
     return {
         "fidelity": result.process_fidelity,
         "sigma": sigma,
-        "model": fidelity_at(t, channel, cfg.memory, cfg.detection),
+        "model": closed_form_fidelity(t, **params),
         "result": result,
     }
 
@@ -249,7 +239,7 @@ def run_fig4(
             values=np.array([r[3] for r in rows]),
             sigmas=np.array([r[4] for r in rows]),
         )
-        meta["fit"] = _fit_report_dict(fit_exponential(dataset))
+        meta["fit"] = asdict(fit_exponential(dataset))
     except (FitError, ValueError) as exc:
         meta["fit"] = {"error": str(exc)}
     return RunArtifact(
@@ -305,16 +295,9 @@ def run_fig5(
             values=values,
             sigmas=sigmas if np.all(sigmas > 0) else None,
         )
-        report = fit_sigma_gamma(
-            dataset,
-            r0=retrieval_efficiency(channel.theta, 0.0, cfg.memory),
-            tau=cfg.memory.tau,
-            gamma0=cfg.memory.channel_static_gamma(channel),
-            n_bar=cfg.detection.n_bar,
-            eta=effective_detection_efficiency(cfg.detection),
-            background=cfg.detection.background_n,
-        )
-        meta["fit"] = _fit_report_dict(report)
+        fixed = channel_model(channel, cfg.memory, cfg.detection)
+        del fixed["sigma_gamma"]
+        meta["fit"] = asdict(fit_sigma_gamma(dataset, **fixed))
     except (FitError, ValueError) as exc:
         meta["fit"] = {"error": str(exc)}
     return RunArtifact(
@@ -379,8 +362,6 @@ def calibrate_table(cfg: ScenarioConfig, targets: dict[str, float] | None = None
     Returns a config fragment {"memory": {"static_gamma": {...}}} ready
     to merge into a scenario file.
     """
-    from .fitting import calibrate_static_gamma
-
     if targets is None:
         targets = {
             ch.id: DEFAULT_CALIBRATION_TARGETS[ch.id]
@@ -395,15 +376,10 @@ def calibrate_table(cfg: ScenarioConfig, targets: dict[str, float] | None = None
     gammas = {}
     for channel_id in sorted(targets):
         channel, _ = _require_channel(cfg, channel_id)
+        fixed = channel_model(channel, cfg.memory, cfg.detection)
+        del fixed["gamma0"]
         gammas[channel_id] = calibrate_static_gamma(
-            targets[channel_id],
-            TABLE_TIME_MS,
-            r0=retrieval_efficiency(channel.theta, 0.0, cfg.memory),
-            tau=cfg.memory.tau,
-            sigma_gamma=cfg.memory.sigma_gamma,
-            n_bar=cfg.detection.n_bar,
-            eta=effective_detection_efficiency(cfg.detection),
-            background=cfg.detection.background_n,
+            targets[channel_id], TABLE_TIME_MS, **fixed
         )
     return {"memory": {"static_gamma": gammas}}
 
@@ -448,7 +424,7 @@ def emit(
         if "json" in formats:
             path = os.path.join(out_dir, f"{artifact.name}.json")
             payload = {
-                "format_version": artifact.format_version,
+                "format_version": FORMAT_VERSION,
                 "name": artifact.name,
                 "columns": list(artifact.columns),
                 "rows": [list(row) for row in artifact.rows],

@@ -49,7 +49,6 @@ class TomographyResult:
     """A reconstructed qubit state plus reconstruction diagnostics."""
 
     rho: np.ndarray
-    raw_stokes: np.ndarray
     physical_projection_applied: bool
     projection_distance: float
 
@@ -100,11 +99,11 @@ def state_estimate(stokes: np.ndarray) -> TomographyResult:
     rho_lin = density_from_stokes(stokes)
     vals, vecs = np.linalg.eigh(rho_lin)
     if vals[0] >= -_PROJECT_EIG_TOL:
-        return TomographyResult(rho_lin, stokes, False, 0.0)
+        return TomographyResult(rho_lin, False, 0.0)
     clamped = np.clip(vals, 0.0, None)
     rho = (vecs * (clamped / clamped.sum())) @ vecs.conj().T
     distance = float(np.linalg.norm(rho - rho_lin))
-    return TomographyResult(rho, stokes, True, distance)
+    return TomographyResult(rho, True, distance)
 
 
 def apply_process(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -83,6 +83,24 @@ class TestReproduce:
         assert code == EXIT_CONFIG
         assert "memory.tau must be > 0" in capsys.readouterr().err
 
+    def test_non_finite_value_exits_2_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "nan.json"
+        cfg.write_text('{"memory": {"sigma_gamma": Infinity}}')
+        code = main(["reproduce", "fig5", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "memory.sigma_gamma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_count_basis_exits_3_without_traceback(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["reproduce", "table1", "--pulses", "1", "--out", str(out)])
+        assert code == EXIT_FIT
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: zero total counts")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_fit_failure_exits_3_but_persists_points(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "one.json",

@@ -49,11 +49,41 @@ def test_unknown_key_rejected_with_path():
         config_from_dict({"memory": {"taus": 1.0}})
     with pytest.raises(ConfigError, match="unknown key taus"):
         config_from_dict({"taus": 1.0})
+    # Metadata keys that no computation read are gone from the schema.
+    for section, key in (
+        ("memory", "r0_ch2"),
+        ("memory", "b0"),
+        ("memory", "gradient"),
+        ("memory", "sigma_b"),
+        (None, "cycle_ms"),
+    ):
+        data = {key: 1.0} if section is None else {section: {key: 1.0}}
+        path = key if section is None else f"{section}.{key}"
+        with pytest.raises(ConfigError, match=f"unknown key {path}$"):
+            config_from_dict(data)
 
 
 def test_invariant_violation_names_the_field():
     with pytest.raises(ConfigError, match="memory.tau must be > 0"):
         config_from_dict({"memory": {"tau": -1.0}})
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"memory": {"tau": NaN}}', "memory.tau"),
+        ('{"memory": {"sigma_gamma": Infinity}}', "memory.sigma_gamma"),
+        ('{"storage_times": [1.0, -Infinity]}', r"storage_times\[1\]"),
+        ('{"memory": {"static_gamma": {"S2": NaN}}}', "memory.static_gamma.S2"),
+        ('{"rep_rate_hz": 1%s}' % ("0" * 400), "rep_rate_hz"),
+    ],
+)
+def test_non_finite_numbers_rejected(tmp_path, text, path):
+    # json.load accepts NaN and Infinity literals; the loader must not.
+    cfg = tmp_path / "scenario.json"
+    cfg.write_text(text)
+    with pytest.raises(ConfigError, match=f"{path}.*finite"):
+        load_config(str(cfg))
 
 
 def test_bool_is_not_a_number():
@@ -91,6 +121,8 @@ def test_storage_times_validation():
         config_from_dict({"storage_times": [-0.1]})
     with pytest.raises(ConfigError, match="storage_times"):
         config_from_dict({"storage_times": []})
+    with pytest.raises(ConfigError, match="storage_times must be unique"):
+        config_from_dict({"storage_times": [1.0, 1.0, 2.0]})
 
 
 def test_input_states_validation():
@@ -137,6 +169,36 @@ def test_effective_config_covers_schema_exactly():
     _audit(CONFIG_SCHEMA, effective_config(ScenarioConfig()))
 
 
+def _non_default(schema, value):
+    # Every leaf of the default echo moved to another valid value: lists
+    # reversed, numbers halved (0 becomes 0.5), ints incremented, strings
+    # reversed, nullable floats nulled and maps replaced.
+    if isinstance(schema, dict) and "*" in schema:
+        return {"1.5": 0.5}
+    if isinstance(schema, dict):
+        return {key: _non_default(schema[key], value[key]) for key in schema}
+    if isinstance(schema, list):
+        return [_non_default(schema[0], item) for item in reversed(value)]
+    if schema == "nullable_float":
+        return None
+    if schema is float:
+        return value / 2 if value else 0.5
+    if schema is int:
+        return value + 1
+    return value[::-1]
+
+
+def _leaves(schema, data, path=""):
+    if isinstance(schema, dict) and "*" not in schema:
+        for key in schema:
+            yield from _leaves(schema[key], data[key], f"{path}.{key}")
+    elif isinstance(schema, list):
+        for i, item in enumerate(data):
+            yield from _leaves(schema[0], item, f"{path}[{i}]")
+    else:
+        yield path, data
+
+
 def test_effective_config_round_trips():
     cfg = ScenarioConfig()
     assert config_from_dict(effective_config(cfg)) == cfg
@@ -150,6 +212,15 @@ def test_effective_config_round_trips():
         }
     )
     assert config_from_dict(effective_config(custom)) == custom
+
+    default = effective_config(ScenarioConfig())
+    every_leaf = config_from_dict(_non_default(CONFIG_SCHEMA, default))
+    echo = effective_config(every_leaf)
+    for (path, old), (_, new) in zip(
+        _leaves(CONFIG_SCHEMA, default), _leaves(CONFIG_SCHEMA, echo), strict=True
+    ):
+        assert old != new, path
+    assert config_from_dict(echo) == every_leaf
 
 
 def test_channel_lookup():

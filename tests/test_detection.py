@@ -8,7 +8,6 @@ from qmemsim.detection import (
     MEASUREMENT_BASES,
     CountRecord,
     DetectionConfig,
-    counts_plausible,
     effective_detection_efficiency,
     expected_counts,
     expected_rates,
@@ -136,13 +135,6 @@ def test_count_record_validation():
         CountRecord("HV", -1, 0, 100)
     with pytest.raises(ValueError):
         CountRecord("HV", 0, 0, 0)
-
-
-def test_counts_plausible_bound():
-    ok = CountRecord("HV", 3000, 70, 10**5)
-    silly = CountRecord("HV", 10**6, 70, 10**5)
-    assert counts_plausible(ok, DET)
-    assert not counts_plausible(silly, DET)
 
 
 def test_postselected_state_no_background_is_identity_map(rng):

@@ -7,8 +7,8 @@ from qmemsim.fitting import (
     DecayDataset,
     achievable_fidelity_range,
     calibrate_static_gamma,
+    channel_model,
     closed_form_fidelity,
-    fidelity_at,
     fit_exponential,
     fit_sigma_gamma,
 )
@@ -50,14 +50,17 @@ def test_fidelity_at_matches_closed_form():
     s2 = DEFAULT_CHANNELS[2]
     for t in (0.0, 0.005, 2.2, 6.0):
         want = closed_form_fidelity(t, **S2_PARAMS)
-        assert abs(fidelity_at(t, s2, mem, det) - want) < 1e-15
+        got = closed_form_fidelity(t, **channel_model(s2, mem, det))
+        assert abs(got - want) < 1e-15
 
 
 def test_fidelity_at_uses_static_gamma():
     mem = MemoryConfig(static_gamma={"S2": 0.8917592722497402})
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
-    assert abs(fidelity_at(0.005, s2, mem, det) - 0.914) < 1e-12
+    model = channel_model(s2, mem, det)
+    assert model["gamma0"] == 0.8917592722497402
+    assert abs(closed_form_fidelity(0.005, **model) - 0.914) < 1e-12
 
 
 def test_dataset_validation():

@@ -9,7 +9,6 @@ from qmemsim.memory import (
     MemoryConfig,
     PhaseMatchConfig,
     dephase,
-    dephase_kraus,
     dephasing_factor,
     release,
     retrieval_efficiency,
@@ -94,16 +93,6 @@ def test_dephase_scales_off_diagonals(rng):
         assert out[0, 0] == rho[0, 0]
         assert out[1, 1] == rho[1, 1]
         assert abs(out[0, 1] - gamma * rho[0, 1]) < 1e-15
-
-
-def test_dephase_matches_kraus_form(rng):
-    for _ in range(20):
-        rho = random_density(rng)
-        gamma = rng.uniform(0, 1)
-        k0, k1 = dephase_kraus(gamma)
-        via_kraus = k0 @ rho @ k0.conj().T + k1 @ rho @ k1.conj().T
-        assert np.max(np.abs(dephase(rho, gamma) - via_kraus)) < 1e-12
-        assert np.max(np.abs(k0.conj().T @ k0 + k1.conj().T @ k1 - np.eye(2))) < 1e-15
 
 
 def test_dephase_gamma_range():

@@ -168,11 +168,12 @@ def test_run_process_tomography_expected_matches_model():
     det = DetectionConfig()
     pm = PhaseMatchConfig()
     s2 = DEFAULT_CHANNELS[2]
-    from qmemsim.fitting import fidelity_at
+    from qmemsim.fitting import channel_model, closed_form_fidelity
 
+    model = channel_model(s2, cfg, det)
     for t in (0.0, 0.5, 3.0, 6.0):
         res = run_process_tomography(s2, t, cfg, det, pm, 10**5, rng=None)
-        assert abs(res.process_fidelity - fidelity_at(t, s2, cfg, det)) < 1e-9
+        assert abs(res.process_fidelity - closed_form_fidelity(t, **model)) < 1e-9
         assert not res.projection_applied
         assert abs(res.raw_chi00 - res.process_fidelity) < 1e-12
         assert set(res.records) == set(DEFAULT_INPUT_LABELS)
