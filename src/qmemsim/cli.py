@@ -194,10 +194,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.model == "exponential":
             report = fit_exponential(dataset)
         else:
-            try:
-                channel = cfg.channel(args.channel)
-            except KeyError as exc:
-                raise ConfigError(str(exc)) from None
+            channel = cfg.channel(args.channel)
             fixed = channel_model(channel, cfg.memory, cfg.detection)
             del fixed["sigma_gamma"]
             report = fit_sigma_gamma(dataset, **fixed)

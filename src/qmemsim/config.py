@@ -35,6 +35,14 @@ DEFAULT_STORAGE_TIMES = (
 )
 DEFAULT_INPUT_STATES = ("H", "V", "D", "R")
 
+_PS_PER_MS = 1e9
+
+
+def _time_key(t_ms: float) -> int:
+    # RNG stream key of a storage time: integer picoseconds, so the same
+    # physical time yields the same stream regardless of grid layout.
+    return int(round(t_ms * _PS_PER_MS))
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -66,10 +74,13 @@ class ScenarioConfig:
         if not self.storage_times:
             raise ValueError("storage_times must not be empty")
         for t in self.storage_times:
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ValueError(f"storage_times entries must be finite and >= 0, got {t}")
-        if len(set(self.storage_times)) != len(self.storage_times):
-            raise ValueError("storage_times must be unique")
+            if not (t >= 0.0 and math.isfinite(t * _PS_PER_MS)):
+                raise ValueError(
+                    f"storage_times entries must be >= 0 and finite in picoseconds, got {t}"
+                )
+        keys = [_time_key(t) for t in self.storage_times]
+        if len(set(keys)) != len(keys):
+            raise ValueError("storage_times must be unique to the picosecond")
         if not self.input_states:
             raise ValueError("input_states must not be empty")
         unknown = [s for s in self.input_states if s not in STATE_LABELS]
@@ -92,17 +103,14 @@ class ScenarioConfig:
             raise ValueError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
 
     def channel(self, channel_id: str) -> ChannelSpec:
-        for ch in self.channels:
-            if ch.id == channel_id:
-                return ch
-        known = ", ".join(ch.id for ch in self.channels)
-        raise KeyError(f"unknown channel {channel_id!r} (configured: {known})")
+        return self.channels[self.channel_index(channel_id)]
 
     def channel_index(self, channel_id: str) -> int:
         for i, ch in enumerate(self.channels):
             if ch.id == channel_id:
                 return i
-        raise KeyError(f"unknown channel {channel_id!r}")
+        known = ", ".join(ch.id for ch in self.channels)
+        raise ConfigError(f"unknown channel {channel_id!r} (configured: {known})")
 
 
 def _fields(cls) -> dict:
@@ -233,7 +241,7 @@ def _echo(value):
         return [_echo(item) for item in value]
     if isinstance(value, dict):
         return {
-            f"{k:g}" if isinstance(k, float) else k: _echo(v)
+            repr(k) if isinstance(k, float) else k: _echo(v)
             for k, v in sorted(value.items())
         }
     return value

@@ -8,7 +8,7 @@ results do not depend on evaluation order and a scenario restricted to
 a subset of its grid reproduces exactly the rows of the full run.
 
 Unit keys use the channel's position in the configured channel list and
-the storage time in integer nanoseconds; the domain constant separates
+the storage time in integer picoseconds; the domain constant separates
 count sampling, Monte Carlo resampling and efficiency sampling.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig, effective_config
+from .config import ScenarioConfig, _time_key, effective_config
 from .detection import effective_detection_efficiency
 from .errors import ConfigError, FitError
 from .fitting import (
@@ -32,7 +32,7 @@ from .fitting import (
     fit_exponential,
     fit_sigma_gamma,
 )
-from .memory import ChannelSpec, retrieval_efficiency, walk_off_r0
+from .memory import retrieval_efficiency, walk_off_r0
 from .tomography import monte_carlo_error, run_process_tomography
 
 FORMAT_VERSION = 1
@@ -72,19 +72,6 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *key)))
 
 
-def _time_key(t: float) -> int:
-    # Storage times are keyed in integer nanoseconds so that the same
-    # physical time yields the same stream regardless of grid layout.
-    return int(round(t * 1e9))
-
-
-def _require_channel(cfg: ScenarioConfig, channel_id: str) -> tuple[ChannelSpec, int]:
-    try:
-        return cfg.channel(channel_id), cfg.channel_index(channel_id)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _require_tomography_inputs(cfg: ScenarioConfig) -> None:
     if len(cfg.input_states) != 4:
         raise ConfigError(
@@ -116,7 +103,8 @@ def tomography_point(
     any order or concurrently.  In expected-counts mode the statistical
     error is exactly zero.
     """
-    channel, idx = _require_channel(cfg, channel_id)
+    idx = cfg.channel_index(channel_id)
+    channel = cfg.channels[idx]
     _require_tomography_inputs(cfg)
     tkey = _time_key(t)
     rng = None if expected else derive_rng(cfg.seed, _DOMAIN_TOMOGRAPHY, idx, tkey)
@@ -159,7 +147,8 @@ def efficiency_point(
     The estimator inverts counts = M (n_bar eta R + 2 N); its one-sigma
     error is the Poisson plug-in sqrt(counts) / (M n_bar eta).
     """
-    channel, idx = _require_channel(cfg, channel_id)
+    idx = cfg.channel_index(channel_id)
+    channel = cfg.channels[idx]
     det = cfg.detection
     eta = effective_detection_efficiency(det)
     r_true = retrieval_efficiency(channel.theta, t, cfg.memory)
@@ -209,7 +198,7 @@ def run_fig4(
     channel_id: str = "S2",
 ) -> RunArtifact:
     """Efficiency decay over the storage-time grid plus an exponential fit."""
-    channel, _ = _require_channel(cfg, channel_id)
+    channel = cfg.channel(channel_id)
     rows = []
     for t in cfg.storage_times:
         point = efficiency_point(cfg, channel_id, t, expected_counts)
@@ -263,7 +252,7 @@ def run_fig5(
     width with all other model parameters held at their configured
     values.
     """
-    channel, _ = _require_channel(cfg, channel_id)
+    channel = cfg.channel(channel_id)
     _require_tomography_inputs(cfg)
     rows = []
     for t in cfg.storage_times:
@@ -375,7 +364,7 @@ def calibrate_table(cfg: ScenarioConfig, targets: dict[str, float] | None = None
             )
     gammas = {}
     for channel_id in sorted(targets):
-        channel, _ = _require_channel(cfg, channel_id)
+        channel = cfg.channel(channel_id)
         fixed = channel_model(channel, cfg.memory, cfg.detection)
         del fixed["gamma0"]
         gammas[channel_id] = calibrate_static_gamma(

@@ -11,6 +11,10 @@ basis PAULI_BASIS:  rho_out = sum_mn chi[m, n] sigma_m rho_in sigma_n+.
 Four informationally complete input states give exactly the 16 real
 constraints needed, so chi is recovered by one linear solve.  The trace
 convention is Tr(chi) = 1 for post-selected (trace-renormalized) maps.
+
+``_reconstruct`` is the single reconstruction path (counts -> Stokes ->
+rho per input -> chi, solved then projected -> fidelity); the point
+estimate and every bootstrap resample go through it.
 """
 
 from __future__ import annotations
@@ -42,6 +46,8 @@ from .polarization import (
 DEFAULT_INPUT_LABELS = ("H", "V", "D", "R")
 
 _PROJECT_EIG_TOL = 1e-12
+
+_PAULIS = np.array(PAULI_BASIS)
 
 
 @dataclass(frozen=True)
@@ -127,16 +133,12 @@ def process_matrix_linear(
     """
     if len(pairs) != 4:
         raise ValueError(f"need exactly 4 input/output pairs, got {len(pairs)}")
-    a = np.zeros((16, 16), dtype=complex)
-    b = np.zeros(16, dtype=complex)
-    for k, (rho_in, rho_out) in enumerate(pairs):
-        rho_in = check_density(rho_in)
-        rho_out = check_density(rho_out)
-        b[4 * k : 4 * k + 4] = rho_out.reshape(-1)
-        for m, sm in enumerate(PAULI_BASIS):
-            for n, sn in enumerate(PAULI_BASIS):
-                block = sm @ rho_in @ sn.conj().T
-                a[4 * k : 4 * k + 4, 4 * m + n] = block.reshape(-1)
+    checked = np.array([[check_density(rho) for rho in pair] for pair in pairs])
+    # Row 4k + 2i + o, column 4m + n holds (sigma_m rho_in_k sigma_n+)[i, o].
+    a = np.einsum(
+        "mij,kjl,nol->kiomn", _PAULIS, checked[:, 0], _PAULIS.conj()
+    ).reshape(16, 16)
+    b = checked[:, 1].reshape(16)
     solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     if rank < 16:
         raise ValueError("degenerate input set: states are not informationally complete")
@@ -205,11 +207,9 @@ def run_process_tomography(
     is fully determined by the supplied stream.
     """
     input_labels = tuple(input_labels)
-    ideal = {lbl: density_of(ket_from_named(lbl)) for lbl in input_labels}
     records: dict[str, dict[str, CountRecord]] = {}
-    pairs = []
     for lbl in input_labels:
-        outcome = release(ideal[lbl], channel, t, memory, pm)
+        outcome = release(density_of(ket_from_named(lbl)), channel, t, memory, pm)
         per_basis: dict[str, CountRecord] = {}
         for basis in MEASUREMENT_BASES:
             rates = expected_rates(outcome.state, outcome.efficiency, basis, det)
@@ -219,14 +219,24 @@ def run_process_tomography(
                 rec = sample_counts(rates, pulses, rng, basis.label)
             per_basis[basis.label] = rec
         records[lbl] = per_basis
-        estimate = state_estimate(stokes_from_counts(per_basis))
-        pairs.append((ideal[lbl], estimate.rho))
+    return _reconstruct(records, input_labels)
+
+
+def _reconstruct(
+    records: Mapping[str, Mapping[str, CountRecord]],
+    input_labels: Sequence[str],
+) -> ProcessResult:
+    """Score per-input count records: Stokes -> rho -> chi -> fidelity."""
+    input_labels = tuple(input_labels)
+    pairs = [
+        (density_of(ket_from_named(lbl)), state_estimate(stokes_from_counts(records[lbl])).rho)
+        for lbl in input_labels
+    ]
     chi_raw = process_matrix_linear(pairs)
     chi, applied, distance = project_process_matrix(chi_raw)
-    fidelity = process_fidelity(chi, identity_chi())
     return ProcessResult(
         chi=chi,
-        process_fidelity=fidelity,
+        process_fidelity=process_fidelity(chi, identity_chi()),
         input_labels=input_labels,
         raw_chi00=float(chi_raw[0, 0].real),
         projection_applied=applied,
@@ -240,12 +250,7 @@ def reconstruct_from_records(
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
 ) -> float:
     """Process fidelity of the reconstruction given per-input count records."""
-    pairs = []
-    for lbl in input_labels:
-        estimate = state_estimate(stokes_from_counts(records[lbl]))
-        pairs.append((density_of(ket_from_named(lbl)), estimate.rho))
-    chi = process_matrix(pairs)
-    return process_fidelity(chi, identity_chi())
+    return _reconstruct(records, input_labels).process_fidelity
 
 
 def monte_carlo_error(
@@ -264,20 +269,16 @@ def monte_carlo_error(
     """
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
+    cells = [(lbl, basis.label) for lbl in input_labels for basis in MEASUREMENT_BASES]
+    lam = np.array(
+        [(records[lbl][b].n_plus, records[lbl][b].n_minus) for lbl, b in cells],
+        dtype=float,
+    )
     fidelities = np.empty(resamples)
     for j in range(resamples):
-        rng = stream_for(j)
-        resampled: dict[str, dict[str, CountRecord]] = {}
-        for lbl in input_labels:
-            per_basis = {}
-            for basis in MEASUREMENT_BASES:
-                rec = records[lbl][basis.label]
-                per_basis[basis.label] = CountRecord(
-                    basis=basis.label,
-                    n_plus=int(rng.poisson(rec.n_plus)),
-                    n_minus=int(rng.poisson(rec.n_minus)),
-                    pulses=rec.pulses,
-                )
-            resampled[lbl] = per_basis
+        draws = stream_for(j).poisson(lam).tolist()
+        resampled: dict[str, dict[str, CountRecord]] = {lbl: {} for lbl in input_labels}
+        for (lbl, b), (n_plus, n_minus) in zip(cells, draws):
+            resampled[lbl][b] = CountRecord(b, n_plus, n_minus, records[lbl][b].pulses)
         fidelities[j] = reconstruct_from_records(resampled, input_labels)
     return float(np.std(fidelities, ddof=1))

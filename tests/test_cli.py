@@ -240,6 +240,14 @@ class TestCalibrate:
         assert code == EXIT_CONFIG
         assert "fidelity must be in" in capsys.readouterr().err
 
+    def test_unknown_channel_target_exits_2(self, tmp_path, capsys):
+        targets = write_json(tmp_path / "targets.json", {"S9": 0.9})
+        code = main(["calibrate", "--targets", targets])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown channel 'S9' (configured: S0, S1, S2, S3, S4, S5, S6)\n"
+        )
+
     def test_unreachable_target_exits_3(self, tmp_path, capsys):
         targets = write_json(tmp_path / "targets.json", {"S2": 0.999})
         code = main(["calibrate", "--targets", targets])

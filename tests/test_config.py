@@ -121,8 +121,13 @@ def test_storage_times_validation():
         config_from_dict({"storage_times": [-0.1]})
     with pytest.raises(ConfigError, match="storage_times"):
         config_from_dict({"storage_times": []})
+    with pytest.raises(ConfigError, match="storage_times.*picoseconds"):
+        config_from_dict({"storage_times": [1e300]})
     with pytest.raises(ConfigError, match="storage_times must be unique"):
         config_from_dict({"storage_times": [1.0, 1.0, 2.0]})
+    # Distinct floats that key one RNG stream (integer picoseconds).
+    with pytest.raises(ConfigError, match="storage_times must be unique"):
+        config_from_dict({"storage_times": [1.0, 1.0000000004]})
 
 
 def test_input_states_validation():
@@ -206,7 +211,10 @@ def test_effective_config_round_trips():
         {
             "seed": 99,
             "pulses_per_setting": 5000,
-            "memory": {"static_gamma": {"S2": 0.9}, "r0_overrides": {"0.8": 0.13}},
+            "memory": {
+                "static_gamma": {"S2": 0.9},
+                "r0_overrides": {"0.8": 0.13, "0.1234567": 0.12},
+            },
             "detection": {"eta_total": None},
             "storage_times": [0.005, 1.0],
         }
@@ -227,5 +235,7 @@ def test_channel_lookup():
     cfg = ScenarioConfig()
     assert cfg.channel("S3").theta == 2.0
     assert cfg.channel_index("S6") == 6
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match=r"unknown channel 'S9' \(configured: S0, "):
         cfg.channel("S9")
+    with pytest.raises(ConfigError, match="unknown channel 'S9'"):
+        cfg.channel_index("S9")

@@ -196,9 +196,10 @@ def test_reconstruct_from_records_round_trip():
     det = DetectionConfig()
     pm = PhaseMatchConfig()
     s2 = DEFAULT_CHANNELS[2]
-    res = run_process_tomography(s2, 2.0, cfg, det, pm, 10**5, rng=None)
-    again = reconstruct_from_records(res.records)
-    assert abs(again - res.process_fidelity) < 1e-12
+    expected = run_process_tomography(s2, 2.0, cfg, det, pm, 10**5, rng=None)
+    sampled = run_process_tomography(s2, 2.0, cfg, det, pm, 10**4, np.random.default_rng(3))
+    for res in (expected, sampled):
+        assert reconstruct_from_records(res.records) == res.process_fidelity
 
 
 def test_monte_carlo_error_deterministic_and_positive():
@@ -215,6 +216,53 @@ def test_monte_carlo_error_deterministic_and_positive():
     b = monte_carlo_error(res.records, 50, stream_for)
     assert a == b
     assert a > 0
+
+
+def _scalar_draw_monte_carlo_error(records, resamples, stream_for):
+    # Reference: one scalar Poisson draw per count, input x basis x (+, -).
+    fidelities = []
+    for j in range(resamples):
+        rng = stream_for(j)
+        resampled = {}
+        for lbl in DEFAULT_INPUT_LABELS:
+            per_basis = {}
+            for basis in ("HV", "DA", "RL"):
+                rec = records[lbl][basis]
+                per_basis[basis] = CountRecord(
+                    basis=basis,
+                    n_plus=int(rng.poisson(rec.n_plus)),
+                    n_minus=int(rng.poisson(rec.n_minus)),
+                    pulses=rec.pulses,
+                )
+            resampled[lbl] = per_basis
+        fidelities.append(reconstruct_from_records(resampled))
+    return float(np.std(fidelities, ddof=1))
+
+
+def test_monte_carlo_error_matches_scalar_draws():
+    # Counts below 10 take numpy's other Poisson algorithm; the batched
+    # draw must give the same integers there too.
+    low = {
+        "H": {"HV": (40, 3), "DA": (25, 20), "RL": (22, 24)},
+        "V": {"HV": (2, 38), "DA": (20, 23), "RL": (26, 19)},
+        "D": {"HV": (21, 22), "DA": (41, 1), "RL": (18, 25)},
+        "R": {"HV": (19, 24), "DA": (23, 20), "RL": (39, 9)},
+    }
+    low_records = {lbl: _records(counts) for lbl, counts in low.items()}
+    cfg = MemoryConfig()
+    det = DetectionConfig()
+    pm = PhaseMatchConfig()
+    s2 = DEFAULT_CHANNELS[2]
+    high_records = run_process_tomography(
+        s2, 1.0, cfg, det, pm, 10**4, np.random.default_rng(9)
+    ).records
+
+    def stream_for(j):
+        return np.random.default_rng((77, j))
+
+    for records in (low_records, high_records):
+        want = _scalar_draw_monte_carlo_error(records, 40, stream_for)
+        assert monte_carlo_error(records, 40, stream_for) == want
 
 
 def test_monte_carlo_error_needs_two_resamples():
