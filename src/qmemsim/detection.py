@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import check_density, density_of, ket_from_named
+from .polarization import STATE_LABELS, check_density, density_of, ket_from_named
 
 MAX_PULSES = 1_000_000_000
 
@@ -63,6 +63,16 @@ def effective_detection_efficiency(cfg: DetectionConfig) -> float:
     return total_detection_efficiency(cfg)
 
 
+def _projector(label: str) -> np.ndarray:
+    proj = density_of(ket_from_named(label))
+    proj.setflags(write=False)
+    return proj
+
+
+#: Read-only projector |s><s| onto each named polarization state.
+PROJECTORS = {label: _projector(label) for label in STATE_LABELS}
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """An analysis basis: orthonormal projector pair and its Stokes axis."""
@@ -74,11 +84,11 @@ class MeasurementBasis:
 
     @property
     def plus_projector(self) -> np.ndarray:
-        return density_of(ket_from_named(self.plus_label))
+        return PROJECTORS[self.plus_label]
 
     @property
     def minus_projector(self) -> np.ndarray:
-        return density_of(ket_from_named(self.minus_label))
+        return PROJECTORS[self.minus_label]
 
 
 BASIS_HV = MeasurementBasis("HV", "H", "V", axis=0)

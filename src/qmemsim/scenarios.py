@@ -14,6 +14,7 @@ count sampling, Monte Carlo resampling and efficiency sampling.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -391,7 +392,10 @@ def emit(
     CSV cells carry 9 significant digits; the JSON artifact keeps full
     binary precision and a format_version.  Nothing written depends on
     wall-clock time, so equal (config, seed) runs produce byte-identical
-    files.
+    files.  The set is written all or nothing: each file goes to a
+    temporary name in out_dir first, and only when every one is complete
+    are they renamed into place; on any error the temporary files are
+    removed and no artifact is replaced.
     """
     for fmt in formats:
         if fmt not in ("csv", "json"):
@@ -400,18 +404,22 @@ def emit(
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IOError(f"cannot create output directory {out_dir}: {exc}") from None
-    written = []
+    staged: list[tuple[str, str]] = []
+
+    def stage(filename: str, newline: str | None = None):
+        path = os.path.join(out_dir, filename)
+        tmp = f"{path}.{os.getpid()}.tmp"
+        staged.append((tmp, path))
+        return open(tmp, "w", encoding="utf-8", newline=newline)
+
     try:
         if "csv" in formats:
-            path = os.path.join(out_dir, f"{artifact.name}.csv")
-            with open(path, "w", encoding="utf-8", newline="") as fh:
+            with stage(f"{artifact.name}.csv", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(artifact.columns)
                 for row in artifact.rows:
                     writer.writerow([_format_cell(v) for v in row])
-            written.append(path)
         if "json" in formats:
-            path = os.path.join(out_dir, f"{artifact.name}.json")
             payload = {
                 "format_version": FORMAT_VERSION,
                 "name": artifact.name,
@@ -420,18 +428,21 @@ def emit(
                 "meta": artifact.meta,
                 "config": artifact.config,
             }
-            with open(path, "w", encoding="utf-8") as fh:
+            with stage(f"{artifact.name}.json") as fh:
                 json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
                 fh.write("\n")
-            written.append(path)
-        if "json" not in formats:
+        else:
             # The JSON artifact embeds the scenario echo; a CSV-only run
             # still needs the echo on disk to be self-describing.
-            path = os.path.join(out_dir, f"{artifact.name}.config.json")
-            with open(path, "w", encoding="utf-8") as fh:
+            with stage(f"{artifact.name}.config.json") as fh:
                 json.dump(artifact.config, fh, sort_keys=True, indent=2, allow_nan=False)
                 fh.write("\n")
-            written.append(path)
+        for tmp, path in staged:
+            os.replace(tmp, path)
     except OSError as exc:
         raise IOError(f"cannot write artifact under {out_dir}: {exc}") from None
-    return written
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+    return [path for _, path in staged]

@@ -1,24 +1,33 @@
 """State and process reconstruction from photon-count records.
 
 State estimation is linear inversion over Stokes parameters with a
-deterministic physicality projection (eigenvalue clamping and trace
-renormalization) instead of iterative likelihood maximization; at the
-count scales simulated here the two agree to well within the error bars,
-and the closed-form projection keeps every run bit-reproducible.
+deterministic physicality projection instead of iterative likelihood
+maximization; at the count scales simulated here the two agree to well
+within the error bars, and the closed-form projection keeps every run
+bit-reproducible.  For a qubit, clamping the negative eigenvalue of
+(I + S.sigma)/2 and renormalizing the trace is exactly the rescaling
+S -> S/|S|, so a state is projected in closed form; the process matrix
+chi is projected by clamping the negative eigenvalues of its 4x4
+eigendecomposition and renormalizing the trace.
 
 The process matrix chi expands a qubit channel in the ordered operator
 basis PAULI_BASIS:  rho_out = sum_mn chi[m, n] sigma_m rho_in sigma_n+.
 Four informationally complete input states give exactly the 16 real
-constraints needed, so chi is recovered by one linear solve.  The trace
-convention is Tr(chi) = 1 for post-selected (trace-renormalized) maps.
+constraints needed, so chi is recovered by one linear solve (Chuang &
+Nielsen, J. Mod. Opt. 44, 2455 (1997)).  The 16x16 design matrix depends
+only on the inputs, so its inverse is built and rank-checked once per
+input set and each solve is one matmul.  The trace convention is
+Tr(chi) = 1 for post-selected (trace-renormalized) maps.
 
 ``_reconstruct`` is the single reconstruction path (counts -> Stokes ->
 rho per input -> chi, solved then projected -> fidelity); the point
-estimate and every bootstrap resample go through it.
+estimate and every bootstrap resample go through it.  Its fidelity
+against the identity process is the projected chi[0, 0].
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -94,22 +103,22 @@ def stokes_from_counts(records: Mapping[str, CountRecord]) -> np.ndarray:
 def state_estimate(stokes: np.ndarray) -> TomographyResult:
     """Linear state estimate with projection to the physical set.
 
-    Builds rho = (I + sum S_i sigma_i)/2; if that has a negative
-    eigenvalue (raw Stokes estimates may leave the unit ball under shot
-    noise) the eigenvalues are clamped to zero and the trace
-    renormalized, and the projection flag is set.
+    Builds rho = (I + sum S_i sigma_i)/2, whose eigenvalues are
+    (1 +- |S|)/2.  If the smaller one is below -_PROJECT_EIG_TOL (raw
+    Stokes estimates may leave the unit ball under shot noise), clamping
+    it to zero and renormalizing the trace leaves the pure state
+    (I + S/|S| . sigma)/2, which is returned with the projection flag set
+    and its Frobenius distance (|S| - 1)/sqrt(2) from the linear estimate.
     """
     stokes = np.asarray(stokes, dtype=float)
     if not np.all(np.isfinite(stokes)):
         raise ValueError("Stokes estimate contains non-finite values")
     rho_lin = density_from_stokes(stokes)
-    vals, vecs = np.linalg.eigh(rho_lin)
-    if vals[0] >= -_PROJECT_EIG_TOL:
+    length = float(np.linalg.norm(stokes))
+    if length <= 1.0 + 2.0 * _PROJECT_EIG_TOL:
         return TomographyResult(rho_lin, False, 0.0)
-    clamped = np.clip(vals, 0.0, None)
-    rho = (vecs * (clamped / clamped.sum())) @ vecs.conj().T
-    distance = float(np.linalg.norm(rho - rho_lin))
-    return TomographyResult(rho, True, distance)
+    rho = density_from_stokes(stokes / length)
+    return TomographyResult(rho, True, float(np.linalg.norm(rho - rho_lin)))
 
 
 def apply_process(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -123,6 +132,39 @@ def apply_process(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _design_inverse(inputs: np.ndarray) -> np.ndarray:
+    """Read-only inverse of the 16x16 design matrix of four input states.
+
+    Degenerate (not informationally complete) input sets are rejected.
+    """
+    # Row 4k + 2i + o, column 4m + n holds (sigma_m rho_in_k sigma_n+)[i, o].
+    a = np.einsum("mij,kjl,nol->kiomn", _PAULIS, inputs, _PAULIS.conj()).reshape(16, 16)
+    if np.linalg.matrix_rank(a) < 16:
+        raise ValueError("degenerate input set: states are not informationally complete")
+    inverse = np.linalg.inv(a)
+    inverse.setflags(write=False)
+    return inverse
+
+
+@functools.lru_cache(maxsize=None)
+def _input_set(input_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ideal input states (4, 2, 2) and their design inverse.
+
+    Built and validated once per label tuple, on first use.
+    """
+    if len(input_labels) != 4:
+        raise ValueError(f"need exactly 4 input states, got {len(input_labels)}")
+    states = np.array([check_density(density_of(ket_from_named(lbl))) for lbl in input_labels])
+    states.setflags(write=False)
+    return states, _design_inverse(states)
+
+
+def _solve_chi(inverse: np.ndarray, outputs: np.ndarray) -> np.ndarray:
+    """Hermitized chi from the design inverse and the (4, 2, 2) outputs."""
+    chi = (inverse @ outputs.reshape(16)).reshape(4, 4)
+    return (chi + chi.conj().T) / 2.0
+
+
 def process_matrix_linear(
     pairs: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> np.ndarray:
@@ -134,16 +176,7 @@ def process_matrix_linear(
     if len(pairs) != 4:
         raise ValueError(f"need exactly 4 input/output pairs, got {len(pairs)}")
     checked = np.array([[check_density(rho) for rho in pair] for pair in pairs])
-    # Row 4k + 2i + o, column 4m + n holds (sigma_m rho_in_k sigma_n+)[i, o].
-    a = np.einsum(
-        "mij,kjl,nol->kiomn", _PAULIS, checked[:, 0], _PAULIS.conj()
-    ).reshape(16, 16)
-    b = checked[:, 1].reshape(16)
-    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 16:
-        raise ValueError("degenerate input set: states are not informationally complete")
-    chi = solution.reshape(4, 4)
-    return (chi + chi.conj().T) / 2.0
+    return _solve_chi(_design_inverse(checked[:, 0]), checked[:, 1])
 
 
 def project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, bool, float]:
@@ -180,11 +213,14 @@ def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     Both arguments must be Hermitian, PSD (to tolerance) and normalized
     to unit trace.  For a rank-1 ideal at (0,0) this reduces to chi[0,0].
     """
-    for name, mat in (("chi", chi), ("chi_ideal", chi_ideal)):
-        mat = np.asarray(mat)
-        if abs(np.trace(mat).real - 1.0) > 1e-6:
-            raise ValueError(f"{name} is not trace-normalized")
+    _check_unit_trace("chi", chi)
+    _check_unit_trace("chi_ideal", chi_ideal)
     return uhlmann_fidelity(chi, chi_ideal)
+
+
+def _check_unit_trace(name: str, mat: np.ndarray) -> None:
+    if abs(np.trace(np.asarray(mat)).real - 1.0) > 1e-6:
+        raise ValueError(f"{name} is not trace-normalized")
 
 
 def run_process_tomography(
@@ -207,9 +243,10 @@ def run_process_tomography(
     is fully determined by the supplied stream.
     """
     input_labels = tuple(input_labels)
+    states, _ = _input_set(input_labels)
     records: dict[str, dict[str, CountRecord]] = {}
-    for lbl in input_labels:
-        outcome = release(density_of(ket_from_named(lbl)), channel, t, memory, pm)
+    for lbl, rho_in in zip(input_labels, states):
+        outcome = release(rho_in, channel, t, memory, pm)
         per_basis: dict[str, CountRecord] = {}
         for basis in MEASUREMENT_BASES:
             rates = expected_rates(outcome.state, outcome.efficiency, basis, det)
@@ -226,17 +263,22 @@ def _reconstruct(
     records: Mapping[str, Mapping[str, CountRecord]],
     input_labels: Sequence[str],
 ) -> ProcessResult:
-    """Score per-input count records: Stokes -> rho -> chi -> fidelity."""
+    """Score per-input count records: Stokes -> rho -> chi -> fidelity.
+
+    The fidelity against the identity process, whose chi is a single
+    unit at (0, 0), is the projected chi[0, 0].
+    """
     input_labels = tuple(input_labels)
-    pairs = [
-        (density_of(ket_from_named(lbl)), state_estimate(stokes_from_counts(records[lbl])).rho)
-        for lbl in input_labels
-    ]
-    chi_raw = process_matrix_linear(pairs)
+    _, inverse = _input_set(input_labels)
+    outputs = np.array(
+        [state_estimate(stokes_from_counts(records[lbl])).rho for lbl in input_labels]
+    )
+    chi_raw = _solve_chi(inverse, outputs)
     chi, applied, distance = project_process_matrix(chi_raw)
+    _check_unit_trace("chi", chi)
     return ProcessResult(
         chi=chi,
-        process_fidelity=process_fidelity(chi, identity_chi()),
+        process_fidelity=min(max(float(chi[0, 0].real), 0.0), 1.0),
         input_labels=input_labels,
         raw_chi00=float(chi_raw[0, 0].real),
         projection_applied=applied,

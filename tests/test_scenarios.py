@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -254,6 +255,31 @@ class TestEmit:
         assert set(payload) == {"format_version", "name", "columns", "rows", "meta", "config"}
         assert payload["format_version"] == 1
         assert "created_at" not in json.dumps(payload)
+
+    def test_failed_write_leaves_no_partial_set(self, tmp_path, monkeypatch):
+        fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+        emit(run_fig3(ScenarioConfig()), str(existing))
+        before = {p.name: p.read_bytes() for p in existing.iterdir()}
+
+        def failing_dump(*args, **kwargs):
+            raise ValueError("dump failed")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        stale = run_fig3(config_from_dict({"memory": {"tau": 1.0}}))
+        for out in (fresh, existing):
+            with pytest.raises(ValueError, match="dump failed"):
+                emit(stale, str(out))
+        assert os.listdir(fresh) == []
+        assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
+
+    def test_rerun_replaces_existing_set_byte_identically(self, tmp_path):
+        first, rerun = tmp_path / "first", tmp_path / "rerun"
+        emit(run_fig3(ScenarioConfig()), str(first))
+        emit(run_fig3(config_from_dict({"memory": {"tau": 1.0}})), str(rerun))
+        emit(run_fig3(ScenarioConfig()), str(rerun))
+        assert sorted(os.listdir(rerun)) == ["fig3.csv", "fig3.json"]
+        for name in ("fig3.csv", "fig3.json"):
+            assert (rerun / name).read_bytes() == (first / name).read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):

@@ -1,12 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmemsim.detection import CountRecord, DetectionConfig, expected_counts, expected_rates
+from qmemsim.detection import (
+    MEASUREMENT_BASES,
+    PROJECTORS,
+    CountRecord,
+    DetectionConfig,
+    expected_counts,
+    expected_rates,
+)
 from qmemsim.memory import DEFAULT_CHANNELS, MemoryConfig, PhaseMatchConfig, dephase
-from qmemsim.polarization import density_of, ket_from_named
+from qmemsim.polarization import (
+    PAULI_BASIS,
+    density_from_stokes,
+    density_of,
+    ket_from_named,
+    stokes_of,
+    uhlmann_fidelity,
+)
 from qmemsim.detection import postselected_state
 from qmemsim.tomography import (
+    _PROJECT_EIG_TOL,
     DEFAULT_INPUT_LABELS,
+    _input_set,
+    _reconstruct,
     apply_process,
     identity_chi,
     monte_carlo_error,
@@ -73,6 +92,33 @@ def test_state_estimate_projection_never_negative(rng):
         assert np.linalg.eigvalsh(est.rho)[0] >= -1e-12
 
 
+def _eigen_clamp(mat):
+    # Reference projection: clamp negative eigenvalues, renormalize the trace.
+    vals, vecs = np.linalg.eigh(mat)
+    if vals[0] >= -_PROJECT_EIG_TOL:
+        return mat, False, 0.0
+    clamped = np.clip(vals, 0.0, None)
+    projected = (vecs * (clamped / clamped.sum())) @ vecs.conj().T
+    return projected, True, float(np.linalg.norm(projected - mat))
+
+
+def test_state_estimate_closed_form_matches_eigen_clamp(rng):
+    threshold = 1.0 + 2.0 * _PROJECT_EIG_TOL
+    directions = rng.normal(size=(500, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    unit = directions[0]
+    # |S| = 1 exactly, just inside and just outside the projection threshold.
+    edges = [np.array([1.0, 0.0, 0.0]), unit * (threshold - 1e-13), unit * (threshold + 1e-13)]
+    cases = [d * rng.uniform(0.0, 1.6) for d in directions] + edges
+    for stokes in cases:
+        est = state_estimate(stokes)
+        rho, applied, distance = _eigen_clamp(density_from_stokes(stokes))
+        assert est.physical_projection_applied == applied
+        assert np.max(np.abs(est.rho - rho)) < 1e-14
+        assert abs(est.projection_distance - distance) < 1e-14
+    assert [state_estimate(s).physical_projection_applied for s in edges] == [False, False, True]
+
+
 def test_state_estimate_rejects_non_finite():
     with pytest.raises(ValueError):
         state_estimate(np.array([np.nan, 0.0, 0.0]))
@@ -107,6 +153,22 @@ def test_process_matrix_rejects_degenerate_inputs():
     pairs = [(density_of(ket_from_named(l)),) * 2 for l in labels]
     with pytest.raises(ValueError, match="informationally complete"):
         process_matrix_linear(pairs)
+
+
+def test_degenerate_input_labels_rejected_at_first_use():
+    labels = ("H", "V", "D", "A")
+    records = {lbl: _records({"HV": (5, 5), "DA": (5, 5), "RL": (5, 5)}) for lbl in labels}
+    with pytest.raises(ValueError, match="informationally complete"):
+        _input_set(labels)
+    with pytest.raises(ValueError, match="informationally complete"):
+        reconstruct_from_records(records, labels)
+
+
+def test_cached_constants_are_read_only():
+    states, inverse = _input_set(DEFAULT_INPUT_LABELS)
+    for arr in (states, inverse, *PROJECTORS.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
 
 
 def test_process_matrix_wrong_pair_count():
@@ -272,3 +334,56 @@ def test_monte_carlo_error_needs_two_resamples():
     }
     with pytest.raises(ValueError):
         monte_carlo_error(recs, 1, lambda j: np.random.default_rng(j))
+
+
+def _reference_reconstruct(records):
+    # The chain before the closed forms: eigen-clamp state projection, a
+    # least-squares solve of the 16x16 system built one (k, m, n) block at
+    # a time, eigen-clamp chi projection and the Uhlmann fidelity.
+    a = np.zeros((16, 16), dtype=complex)
+    b = np.zeros(16, dtype=complex)
+    for k, lbl in enumerate(DEFAULT_INPUT_LABELS):
+        rho_out, _, _ = _eigen_clamp(density_from_stokes(stokes_from_counts(records[lbl])))
+        b[4 * k : 4 * k + 4] = rho_out.reshape(4)
+        for m, sm in enumerate(PAULI_BASIS):
+            for n, sn in enumerate(PAULI_BASIS):
+                a[4 * k : 4 * k + 4, 4 * m + n] = (
+                    sm @ INPUT_STATES[lbl] @ sn.conj().T
+                ).reshape(4)
+    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    assert rank == 16
+    chi_raw = solution.reshape(4, 4)
+    chi_raw = (chi_raw + chi_raw.conj().T) / 2.0
+    chi, applied, distance = _eigen_clamp(chi_raw)
+    return uhlmann_fidelity(chi, identity_chi()), float(chi_raw[0, 0].real), applied, distance
+
+
+@st.composite
+def _count_records(draw):
+    # Counts around those of a depolarized identity channel: at a scale
+    # of 50 both the state and the chi projection fire on most draws.
+    scale = draw(st.sampled_from([50, 2000, 10**5]))
+    purity = draw(st.floats(0.0, 1.0))
+    records = {}
+    for lbl in DEFAULT_INPUT_LABELS:
+        stokes = purity * stokes_of(INPUT_STATES[lbl])
+        per_basis = {}
+        for basis in MEASUREMENT_BASES:
+            counts = []
+            for sign in (1.0, -1.0):
+                mean = scale * (1.0 + sign * stokes[basis.axis]) / 2.0
+                counts.append(draw(st.integers(1, max(1, round(1.3 * mean)))))
+            per_basis[basis.label] = CountRecord(basis.label, *counts, 10**5)
+        records[lbl] = per_basis
+    return records
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_count_records())
+def test_reconstruct_matches_reference_chain(records):
+    fidelity, raw_chi00, applied, distance = _reference_reconstruct(records)
+    res = _reconstruct(records, DEFAULT_INPUT_LABELS)
+    assert res.projection_applied == applied
+    assert abs(res.process_fidelity - fidelity) < 1e-12
+    assert abs(res.raw_chi00 - raw_chi00) < 1e-12
+    assert abs(res.projection_distance - distance) < 1e-12
