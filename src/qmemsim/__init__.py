@@ -20,7 +20,6 @@ from .detection import (
     BASIS_HV,
     BASIS_RL,
     MEASUREMENT_BASES,
-    CountRecord,
     DetectionConfig,
     MeasurementBasis,
     effective_detection_efficiency,

@@ -5,6 +5,13 @@ Counts are aggregated Poisson draws over the pulse budget of a setting
 Bernoulli sampling and much faster).  Post-selection on detected photons
 mixes the signal state with an isotropic background in proportion
 eta*R : 2N.
+
+Count layout: the rates and counts of one prepared input form a (3, 2)
+array whose rows are the analysis bases in MEASUREMENT_BASES order (HV,
+DA, RL; row i is Stokes axis i) and whose columns are the (+, -)
+detectors.  A tomography run stacks one such array per input into
+shape (n_inputs, 3, 2).  Sampled counts are integers; in expected-counts
+(infinite statistics) mode they are the real-valued means.
 """
 
 from __future__ import annotations
@@ -75,12 +82,15 @@ PROJECTORS = {label: _projector(label) for label in STATE_LABELS}
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """An analysis basis: orthonormal projector pair and its Stokes axis."""
+    """An analysis basis: an orthonormal projector pair.
+
+    Its position in MEASUREMENT_BASES is its Stokes axis and its row in
+    a count array.
+    """
 
     label: str
     plus_label: str
     minus_label: str
-    axis: int  # index into the Stokes vector (0 = H/V, 1 = D/A, 2 = R/L)
 
     @property
     def plus_projector(self) -> np.ndarray:
@@ -91,83 +101,50 @@ class MeasurementBasis:
         return PROJECTORS[self.minus_label]
 
 
-BASIS_HV = MeasurementBasis("HV", "H", "V", axis=0)
-BASIS_DA = MeasurementBasis("DA", "D", "A", axis=1)
-BASIS_RL = MeasurementBasis("RL", "R", "L", axis=2)
+BASIS_HV = MeasurementBasis("HV", "H", "V")
+BASIS_DA = MeasurementBasis("DA", "D", "A")
+BASIS_RL = MeasurementBasis("RL", "R", "L")
 
 #: The three mutually unbiased analysis bases, in Stokes-axis order.
 MEASUREMENT_BASES = (BASIS_HV, BASIS_DA, BASIS_RL)
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """Photon counts for one basis setting over a pulse budget.
+def expected_rates(state: np.ndarray, efficiency: float, cfg: DetectionConfig) -> np.ndarray:
+    """Per-pulse mean counts of one state, a (3, 2) array (basis x (+, -)).
 
-    In expected-counts (infinite statistics) mode the counts hold
-    real-valued means instead of integer draws.
-    """
-
-    basis: str
-    n_plus: float
-    n_minus: float
-    pulses: int
-
-    def __post_init__(self) -> None:
-        if self.n_plus < 0 or self.n_minus < 0:
-            raise ValueError("counts must be non-negative")
-        if self.pulses < 1:
-            raise ValueError(f"pulses must be >= 1, got {self.pulses}")
-
-
-def expected_rates(
-    state: np.ndarray,
-    efficiency: float,
-    basis: MeasurementBasis,
-    cfg: DetectionConfig,
-) -> tuple[float, float]:
-    """Per-pulse mean counts (mu_plus, mu_minus) for one analysis basis.
-
-    mu_+- = n_bar * eta * R * Tr(Pi_+- rho) + background; the pair sums to
-    n_bar * eta * R + 2 * background independently of the basis.
+    mu_+- = n_bar * eta * R * Tr(Pi_+- rho) + background; each row sums
+    to n_bar * eta * R + 2 * background independently of the basis.
     """
     state = check_density(state)
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
     signal = cfg.n_bar * effective_detection_efficiency(cfg) * efficiency
-    p_plus = float(np.trace(basis.plus_projector @ state).real)
-    p_plus = min(max(p_plus, 0.0), 1.0)
-    mu_plus = signal * p_plus + cfg.background_n
-    mu_minus = signal * (1.0 - p_plus) + cfg.background_n
-    return mu_plus, mu_minus
+    background = cfg.background_n
+    rates = []
+    for basis in MEASUREMENT_BASES:
+        p_plus = float(np.trace(basis.plus_projector @ state).real)
+        p_plus = min(max(p_plus, 0.0), 1.0)
+        rates.append((signal * p_plus + background, signal * (1.0 - p_plus) + background))
+    return np.array(rates)
 
 
-def sample_counts(
-    rates: tuple[float, float],
-    pulses: int,
-    rng: np.random.Generator,
-    basis: str = "",
-) -> CountRecord:
-    """Draw Poisson counts n_+- ~ Poisson(pulses * mu_+-)."""
-    mu_plus, mu_minus = rates
-    if mu_plus < 0 or mu_minus < 0:
+def _check_rates(rates: np.ndarray, pulses: int) -> np.ndarray:
+    rates = np.asarray(rates, dtype=float)
+    if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
     if not 1 <= pulses <= MAX_PULSES:
         raise ValueError(f"pulses must be in [1, {MAX_PULSES}], got {pulses}")
-    n_plus = int(rng.poisson(pulses * mu_plus))
-    n_minus = int(rng.poisson(pulses * mu_minus))
-    return CountRecord(basis=basis, n_plus=n_plus, n_minus=n_minus, pulses=pulses)
+    return rates
 
 
-def expected_counts(
-    rates: tuple[float, float], pulses: int, basis: str = ""
-) -> CountRecord:
-    """Infinite-statistics record holding the exact means pulses * mu_+-."""
-    mu_plus, mu_minus = rates
-    if mu_plus < 0 or mu_minus < 0:
-        raise ValueError("rates must be non-negative")
-    return CountRecord(
-        basis=basis, n_plus=pulses * mu_plus, n_minus=pulses * mu_minus, pulses=pulses
-    )
+def sample_counts(rates: np.ndarray, pulses: int, rng: np.random.Generator) -> np.ndarray:
+    """Integer counts n ~ Poisson(pulses * rates), drawn in C order of ``rates``."""
+    return rng.poisson(pulses * _check_rates(rates, pulses))
+
+
+def expected_counts(rates: np.ndarray, pulses: int) -> np.ndarray:
+    """Infinite-statistics counts: the exact means pulses * rates."""
+    return pulses * _check_rates(rates, pulses)
 
 
 def postselected_state(

@@ -183,7 +183,6 @@ def release(
     Single-readout semantics: exactly the requested channel emits; the
     returned state is the dephased (pre-background) signal state.
     """
-    rho_in = check_density(rho_in)
     gamma = dephasing_factor(t, channel, cfg)
     return RetrievalOutcome(
         state=dephase(rho_in, gamma),

@@ -112,10 +112,8 @@ def density_from_stokes(stokes: np.ndarray) -> np.ndarray:
     stokes = np.asarray(stokes, dtype=float)
     if stokes.shape != (3,):
         raise ValueError(f"Stokes vector must have shape (3,), got {stokes.shape}")
-    rho = SIGMA_0.copy()
-    for s_i, sigma in zip(stokes, (SIGMA_1, SIGMA_2, SIGMA_3)):
-        rho += s_i * sigma
-    return rho / 2.0
+    x, y, z = stokes.tolist()
+    return np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) / 2.0
 
 
 def psd_sqrt(mat: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from .fitting import (
     fit_sigma_gamma,
 )
 from .memory import retrieval_efficiency, walk_off_r0
-from .tomography import monte_carlo_error, run_process_tomography
+from .tomography import _input_set, monte_carlo_error, run_process_tomography
 
 FORMAT_VERSION = 1
 
@@ -74,11 +74,10 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 def _require_tomography_inputs(cfg: ScenarioConfig) -> None:
-    if len(cfg.input_states) != 4:
-        raise ConfigError(
-            f"input_states must contain exactly 4 labels for tomography "
-            f"scenarios, got {len(cfg.input_states)}"
-        )
+    try:
+        _input_set(cfg.input_states)
+    except ValueError as exc:
+        raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
 
 
 @dataclass
@@ -123,7 +122,7 @@ def tomography_point(
         sigma = 0.0
     else:
         sigma = monte_carlo_error(
-            result.records,
+            result.counts,
             cfg.mc_resamples,
             lambda j: derive_rng(cfg.seed, _DOMAIN_RESAMPLE, idx, tkey, j),
             cfg.input_states,
@@ -254,7 +253,6 @@ def run_fig5(
     values.
     """
     channel = cfg.channel(channel_id)
-    _require_tomography_inputs(cfg)
     rows = []
     for t in cfg.storage_times:
         point = tomography_point(cfg, channel_id, t, expected_counts)
@@ -301,7 +299,6 @@ def run_fig5(
 
 def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifact:
     """Per-channel process fidelity at the table storage time."""
-    _require_tomography_inputs(cfg)
     t = TABLE_TIME_MS
     rows = []
     for ch in cfg.channels:
@@ -325,7 +322,6 @@ def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifac
 
 def run_simulate(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifact:
     """Custom scenario: full tomography over every channel and storage time."""
-    _require_tomography_inputs(cfg)
     rows = []
     for ch in cfg.channels:
         for t in cfg.storage_times:

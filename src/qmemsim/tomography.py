@@ -1,4 +1,4 @@
-"""State and process reconstruction from photon-count records.
+"""State and process reconstruction from photon counts.
 
 State estimation is linear inversion over Stokes parameters with a
 deterministic physicality projection instead of iterative likelihood
@@ -21,7 +21,8 @@ Tr(chi) = 1 for post-selected (trace-renormalized) maps.
 
 ``_reconstruct`` is the single reconstruction path (counts -> Stokes ->
 rho per input -> chi, solved then projected -> fidelity); the point
-estimate and every bootstrap resample go through it.  Its fidelity
+estimate and every bootstrap resample go through it.  Counts are the
+(n_inputs, 3, 2) arrays described in ``detection``.  Its fidelity
 against the identity process is the projected chi[0, 0].
 """
 
@@ -29,12 +30,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .detection import (
-    CountRecord,
     DetectionConfig,
     MEASUREMENT_BASES,
     expected_counts,
@@ -78,25 +78,26 @@ class ProcessResult:
     raw_chi00: float
     projection_applied: bool
     projection_distance: float
-    records: dict[str, dict[str, CountRecord]]
+    counts: np.ndarray
 
 
-def stokes_from_counts(records: Mapping[str, CountRecord]) -> np.ndarray:
-    """Stokes vector from one count record per analysis basis.
+def stokes_from_counts(counts: np.ndarray) -> np.ndarray:
+    """Stokes vector from one input's (3, 2) counts (basis x (+, -)).
 
     Each basis contributes S = (n_plus - n_minus)/(n_plus + n_minus) on
-    its own axis; records are keyed by basis label (HV, DA, RL).
+    its own axis.
     """
+    counts = np.asarray(counts)
+    if counts.shape != (len(MEASUREMENT_BASES), 2):
+        raise ValueError(f"counts must have shape (3, 2), got {counts.shape}")
     stokes = np.zeros(3)
-    for basis in MEASUREMENT_BASES:
-        try:
-            rec = records[basis.label]
-        except KeyError:
-            raise ValueError(f"missing count record for basis {basis.label}") from None
-        total = rec.n_plus + rec.n_minus
+    for axis, (n_plus, n_minus) in enumerate(counts.tolist()):
+        if n_plus < 0 or n_minus < 0:
+            raise ValueError(f"negative counts in basis {MEASUREMENT_BASES[axis].label}")
+        total = n_plus + n_minus
         if total <= 0:
-            raise ValueError(f"zero total counts in basis {basis.label}")
-        stokes[basis.axis] = (rec.n_plus - rec.n_minus) / total
+            raise ValueError(f"zero total counts in basis {MEASUREMENT_BASES[axis].label}")
+        stokes[axis] = (n_plus - n_minus) / total
     return stokes
 
 
@@ -235,44 +236,35 @@ def run_process_tomography(
 ) -> ProcessResult:
     """Simulate full process tomography of storage and retrieval.
 
-    For each prepared input: release after time t, measure expected rates
-    in the three analysis bases, draw counts (or take exact means when
-    ``rng`` is None), and reconstruct the output state; then solve for
-    chi from the four pairs and score it against the identity process.
-    Count draws consume ``rng`` in a fixed input x basis order, so a run
-    is fully determined by the supplied stream.
+    For each prepared input: release after time t and take the expected
+    rates in the three analysis bases; then draw all counts at once (or
+    take exact means when ``rng`` is None), reconstruct the output states,
+    solve for chi from the four pairs and score it against the identity
+    process.  The draw consumes ``rng`` in input x basis x (+, -) order,
+    so a run is fully determined by the supplied stream.
     """
     input_labels = tuple(input_labels)
     states, _ = _input_set(input_labels)
-    records: dict[str, dict[str, CountRecord]] = {}
-    for lbl, rho_in in zip(input_labels, states):
-        outcome = release(rho_in, channel, t, memory, pm)
-        per_basis: dict[str, CountRecord] = {}
-        for basis in MEASUREMENT_BASES:
-            rates = expected_rates(outcome.state, outcome.efficiency, basis, det)
-            if rng is None:
-                rec = expected_counts(rates, pulses, basis.label)
-            else:
-                rec = sample_counts(rates, pulses, rng, basis.label)
-            per_basis[basis.label] = rec
-        records[lbl] = per_basis
-    return _reconstruct(records, input_labels)
+    outcomes = [release(rho_in, channel, t, memory, pm) for rho_in in states]
+    rates = np.array([expected_rates(o.state, o.efficiency, det) for o in outcomes])
+    if rng is None:
+        counts = expected_counts(rates, pulses)
+    else:
+        counts = sample_counts(rates, pulses, rng)
+    return _reconstruct(counts, input_labels)
 
 
-def _reconstruct(
-    records: Mapping[str, Mapping[str, CountRecord]],
-    input_labels: Sequence[str],
-) -> ProcessResult:
-    """Score per-input count records: Stokes -> rho -> chi -> fidelity.
+def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResult:
+    """Score (n_inputs, 3, 2) counts: Stokes -> rho -> chi -> fidelity.
 
     The fidelity against the identity process, whose chi is a single
     unit at (0, 0), is the projected chi[0, 0].
     """
     input_labels = tuple(input_labels)
     _, inverse = _input_set(input_labels)
-    outputs = np.array(
-        [state_estimate(stokes_from_counts(records[lbl])).rho for lbl in input_labels]
-    )
+    if len(counts) != len(input_labels):
+        raise ValueError(f"need counts for {len(input_labels)} inputs, got {len(counts)}")
+    outputs = np.array([state_estimate(stokes_from_counts(c)).rho for c in counts])
     chi_raw = _solve_chi(inverse, outputs)
     chi, applied, distance = project_process_matrix(chi_raw)
     _check_unit_trace("chi", chi)
@@ -283,44 +275,37 @@ def _reconstruct(
         raw_chi00=float(chi_raw[0, 0].real),
         projection_applied=applied,
         projection_distance=distance,
-        records=records,
+        counts=counts,
     )
 
 
 def reconstruct_from_records(
-    records: Mapping[str, Mapping[str, CountRecord]],
+    counts: np.ndarray,
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
 ) -> float:
-    """Process fidelity of the reconstruction given per-input count records."""
-    return _reconstruct(records, input_labels).process_fidelity
+    """Process fidelity of the reconstruction from (n_inputs, 3, 2) counts."""
+    return _reconstruct(counts, input_labels).process_fidelity
 
 
 def monte_carlo_error(
-    records: Mapping[str, Mapping[str, CountRecord]],
+    counts: np.ndarray,
     resamples: int,
     stream_for: Callable[[int], np.random.Generator],
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
 ) -> float:
     """Std deviation of the process fidelity under Poisson count resampling.
 
-    Each resample redraws every count as Poisson(observed), reruns the
-    full reconstruction and rescores; ``stream_for(j)`` must return an
-    independent deterministic stream for resample j, which makes the
-    estimate independent of evaluation order.  At least 100 resamples
-    recommended for a stable estimate.
+    Each resample redraws every count as Poisson(observed), in one draw
+    over the (n_inputs, 3, 2) ``counts``, reruns the full reconstruction
+    and rescores; ``stream_for(j)`` must return an independent
+    deterministic stream for resample j, which makes the estimate
+    independent of evaluation order.  At least 100 resamples recommended
+    for a stable estimate.
     """
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
-    cells = [(lbl, basis.label) for lbl in input_labels for basis in MEASUREMENT_BASES]
-    lam = np.array(
-        [(records[lbl][b].n_plus, records[lbl][b].n_minus) for lbl, b in cells],
-        dtype=float,
-    )
+    lam = np.asarray(counts, dtype=float)
     fidelities = np.empty(resamples)
     for j in range(resamples):
-        draws = stream_for(j).poisson(lam).tolist()
-        resampled: dict[str, dict[str, CountRecord]] = {lbl: {} for lbl in input_labels}
-        for (lbl, b), (n_plus, n_minus) in zip(cells, draws):
-            resampled[lbl][b] = CountRecord(b, n_plus, n_minus, records[lbl][b].pulses)
-        fidelities[j] = reconstruct_from_records(resampled, input_labels)
+        fidelities[j] = reconstruct_from_records(stream_for(j).poisson(lam), input_labels)
     return float(np.std(fidelities, ddof=1))

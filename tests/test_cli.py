@@ -101,6 +101,21 @@ class TestReproduce:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", [["reproduce", "fig5"], ["reproduce", "table1"], ["simulate"]]
+    )
+    def test_degenerate_input_states_exit_2_writing_nothing(self, tmp_path, capsys, command):
+        # H, V, D, A span only two Stokes axes: not informationally complete.
+        out = tmp_path / "out"
+        cfg = write_json(tmp_path / "hvda.json", {"input_states": ["H", "V", "D", "A"]})
+        code = main([*command, "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: input_states")
+        assert "informationally complete" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_fit_failure_exits_3_but_persists_points(self, tmp_path, capsys):
         cfg = write_json(
             tmp_path / "one.json",

@@ -6,7 +6,6 @@ from qmemsim.detection import (
     BASIS_HV,
     BASIS_RL,
     MEASUREMENT_BASES,
-    CountRecord,
     DetectionConfig,
     effective_detection_efficiency,
     expected_counts,
@@ -47,7 +46,9 @@ def test_effective_efficiency_uses_measured_total():
 
 def test_expected_rates_h_state_chain_efficiency():
     cfg = DetectionConfig(eta_total=None)
-    mu_plus, mu_minus = expected_rates(H_STATE, 0.127, BASIS_HV, cfg)
+    rates = expected_rates(H_STATE, 0.127, cfg)
+    assert rates.shape == (3, 2)
+    mu_plus, mu_minus = rates[MEASUREMENT_BASES.index(BASIS_HV)]
     assert abs(mu_plus - (0.22504 * 0.127 + 7e-4)) < 1e-12
     assert abs(mu_minus - 7e-4) < 1e-15
 
@@ -56,22 +57,19 @@ def test_expected_rates_sum_identity(rng):
     for _ in range(20):
         state = random_density(rng)
         eff = rng.uniform(0, 1)
-        for basis in MEASUREMENT_BASES:
-            mu_plus, mu_minus = expected_rates(state, eff, basis, DET)
-            total = DET.n_bar * 0.23 * eff + 2 * DET.background_n
+        total = DET.n_bar * 0.23 * eff + 2 * DET.background_n
+        for mu_plus, mu_minus in expected_rates(state, eff, DET):
             assert abs(mu_plus + mu_minus - total) < 1e-15
 
 
 def test_expected_rates_maximally_mixed_is_symmetric():
     half = np.eye(2) / 2
-    for basis in MEASUREMENT_BASES:
-        mu_plus, mu_minus = expected_rates(half, 0.1, basis, DET)
+    for mu_plus, mu_minus in expected_rates(half, 0.1, DET):
         assert abs(mu_plus - mu_minus) < 1e-15
 
 
 def test_expected_rates_zero_efficiency_gives_background():
-    mu_plus, mu_minus = expected_rates(H_STATE, 0.0, BASIS_DA, DET)
-    assert mu_plus == mu_minus == DET.background_n
+    assert np.all(expected_rates(H_STATE, 0.0, DET) == DET.background_n)
 
 
 def test_basis_projectors_complete_and_unbiased():
@@ -87,28 +85,24 @@ def test_basis_projectors_complete_and_unbiased():
 
 
 def test_sample_counts_deterministic_per_seed():
-    rates = (0.03, 7e-4)
-    a = sample_counts(rates, 10**5, np.random.default_rng(7), "HV")
-    b = sample_counts(rates, 10**5, np.random.default_rng(7), "HV")
-    assert (a.n_plus, a.n_minus) == (b.n_plus, b.n_minus)
+    rates = expected_rates(H_STATE, 0.127, DET)
+    a = sample_counts(rates, 10**5, np.random.default_rng(7))
+    b = sample_counts(rates, 10**5, np.random.default_rng(7))
+    assert a.shape == (3, 2)
+    assert np.array_equal(a, b)
 
 
 def test_sample_counts_zero_rates():
-    rec = sample_counts((0.0, 0.0), 10**5, np.random.default_rng(0))
-    assert rec.n_plus == 0 and rec.n_minus == 0
+    counts = sample_counts(np.zeros((3, 2)), 10**5, np.random.default_rng(0))
+    assert counts.shape == (3, 2)
+    assert np.all(counts == 0)
 
 
 def test_sample_counts_poisson_moments():
     rates = (0.03, 7e-4)
     pulses = 10**5
     draws = np.array(
-        [
-            (r.n_plus, r.n_minus)
-            for r in (
-                sample_counts(rates, pulses, np.random.default_rng(seed))
-                for seed in range(1000)
-            )
-        ],
+        [sample_counts(rates, pulses, np.random.default_rng(seed)) for seed in range(1000)],
         dtype=float,
     )
     means = draws.mean(axis=0)
@@ -125,16 +119,24 @@ def test_sample_counts_rejects_overflow_scale():
 
 
 def test_expected_counts_hold_exact_means():
-    rec = expected_counts((0.03, 7e-4), 10**5, "HV")
-    assert rec.n_plus == 3000.0
-    assert rec.n_minus == 70.0
+    assert expected_counts((0.03, 7e-4), 10**5).tolist() == [3000.0, 70.0]
+    rates = expected_rates(H_STATE, 0.127, DET)
+    assert np.array_equal(expected_counts(rates, 10**5), 10**5 * rates)
 
 
-def test_count_record_validation():
-    with pytest.raises(ValueError):
-        CountRecord("HV", -1, 0, 100)
-    with pytest.raises(ValueError):
-        CountRecord("HV", 0, 0, 0)
+def test_count_validation():
+    rates = np.full((3, 2), 0.01)
+    negative = rates.copy()
+    negative[1, 0] = -1e-3
+    for make_counts in (
+        expected_counts,
+        lambda rates, pulses: sample_counts(rates, pulses, np.random.default_rng(0)),
+    ):
+        with pytest.raises(ValueError, match="non-negative"):
+            make_counts(negative, 100)
+        for pulses in (0, 10**9 + 1):
+            with pytest.raises(ValueError, match="pulses"):
+                make_counts(rates, pulses)
 
 
 def test_postselected_state_no_background_is_identity_map(rng):

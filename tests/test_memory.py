@@ -129,6 +129,18 @@ def test_release_composes_decay_and_dephasing(rng):
     assert abs(out.theta_out - theta_prime(0.8, pm)) < 1e-15
 
 
+def test_release_rejects_invalid_state():
+    s2 = DEFAULT_CHANNELS[2]
+    pm = PhaseMatchConfig()
+    for bad, match in (
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (np.eye(2), "trace"),
+        (np.eye(3) / 3, "2x2"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            release(bad, s2, 1.0, MEM, pm)
+
+
 def test_memory_config_validation_messages():
     with pytest.raises(ValueError, match="tau must be > 0"):
         MemoryConfig(tau=-1.0)

@@ -3,15 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemsim.detection import (
-    MEASUREMENT_BASES,
-    PROJECTORS,
-    CountRecord,
-    DetectionConfig,
-    expected_counts,
-    expected_rates,
-)
-from qmemsim.memory import DEFAULT_CHANNELS, MemoryConfig, PhaseMatchConfig, dephase
+from qmemsim.detection import PROJECTORS, DetectionConfig, expected_rates
+from qmemsim.memory import DEFAULT_CHANNELS, MemoryConfig, PhaseMatchConfig, dephase, release
 from qmemsim.polarization import (
     PAULI_BASIS,
     density_from_stokes,
@@ -43,29 +36,29 @@ from conftest import apply_kraus, chi_from_kraus, random_cptp_kraus, random_dens
 INPUT_STATES = {lbl: density_of(ket_from_named(lbl)) for lbl in DEFAULT_INPUT_LABELS}
 
 
-def _records(n_by_basis):
-    return {
-        basis: CountRecord(basis, plus, minus, 1000)
-        for basis, (plus, minus) in n_by_basis.items()
-    }
-
-
 def test_stokes_from_counts_basic():
-    recs = _records({"HV": (750, 250), "DA": (500, 500), "RL": (100, 900)})
-    stokes = stokes_from_counts(recs)
-    assert np.allclose(stokes, [0.5, 0.0, -0.8], atol=1e-15)
+    counts = np.array([(750, 250), (500, 500), (100, 900)])
+    for c in (counts, counts.astype(float)):
+        assert np.allclose(stokes_from_counts(c), [0.5, 0.0, -0.8], atol=1e-15)
 
 
 def test_stokes_from_counts_missing_basis():
-    recs = _records({"HV": (750, 250), "DA": (500, 500)})
-    with pytest.raises(ValueError, match="RL"):
-        stokes_from_counts(recs)
+    with pytest.raises(ValueError, match=r"shape \(3, 2\), got \(2, 2\)"):
+        stokes_from_counts(np.array([(750, 250), (500, 500)]))
+    with pytest.raises(ValueError, match="need counts for 4 inputs, got 3"):
+        reconstruct_from_records(np.full((3, 3, 2), 5))
 
 
 def test_stokes_from_counts_zero_total():
-    recs = _records({"HV": (0, 0), "DA": (500, 500), "RL": (100, 900)})
-    with pytest.raises(ValueError, match="zero total"):
-        stokes_from_counts(recs)
+    counts = np.array([(0, 0), (500, 500), (100, 900)])
+    with pytest.raises(ValueError, match="zero total counts in basis HV"):
+        stokes_from_counts(counts)
+
+
+def test_stokes_from_counts_negative():
+    counts = np.array([(750, 250), (500, -1), (100, 900)])
+    with pytest.raises(ValueError, match="negative counts in basis DA"):
+        stokes_from_counts(counts)
 
 
 def test_state_estimate_interior_point_untouched():
@@ -157,11 +150,10 @@ def test_process_matrix_rejects_degenerate_inputs():
 
 def test_degenerate_input_labels_rejected_at_first_use():
     labels = ("H", "V", "D", "A")
-    records = {lbl: _records({"HV": (5, 5), "DA": (5, 5), "RL": (5, 5)}) for lbl in labels}
     with pytest.raises(ValueError, match="informationally complete"):
         _input_set(labels)
     with pytest.raises(ValueError, match="informationally complete"):
-        reconstruct_from_records(records, labels)
+        reconstruct_from_records(np.full((4, 3, 2), 5), labels)
 
 
 def test_cached_constants_are_read_only():
@@ -238,8 +230,7 @@ def test_run_process_tomography_expected_matches_model():
         assert abs(res.process_fidelity - closed_form_fidelity(t, **model)) < 1e-9
         assert not res.projection_applied
         assert abs(res.raw_chi00 - res.process_fidelity) < 1e-12
-        assert set(res.records) == set(DEFAULT_INPUT_LABELS)
-        assert all(len(per) == 3 for per in res.records.values())
+        assert res.counts.shape == (len(DEFAULT_INPUT_LABELS), 3, 2)
 
 
 def test_run_process_tomography_sampled_deterministic():
@@ -250,7 +241,33 @@ def test_run_process_tomography_sampled_deterministic():
     a = run_process_tomography(s2, 1.0, cfg, det, pm, 10**4, np.random.default_rng(5))
     b = run_process_tomography(s2, 1.0, cfg, det, pm, 10**4, np.random.default_rng(5))
     assert a.process_fidelity == b.process_fidelity
-    assert a.records == b.records
+    assert a.counts.dtype.kind == "i"
+    assert np.array_equal(a.counts, b.counts)
+
+
+def _scalar_draw_counts(channel, t, pulses, rng):
+    # Reference: one scalar Poisson draw per count, input x basis x (+, -).
+    cfg, det, pm = MemoryConfig(), DetectionConfig(), PhaseMatchConfig()
+    counts = []
+    for lbl in DEFAULT_INPUT_LABELS:
+        outcome = release(INPUT_STATES[lbl], channel, t, cfg, pm)
+        rates = expected_rates(outcome.state, outcome.efficiency, det).tolist()
+        counts.append([[int(rng.poisson(pulses * mu)) for mu in row] for row in rates])
+    return np.array(counts)
+
+
+def test_run_process_tomography_single_draw_matches_scalar_draws():
+    # At M=200 every mean is below 10, at M=1e5 every mean is above 10:
+    # numpy draws the two ranges with different Poisson algorithms.
+    cfg, det, pm = MemoryConfig(), DetectionConfig(), PhaseMatchConfig()
+    s2 = DEFAULT_CHANNELS[2]
+    for pulses in (200, 10**5):
+        for seed in range(5):
+            res = run_process_tomography(
+                s2, 0.5, cfg, det, pm, pulses, np.random.default_rng(seed)
+            )
+            want = _scalar_draw_counts(s2, 0.5, pulses, np.random.default_rng(seed))
+            assert np.array_equal(res.counts, want)
 
 
 def test_reconstruct_from_records_round_trip():
@@ -261,7 +278,7 @@ def test_reconstruct_from_records_round_trip():
     expected = run_process_tomography(s2, 2.0, cfg, det, pm, 10**5, rng=None)
     sampled = run_process_tomography(s2, 2.0, cfg, det, pm, 10**4, np.random.default_rng(3))
     for res in (expected, sampled):
-        assert reconstruct_from_records(res.records) == res.process_fidelity
+        assert reconstruct_from_records(res.counts) == res.process_fidelity
 
 
 def test_monte_carlo_error_deterministic_and_positive():
@@ -274,76 +291,69 @@ def test_monte_carlo_error_deterministic_and_positive():
     def stream_for(j):
         return np.random.default_rng((123, j))
 
-    a = monte_carlo_error(res.records, 50, stream_for)
-    b = monte_carlo_error(res.records, 50, stream_for)
+    a = monte_carlo_error(res.counts, 50, stream_for)
+    b = monte_carlo_error(res.counts, 50, stream_for)
     assert a == b
     assert a > 0
 
 
-def _scalar_draw_monte_carlo_error(records, resamples, stream_for):
+def _scalar_draw_monte_carlo_error(counts, resamples, stream_for):
     # Reference: one scalar Poisson draw per count, input x basis x (+, -).
     fidelities = []
     for j in range(resamples):
         rng = stream_for(j)
-        resampled = {}
-        for lbl in DEFAULT_INPUT_LABELS:
-            per_basis = {}
-            for basis in ("HV", "DA", "RL"):
-                rec = records[lbl][basis]
-                per_basis[basis] = CountRecord(
-                    basis=basis,
-                    n_plus=int(rng.poisson(rec.n_plus)),
-                    n_minus=int(rng.poisson(rec.n_minus)),
-                    pulses=rec.pulses,
-                )
-            resampled[lbl] = per_basis
-        fidelities.append(reconstruct_from_records(resampled))
+        resampled = [
+            [[int(rng.poisson(n)) for n in row] for row in per_input]
+            for per_input in counts.tolist()
+        ]
+        fidelities.append(reconstruct_from_records(np.array(resampled)))
     return float(np.std(fidelities, ddof=1))
 
 
 def test_monte_carlo_error_matches_scalar_draws():
     # Counts below 10 take numpy's other Poisson algorithm; the batched
     # draw must give the same integers there too.
-    low = {
-        "H": {"HV": (40, 3), "DA": (25, 20), "RL": (22, 24)},
-        "V": {"HV": (2, 38), "DA": (20, 23), "RL": (26, 19)},
-        "D": {"HV": (21, 22), "DA": (41, 1), "RL": (18, 25)},
-        "R": {"HV": (19, 24), "DA": (23, 20), "RL": (39, 9)},
-    }
-    low_records = {lbl: _records(counts) for lbl, counts in low.items()}
+    # Rows HV, DA, RL of inputs H, V, D, R.
+    low_counts = np.array(
+        [
+            [(40, 3), (25, 20), (22, 24)],
+            [(2, 38), (20, 23), (26, 19)],
+            [(21, 22), (41, 1), (18, 25)],
+            [(19, 24), (23, 20), (39, 9)],
+        ]
+    )
     cfg = MemoryConfig()
     det = DetectionConfig()
     pm = PhaseMatchConfig()
     s2 = DEFAULT_CHANNELS[2]
-    high_records = run_process_tomography(
+    high_counts = run_process_tomography(
         s2, 1.0, cfg, det, pm, 10**4, np.random.default_rng(9)
-    ).records
+    ).counts
 
     def stream_for(j):
         return np.random.default_rng((77, j))
 
-    for records in (low_records, high_records):
-        want = _scalar_draw_monte_carlo_error(records, 40, stream_for)
-        assert monte_carlo_error(records, 40, stream_for) == want
+    for counts in (low_counts, high_counts):
+        want = _scalar_draw_monte_carlo_error(counts, 40, stream_for)
+        assert monte_carlo_error(counts, 40, stream_for) == want
 
 
 def test_monte_carlo_error_needs_two_resamples():
-    recs = {
-        lbl: _records({"HV": (700, 300), "DA": (500, 500), "RL": (400, 600)})
-        for lbl in DEFAULT_INPUT_LABELS
-    }
+    counts = np.tile([(700, 300), (500, 500), (400, 600)], (4, 1, 1))
     with pytest.raises(ValueError):
-        monte_carlo_error(recs, 1, lambda j: np.random.default_rng(j))
+        monte_carlo_error(counts, 1, lambda j: np.random.default_rng(j))
 
 
-def _reference_reconstruct(records):
-    # The chain before the closed forms: eigen-clamp state projection, a
-    # least-squares solve of the 16x16 system built one (k, m, n) block at
-    # a time, eigen-clamp chi projection and the Uhlmann fidelity.
+def _reference_reconstruct(counts):
+    # The chain before the closed forms: per-basis Stokes ratios,
+    # eigen-clamp state projection, a least-squares solve of the 16x16
+    # system built one (k, m, n) block at a time, eigen-clamp chi
+    # projection and the Uhlmann fidelity.
     a = np.zeros((16, 16), dtype=complex)
     b = np.zeros(16, dtype=complex)
     for k, lbl in enumerate(DEFAULT_INPUT_LABELS):
-        rho_out, _, _ = _eigen_clamp(density_from_stokes(stokes_from_counts(records[lbl])))
+        stokes = np.array([(p - m) / (p + m) for p, m in counts[k].tolist()])
+        rho_out, _, _ = _eigen_clamp(density_from_stokes(stokes))
         b[4 * k : 4 * k + 4] = rho_out.reshape(4)
         for m, sm in enumerate(PAULI_BASIS):
             for n, sn in enumerate(PAULI_BASIS):
@@ -359,31 +369,31 @@ def _reference_reconstruct(records):
 
 
 @st.composite
-def _count_records(draw):
+def _count_arrays(draw):
     # Counts around those of a depolarized identity channel: at a scale
     # of 50 both the state and the chi projection fire on most draws.
     scale = draw(st.sampled_from([50, 2000, 10**5]))
     purity = draw(st.floats(0.0, 1.0))
-    records = {}
-    for lbl in DEFAULT_INPUT_LABELS:
+    counts = np.empty((len(DEFAULT_INPUT_LABELS), 3, 2), dtype=int)
+    for k, lbl in enumerate(DEFAULT_INPUT_LABELS):
         stokes = purity * stokes_of(INPUT_STATES[lbl])
-        per_basis = {}
-        for basis in MEASUREMENT_BASES:
-            counts = []
-            for sign in (1.0, -1.0):
-                mean = scale * (1.0 + sign * stokes[basis.axis]) / 2.0
-                counts.append(draw(st.integers(1, max(1, round(1.3 * mean)))))
-            per_basis[basis.label] = CountRecord(basis.label, *counts, 10**5)
-        records[lbl] = per_basis
-    return records
+        for axis in range(3):
+            for col, sign in enumerate((1.0, -1.0)):
+                mean = scale * (1.0 + sign * stokes[axis]) / 2.0
+                counts[k, axis, col] = draw(st.integers(1, max(1, round(1.3 * mean))))
+    return counts
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(_count_records())
-def test_reconstruct_matches_reference_chain(records):
-    fidelity, raw_chi00, applied, distance = _reference_reconstruct(records)
-    res = _reconstruct(records, DEFAULT_INPUT_LABELS)
+@given(_count_arrays())
+def test_reconstruct_matches_reference_chain(counts):
+    fidelity, raw_chi00, applied, distance = _reference_reconstruct(counts)
+    res = _reconstruct(counts, DEFAULT_INPUT_LABELS)
     assert res.projection_applied == applied
     assert abs(res.process_fidelity - fidelity) < 1e-12
     assert abs(res.raw_chi00 - raw_chi00) < 1e-12
     assert abs(res.projection_distance - distance) < 1e-12
+    # Expected-counts mode carries the same counts as floats.
+    as_float = _reconstruct(counts.astype(float), DEFAULT_INPUT_LABELS)
+    assert as_float.process_fidelity == res.process_fidelity
+    assert np.array_equal(as_float.chi, res.chi)
