@@ -44,10 +44,8 @@ from .memory import (
     ChannelSpec,
     MemoryConfig,
     PhaseMatchConfig,
-    RetrievalOutcome,
     dephase,
     dephasing_factor,
-    release,
     retrieval_efficiency,
     theta_prime,
     walk_off_r0,
@@ -81,7 +79,6 @@ from .scenarios import (
 from .tomography import (
     ProcessResult,
     TomographyResult,
-    apply_process,
     identity_chi,
     monte_carlo_error,
     process_fidelity,

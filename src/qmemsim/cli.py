@@ -15,7 +15,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -25,6 +24,7 @@ from .errors import ConfigError, FitError
 from .fitting import DecayDataset, channel_model, fit_exponential, fit_sigma_gamma
 from .scenarios import (
     RunArtifact,
+    _staged_files,
     calibrate_table,
     emit,
     run_fig3,
@@ -150,16 +150,10 @@ def _load_dataset(path: str) -> DecayDataset:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _write_json(payload: dict, out_dir: str, filename: str) -> str:
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, filename)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
-    except OSError as exc:
-        raise IOError(f"cannot write {filename} under {out_dir}: {exc}") from None
-    return path
+def _write_json(payload: dict, out_dir: str, filename: str) -> None:
+    with _staged_files(out_dir, []) as stage, stage(filename) as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _emit_and_report(artifact: RunArtifact, cfg: ScenarioConfig, args) -> int:

@@ -24,6 +24,7 @@ from .detection import MAX_PULSES, DetectionConfig
 from .errors import ConfigError
 from .memory import DEFAULT_CHANNELS, ChannelSpec, MemoryConfig, PhaseMatchConfig
 from .polarization import STATE_LABELS
+from .tomography import DEFAULT_INPUT_LABELS
 
 DEFAULT_SEED = 12345
 DEFAULT_PULSES = 100_000
@@ -33,7 +34,6 @@ DEFAULT_RESAMPLES = 500
 DEFAULT_STORAGE_TIMES = (
     0.005, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0,
 )
-DEFAULT_INPUT_STATES = ("H", "V", "D", "R")
 
 _PS_PER_MS = 1e9
 
@@ -58,7 +58,7 @@ class ScenarioConfig:
     phase_match: PhaseMatchConfig = field(default_factory=PhaseMatchConfig)
     channels: tuple[ChannelSpec, ...] = DEFAULT_CHANNELS
     storage_times: tuple[float, ...] = DEFAULT_STORAGE_TIMES
-    input_states: tuple[str, ...] = DEFAULT_INPUT_STATES
+    input_states: tuple[str, ...] = DEFAULT_INPUT_LABELS
     pulses_per_setting: int = DEFAULT_PULSES
     mc_resamples: int = DEFAULT_RESAMPLES
     seed: int = DEFAULT_SEED

@@ -4,7 +4,8 @@ Retrieval efficiency combines a Gaussian walk-off profile over the read
 angle with an exponential lifetime decay; the stored coherence dephases
 with a Gaussian factor driven by magnetic-field fluctuations.  Retrieval
 is routed into one of seven output channels selected by the read-beam
-angle, with the emission angle fixed by phase matching.
+angle.  The emission angle fixed by phase matching is the standalone
+``theta_prime``; no efficiency, state or fidelity depends on it.
 """
 
 from __future__ import annotations
@@ -97,16 +98,6 @@ class PhaseMatchConfig:
             raise ValueError(f"delta out of the small-offset regime: {self.delta}")
 
 
-@dataclass(frozen=True)
-class RetrievalOutcome:
-    """Result of releasing a stored qubit into one channel."""
-
-    state: np.ndarray
-    efficiency: float
-    gamma: float
-    theta_out: float
-
-
 def walk_off_r0(theta: float, cfg: MemoryConfig) -> float:
     """Zero-time efficiency from the Gaussian walk-off profile alone."""
     if not 0.0 <= theta <= THETA_MAX_DEG:
@@ -169,24 +160,3 @@ def theta_prime(theta: float, cfg: PhaseMatchConfig) -> float:
         return theta
     rad = math.radians(theta)
     return math.degrees(math.atan2(math.sin(rad), cfg.delta + math.cos(rad)))
-
-
-def release(
-    rho_in: np.ndarray,
-    channel: ChannelSpec,
-    t: float,
-    cfg: MemoryConfig,
-    pm: PhaseMatchConfig,
-) -> RetrievalOutcome:
-    """Retrieve a stored qubit after time t into the requested channel.
-
-    Single-readout semantics: exactly the requested channel emits; the
-    returned state is the dephased (pre-background) signal state.
-    """
-    gamma = dephasing_factor(t, channel, cfg)
-    return RetrievalOutcome(
-        state=dephase(rho_in, gamma),
-        efficiency=retrieval_efficiency(channel.theta, t, cfg),
-        gamma=gamma,
-        theta_out=theta_prime(channel.theta, pm),
-    )

@@ -113,7 +113,6 @@ def tomography_point(
         t,
         cfg.memory,
         cfg.detection,
-        cfg.phase_match,
         cfg.pulses_per_setting,
         rng,
         cfg.input_states,
@@ -378,6 +377,38 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+@contextlib.contextmanager
+def _staged_files(out_dir: str, paths: list[str]):
+    """Write a set of files under out_dir all or nothing.
+
+    Yields ``stage(filename, newline=None)``, which appends the final
+    path to the empty list ``paths`` and opens a temporary
+    ``<file>.<pid>.tmp`` beside it for writing.  Only when the block
+    completes are the staged files renamed into place; on any error the
+    temporary files are removed and no file is replaced.
+    """
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IOError(f"cannot create output directory {out_dir}: {exc}") from None
+    tmp = f".{os.getpid()}.tmp"
+
+    def stage(filename: str, newline: str | None = None):
+        paths.append(os.path.join(out_dir, filename))
+        return open(paths[-1] + tmp, "w", encoding="utf-8", newline=newline)
+
+    try:
+        yield stage
+        for path in paths:
+            os.replace(path + tmp, path)
+    except OSError as exc:
+        raise IOError(f"cannot write artifact under {out_dir}: {exc}") from None
+    finally:
+        for path in paths:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + tmp)
+
+
 def emit(
     artifact: RunArtifact,
     out_dir: str,
@@ -388,27 +419,14 @@ def emit(
     CSV cells carry 9 significant digits; the JSON artifact keeps full
     binary precision and a format_version.  Nothing written depends on
     wall-clock time, so equal (config, seed) runs produce byte-identical
-    files.  The set is written all or nothing: each file goes to a
-    temporary name in out_dir first, and only when every one is complete
-    are they renamed into place; on any error the temporary files are
-    removed and no artifact is replaced.
+    files.  The set is written all or nothing (``_staged_files``): on any
+    error no artifact is replaced and no temporary file is left.
     """
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise IOError(f"cannot create output directory {out_dir}: {exc}") from None
-    staged: list[tuple[str, str]] = []
-
-    def stage(filename: str, newline: str | None = None):
-        path = os.path.join(out_dir, filename)
-        tmp = f"{path}.{os.getpid()}.tmp"
-        staged.append((tmp, path))
-        return open(tmp, "w", encoding="utf-8", newline=newline)
-
-    try:
+    paths: list[str] = []
+    with _staged_files(out_dir, paths) as stage:
         if "csv" in formats:
             with stage(f"{artifact.name}.csv", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
@@ -433,12 +451,4 @@ def emit(
             with stage(f"{artifact.name}.config.json") as fh:
                 json.dump(artifact.config, fh, sort_keys=True, indent=2, allow_nan=False)
                 fh.write("\n")
-        for tmp, path in staged:
-            os.replace(tmp, path)
-    except OSError as exc:
-        raise IOError(f"cannot write artifact under {out_dir}: {exc}") from None
-    finally:
-        for tmp, _ in staged:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
-    return [path for _, path in staged]
+    return paths

@@ -41,7 +41,7 @@ from .detection import (
     expected_rates,
     sample_counts,
 )
-from .memory import ChannelSpec, MemoryConfig, PhaseMatchConfig, release
+from .memory import ChannelSpec, MemoryConfig, dephase, dephasing_factor, retrieval_efficiency
 from .polarization import (
     PAULI_BASIS,
     check_density,
@@ -120,17 +120,6 @@ def state_estimate(stokes: np.ndarray) -> TomographyResult:
         return TomographyResult(rho_lin, False, 0.0)
     rho = density_from_stokes(stokes / length)
     return TomographyResult(rho, True, float(np.linalg.norm(rho - rho_lin)))
-
-
-def apply_process(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Forward map rho_out = sum_mn chi[m, n] sigma_m rho sigma_n+."""
-    chi = np.asarray(chi, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros((2, 2), dtype=complex)
-    for m, sm in enumerate(PAULI_BASIS):
-        for n, sn in enumerate(PAULI_BASIS):
-            out += chi[m, n] * (sm @ rho @ sn.conj().T)
-    return out
 
 
 def _design_inverse(inputs: np.ndarray) -> np.ndarray:
@@ -229,24 +218,26 @@ def run_process_tomography(
     t: float,
     memory: MemoryConfig,
     det: DetectionConfig,
-    pm: PhaseMatchConfig,
     pulses: int,
     rng: np.random.Generator | None = None,
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
 ) -> ProcessResult:
     """Simulate full process tomography of storage and retrieval.
 
-    For each prepared input: release after time t and take the expected
-    rates in the three analysis bases; then draw all counts at once (or
-    take exact means when ``rng`` is None), reconstruct the output states,
-    solve for chi from the four pairs and score it against the identity
+    The channel's dephasing factor and retrieval efficiency at time t
+    are worked out once; each prepared input is dephased by that factor
+    and its expected rates in the three analysis bases are taken at that
+    efficiency.  Then all counts are drawn at once (or taken as exact
+    means when ``rng`` is None), the output states are reconstructed,
+    chi is solved from the four pairs and scored against the identity
     process.  The draw consumes ``rng`` in input x basis x (+, -) order,
     so a run is fully determined by the supplied stream.
     """
     input_labels = tuple(input_labels)
     states, _ = _input_set(input_labels)
-    outcomes = [release(rho_in, channel, t, memory, pm) for rho_in in states]
-    rates = np.array([expected_rates(o.state, o.efficiency, det) for o in outcomes])
+    gamma = dephasing_factor(t, channel, memory)
+    efficiency = retrieval_efficiency(channel.theta, t, memory)
+    rates = np.array([expected_rates(dephase(rho, gamma), efficiency, det) for rho in states])
     if rng is None:
         counts = expected_counts(rates, pulses)
     else:

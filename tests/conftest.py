@@ -39,3 +39,14 @@ def chi_from_kraus(kraus: list[np.ndarray]) -> np.ndarray:
     )
     chi = coeffs.T @ coeffs.conj()
     return chi / np.trace(chi).real
+
+
+def apply_process(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Forward map rho_out = sum_mn chi[m, n] sigma_m rho sigma_n+."""
+    chi = np.asarray(chi, dtype=complex)
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros((2, 2), dtype=complex)
+    for m, sm in enumerate(PAULI_BASIS):
+        for n, sn in enumerate(PAULI_BASIS):
+            out += chi[m, n] * (sm @ rho @ sn.conj().T)
+    return out

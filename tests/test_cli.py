@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -268,3 +269,31 @@ class TestCalibrate:
         code = main(["calibrate", "--targets", targets])
         assert code == EXIT_FIT
         assert "outside achievable range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "calibrate"])
+def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, command):
+    if command == "fit":
+        times = [0.5, 1.0, 2.0, 4.0]
+        dataset = write_json(
+            tmp_path / "decay.json",
+            {"times": times, "values": [0.1 * np.exp(-t / 2.0) for t in times]},
+        )
+        argv, name = ["fit", dataset], "fit.json"
+    else:
+        argv, name = ["calibrate"], "calibration.json"
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    assert main([*argv, "--out", str(existing)]) == EXIT_OK
+    before = (existing / name).read_bytes()
+
+    def failing_dump(obj, fh, **kwargs):
+        fh.write('{"partial": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", failing_dump)
+    for out in (fresh, existing):
+        assert main([*argv, "--out", str(out)]) == EXIT_IO
+    assert "io error" in capsys.readouterr().err
+    assert os.listdir(fresh) == []
+    assert os.listdir(existing) == [name]
+    assert (existing / name).read_bytes() == before

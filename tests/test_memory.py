@@ -10,12 +10,10 @@ from qmemsim.memory import (
     PhaseMatchConfig,
     dephase,
     dephasing_factor,
-    release,
     retrieval_efficiency,
     theta_prime,
     walk_off_r0,
 )
-from qmemsim.polarization import density_of, ket_from_named
 from conftest import random_density
 
 MEM = MemoryConfig()
@@ -117,28 +115,14 @@ def test_theta_prime_small_deviation_at_default_offset():
     assert all(d <= 0 for d in devs)
 
 
-def test_release_composes_decay_and_dephasing(rng):
-    s2 = DEFAULT_CHANNELS[2]
-    pm = PhaseMatchConfig()
-    t = 1.7
-    rho = density_of(ket_from_named("D"))
-    out = release(rho, s2, t, MEM, pm)
-    assert abs(out.efficiency - retrieval_efficiency(0.8, t, MEM)) < 1e-15
-    assert abs(out.gamma - dephasing_factor(t, s2, MEM)) < 1e-15
-    assert np.max(np.abs(out.state - dephase(rho, out.gamma))) < 1e-14
-    assert abs(out.theta_out - theta_prime(0.8, pm)) < 1e-15
-
-
-def test_release_rejects_invalid_state():
-    s2 = DEFAULT_CHANNELS[2]
-    pm = PhaseMatchConfig()
+def test_dephase_rejects_invalid_state():
     for bad, match in (
         (np.diag([1.5, -0.5]), "negative eigenvalue"),
         (np.eye(2), "trace"),
         (np.eye(3) / 3, "2x2"),
     ):
         with pytest.raises(ValueError, match=match):
-            release(bad, s2, 1.0, MEM, pm)
+            dephase(bad, 0.5)
 
 
 def test_memory_config_validation_messages():

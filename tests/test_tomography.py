@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemsim.detection import PROJECTORS, DetectionConfig, expected_rates
-from qmemsim.memory import DEFAULT_CHANNELS, MemoryConfig, PhaseMatchConfig, dephase, release
+from qmemsim.memory import (
+    DEFAULT_CHANNELS,
+    MemoryConfig,
+    dephase,
+    dephasing_factor,
+    retrieval_efficiency,
+)
 from qmemsim.polarization import (
     PAULI_BASIS,
     density_from_stokes,
@@ -19,7 +25,6 @@ from qmemsim.tomography import (
     DEFAULT_INPUT_LABELS,
     _input_set,
     _reconstruct,
-    apply_process,
     identity_chi,
     monte_carlo_error,
     process_fidelity,
@@ -31,7 +36,13 @@ from qmemsim.tomography import (
     state_estimate,
     stokes_from_counts,
 )
-from conftest import apply_kraus, chi_from_kraus, random_cptp_kraus, random_density
+from conftest import (
+    apply_kraus,
+    apply_process,
+    chi_from_kraus,
+    random_cptp_kraus,
+    random_density,
+)
 
 INPUT_STATES = {lbl: density_of(ket_from_named(lbl)) for lbl in DEFAULT_INPUT_LABELS}
 
@@ -220,26 +231,40 @@ def test_composite_map_chi00_closed_form(rng):
 def test_run_process_tomography_expected_matches_model():
     cfg = MemoryConfig()
     det = DetectionConfig()
-    pm = PhaseMatchConfig()
     s2 = DEFAULT_CHANNELS[2]
     from qmemsim.fitting import channel_model, closed_form_fidelity
 
     model = channel_model(s2, cfg, det)
     for t in (0.0, 0.5, 3.0, 6.0):
-        res = run_process_tomography(s2, t, cfg, det, pm, 10**5, rng=None)
+        res = run_process_tomography(s2, t, cfg, det, 10**5, rng=None)
         assert abs(res.process_fidelity - closed_form_fidelity(t, **model)) < 1e-9
         assert not res.projection_applied
         assert abs(res.raw_chi00 - res.process_fidelity) < 1e-12
         assert res.counts.shape == (len(DEFAULT_INPUT_LABELS), 3, 2)
 
 
+def test_run_process_tomography_composes_decay_and_dephasing():
+    # A static factor of 0.6 makes the dephasing visible in the D and R
+    # rows; expected-counts mode gives the exact means.
+    s2 = DEFAULT_CHANNELS[2]
+    cfg = MemoryConfig(static_gamma={"S2": 0.6})
+    det = DetectionConfig()
+    t, pulses = 1.7, 10**5
+    res = run_process_tomography(s2, t, cfg, det, pulses, rng=None)
+    gamma = dephasing_factor(t, s2, cfg)
+    efficiency = retrieval_efficiency(s2.theta, t, cfg)
+    want = pulses * np.array(
+        [expected_rates(dephase(rho, gamma), efficiency, det) for rho in INPUT_STATES.values()]
+    )
+    assert np.array_equal(res.counts, want)
+
+
 def test_run_process_tomography_sampled_deterministic():
     cfg = MemoryConfig()
     det = DetectionConfig()
-    pm = PhaseMatchConfig()
     s2 = DEFAULT_CHANNELS[2]
-    a = run_process_tomography(s2, 1.0, cfg, det, pm, 10**4, np.random.default_rng(5))
-    b = run_process_tomography(s2, 1.0, cfg, det, pm, 10**4, np.random.default_rng(5))
+    a = run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(5))
+    b = run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(5))
     assert a.process_fidelity == b.process_fidelity
     assert a.counts.dtype.kind == "i"
     assert np.array_equal(a.counts, b.counts)
@@ -247,11 +272,12 @@ def test_run_process_tomography_sampled_deterministic():
 
 def _scalar_draw_counts(channel, t, pulses, rng):
     # Reference: one scalar Poisson draw per count, input x basis x (+, -).
-    cfg, det, pm = MemoryConfig(), DetectionConfig(), PhaseMatchConfig()
+    cfg, det = MemoryConfig(), DetectionConfig()
+    gamma = dephasing_factor(t, channel, cfg)
+    efficiency = retrieval_efficiency(channel.theta, t, cfg)
     counts = []
     for lbl in DEFAULT_INPUT_LABELS:
-        outcome = release(INPUT_STATES[lbl], channel, t, cfg, pm)
-        rates = expected_rates(outcome.state, outcome.efficiency, det).tolist()
+        rates = expected_rates(dephase(INPUT_STATES[lbl], gamma), efficiency, det).tolist()
         counts.append([[int(rng.poisson(pulses * mu)) for mu in row] for row in rates])
     return np.array(counts)
 
@@ -259,13 +285,11 @@ def _scalar_draw_counts(channel, t, pulses, rng):
 def test_run_process_tomography_single_draw_matches_scalar_draws():
     # At M=200 every mean is below 10, at M=1e5 every mean is above 10:
     # numpy draws the two ranges with different Poisson algorithms.
-    cfg, det, pm = MemoryConfig(), DetectionConfig(), PhaseMatchConfig()
+    cfg, det = MemoryConfig(), DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
     for pulses in (200, 10**5):
         for seed in range(5):
-            res = run_process_tomography(
-                s2, 0.5, cfg, det, pm, pulses, np.random.default_rng(seed)
-            )
+            res = run_process_tomography(s2, 0.5, cfg, det, pulses, np.random.default_rng(seed))
             want = _scalar_draw_counts(s2, 0.5, pulses, np.random.default_rng(seed))
             assert np.array_equal(res.counts, want)
 
@@ -273,10 +297,9 @@ def test_run_process_tomography_single_draw_matches_scalar_draws():
 def test_reconstruct_from_records_round_trip():
     cfg = MemoryConfig()
     det = DetectionConfig()
-    pm = PhaseMatchConfig()
     s2 = DEFAULT_CHANNELS[2]
-    expected = run_process_tomography(s2, 2.0, cfg, det, pm, 10**5, rng=None)
-    sampled = run_process_tomography(s2, 2.0, cfg, det, pm, 10**4, np.random.default_rng(3))
+    expected = run_process_tomography(s2, 2.0, cfg, det, 10**5, rng=None)
+    sampled = run_process_tomography(s2, 2.0, cfg, det, 10**4, np.random.default_rng(3))
     for res in (expected, sampled):
         assert reconstruct_from_records(res.counts) == res.process_fidelity
 
@@ -284,9 +307,8 @@ def test_reconstruct_from_records_round_trip():
 def test_monte_carlo_error_deterministic_and_positive():
     cfg = MemoryConfig()
     det = DetectionConfig()
-    pm = PhaseMatchConfig()
     s2 = DEFAULT_CHANNELS[2]
-    res = run_process_tomography(s2, 1.0, cfg, det, pm, 10**4, np.random.default_rng(9))
+    res = run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9))
 
     def stream_for(j):
         return np.random.default_rng((123, j))
@@ -324,11 +346,8 @@ def test_monte_carlo_error_matches_scalar_draws():
     )
     cfg = MemoryConfig()
     det = DetectionConfig()
-    pm = PhaseMatchConfig()
     s2 = DEFAULT_CHANNELS[2]
-    high_counts = run_process_tomography(
-        s2, 1.0, cfg, det, pm, 10**4, np.random.default_rng(9)
-    ).counts
+    high_counts = run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9)).counts
 
     def stream_for(j):
         return np.random.default_rng((77, j))
