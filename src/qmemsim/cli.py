@@ -113,40 +113,34 @@ def _scenario_from_args(cfg: ScenarioConfig, args: argparse.Namespace) -> Scenar
 
 def _load_dataset(path: str) -> DecayDataset:
     try:
-        if path.endswith(".json"):
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            if not isinstance(data, dict) or "times" not in data or "values" not in data:
-                raise ConfigError(f"{path}: expected an object with times and values")
-            sigmas = data.get("sigmas")
-            return DecayDataset(
-                times=np.asarray(data["times"], dtype=float),
-                values=np.asarray(data["values"], dtype=float),
-                sigmas=None if sigmas is None else np.asarray(sigmas, dtype=float),
-            )
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ConfigError(f"{path}: empty dataset file")
-            ncol = len(header)
-            if ncol not in (2, 3):
-                raise ConfigError(f"{path}: expected 2 or 3 columns, got {ncol}")
-            rows = [[float(cell) for cell in row] for row in reader if row]
+            if path.endswith(".json"):
+                data = json.load(fh)
+                if not isinstance(data, dict) or "times" not in data or "values" not in data:
+                    raise ConfigError(f"{path}: expected an object with times and values")
+                columns = [data["times"], data["values"], data.get("sigmas")]
+            else:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None:
+                    raise ConfigError(f"{path}: empty dataset file")
+                ncol = len(header)
+                if ncol not in (2, 3):
+                    raise ConfigError(f"{path}: expected 2 or 3 columns, got {ncol}")
+                rows = []
+                for row in filter(None, reader):
+                    if len(row) != ncol:
+                        raise ConfigError(
+                            f"{path}: line {reader.line_num}: expected {ncol} cells, got {len(row)}"
+                        )
+                    rows.append([float(cell) for cell in row])
+                if not rows:
+                    raise ConfigError(f"{path}: no data rows after the header")
+                columns = list(zip(*rows))
+        return DecayDataset(*columns)
     except OSError as exc:
         raise IOError(f"cannot read dataset {path}: {exc}") from None
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != ncol:
-        raise ConfigError(f"{path}: ragged rows in dataset")
-    try:
-        return DecayDataset(
-            times=arr[:, 0],
-            values=arr[:, 1],
-            sigmas=arr[:, 2] if ncol == 3 else None,
-        )
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError, csv.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -185,13 +179,13 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "fit":
         dataset = _load_dataset(args.dataset)
-        if args.model == "exponential":
-            report = fit_exponential(dataset)
-        else:
-            channel = cfg.channel(args.channel)
-            fixed = channel_model(channel, cfg.memory, cfg.detection)
-            del fixed["sigma_gamma"]
-            report = fit_sigma_gamma(dataset, **fixed)
+        # A user's data may overflow the fit arithmetic: fail, never report inf.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            if args.model == "exponential":
+                report = fit_exponential(dataset)
+            else:
+                model = channel_model(cfg.channel(args.channel), cfg.memory, cfg.detection)
+                report = fit_sigma_gamma(dataset, model)
         payload = {"model": args.model, **dataclasses.asdict(report)}
         print(json.dumps(payload, sort_keys=True, indent=2))
         if args.out:
@@ -239,9 +233,9 @@ def main(argv: list[str] | None = None) -> int:
     except (IOError, OSError) as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         # Model or estimator failures on valid input, such as a basis
-        # with zero total counts.
+        # with zero total counts or a fit that overflows.
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_FIT
 

@@ -7,10 +7,12 @@ closed form in the physical parameters:
 
 with signal s(t) = n_bar * eta * R0 * exp(-t / tau), dephasing
 gamma(t) = gamma0 * exp(-(t / sigma_gamma)^2) and background rate N per
-detector.  Everything in this module works against that model: the
-efficiency-decay fit recovers (R0, tau), the dephasing-width fit
-recovers sigma_gamma with the rest held fixed, and calibration inverts
-the model for gamma0 at a single (t, F) point.
+detector.  ``closed_form_fidelity`` is the one implementation of that
+model, and ``channel_model`` gives its parameter bundle for a configured
+channel.  The efficiency-decay fit recovers (R0, tau); the two solvers
+take a bundle and free one parameter of it: ``fit_sigma_gamma`` fits
+sigma_gamma to a decay curve, and ``calibrate_static_gamma`` inverts the
+model for gamma0 at a single (t, F) point.
 
 Fitters are hand-rolled (log-linear seed plus damped Gauss-Newton,
 golden-section plus Newton polish) so that convergence behaviour and
@@ -135,8 +137,8 @@ def fit_exponential(dataset: DecayDataset) -> FitReport:
     w = dataset.weights()
 
     pos = v > 0
-    if np.count_nonzero(pos) < 2:
-        raise FitError("need at least 2 positive values to seed an exponential fit")
+    if np.unique(t[pos]).size < 2:
+        raise FitError("need positive values at 2 distinct times to seed an exponential fit")
     coeffs = np.polyfit(t[pos], np.log(v[pos]), 1)
     if coeffs[0] >= 0:
         # Non-decaying seed; start from the data span instead.
@@ -201,32 +203,24 @@ def fit_exponential(dataset: DecayDataset) -> FitReport:
     )
 
 
-def fit_sigma_gamma(
-    dataset: DecayDataset,
-    r0: float,
-    tau: float,
-    gamma0: float,
-    n_bar: float = 1.0,
-    eta: float = 0.23,
-    background: float = 7e-4,
-) -> FitReport:
-    """Fit the dephasing width sigma_gamma with all other parameters fixed.
+def fit_sigma_gamma(dataset: DecayDataset, model: dict) -> FitReport:
+    """Fit the dephasing width sigma_gamma of a ``channel_model`` bundle.
 
-    One-dimensional weighted least squares on the closed-form fidelity:
-    golden-section search over log(sigma_gamma) in a fixed bracket,
-    followed by a Newton polish on the smooth interior.  Data that
-    prefers the bracket edge (effectively no observable dephasing decay)
-    is reported with ``at_bound`` set rather than rejected.
+    The bundle's own ``sigma_gamma`` is ignored and every other parameter
+    is held fixed.  One-dimensional weighted least squares on the
+    closed-form fidelity: golden-section search over log(sigma_gamma) in
+    a fixed bracket, followed by a Newton polish on the smooth interior.
+    Data that prefers the bracket edge (effectively no observable
+    dephasing decay) is reported with ``at_bound`` set rather than
+    rejected.
     """
     t = dataset.times
     v = dataset.values
     w = dataset.weights()
 
     def sse(log_sigma: float) -> float:
-        model = closed_form_fidelity(
-            t, r0, tau, gamma0, float(np.exp(log_sigma)), n_bar, eta, background
-        )
-        return float(np.sum(w * (model - v) ** 2))
+        curve = closed_form_fidelity(t, **{**model, "sigma_gamma": float(np.exp(log_sigma))})
+        return float(np.sum(w * (curve - v) ** 2))
 
     lo, hi = np.log(_SIGMA_BRACKET[0]), np.log(_SIGMA_BRACKET[1])
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -275,53 +269,20 @@ def fit_sigma_gamma(
     )
 
 
-def achievable_fidelity_range(
-    t: float,
-    r0: float,
-    tau: float,
-    sigma_gamma: float,
-    n_bar: float = 1.0,
-    eta: float = 0.23,
-    background: float = 7e-4,
-) -> tuple[float, float]:
-    """Fidelity interval reachable at time t by varying gamma0 over [0, 1]."""
-    floor = closed_form_fidelity(t, r0, tau, 0.0, sigma_gamma, n_bar, eta, background)
-    ceiling = closed_form_fidelity(t, r0, tau, 1.0, sigma_gamma, n_bar, eta, background)
-    return floor, ceiling
+def calibrate_static_gamma(target_fidelity: float, t: float, model: dict) -> float:
+    """Invert the fidelity model of a ``channel_model`` bundle for gamma0.
 
-
-def calibrate_static_gamma(
-    target_fidelity: float,
-    t: float,
-    r0: float,
-    tau: float,
-    sigma_gamma: float,
-    n_bar: float = 1.0,
-    eta: float = 0.23,
-    background: float = 7e-4,
-) -> float:
-    """Invert the fidelity model for gamma0 at a single (t, F) point.
-
-    The model is linear in gamma0, so the inverse is exact:
-    gamma0 = (2 F (s + 2N) - N - s) / (s g(t)) with s the signal rate
-    and g(t) the Gaussian dephasing envelope.  Targets outside the
-    physically achievable interval raise FitError.
+    The bundle's own ``gamma0`` is ignored.  The model is linear in
+    gamma0, so the inverse is exact: gamma0 = (F - F0) / (F1 - F0) with
+    F0 and F1 the model at gamma0 = 0 and 1.  Targets outside [F0, F1]
+    raise FitError.
     """
-    if tau <= 0 or sigma_gamma <= 0:
-        raise ValueError("tau and sigma_gamma must be > 0")
-    if n_bar <= 0 or not 0.0 < eta <= 1.0 or background < 0:
-        raise ValueError("invalid rate parameters")
-    signal = n_bar * eta * r0 * np.exp(-t / tau)
-    if signal <= 0:
+    floor = closed_form_fidelity(t, **{**model, "gamma0": 0.0})
+    ceiling = closed_form_fidelity(t, **{**model, "gamma0": 1.0})
+    if not ceiling > floor:
         raise FitError("zero signal rate: gamma0 is unconstrained at this point")
-    envelope = np.exp(-((t / sigma_gamma) ** 2))
-    gamma0 = (
-        2.0 * target_fidelity * (signal + 2.0 * background) - background - signal
-    ) / (signal * envelope)
+    gamma0 = (target_fidelity - floor) / (ceiling - floor)
     if not -1e-9 <= gamma0 <= 1.0 + 1e-9:
-        floor, ceiling = achievable_fidelity_range(
-            t, r0, tau, sigma_gamma, n_bar, eta, background
-        )
         raise FitError(
             f"target fidelity {target_fidelity:.6g} outside achievable range "
             f"[{floor:.6g}, {ceiling:.6g}] at t={t:g}"

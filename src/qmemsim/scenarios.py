@@ -282,9 +282,8 @@ def run_fig5(
             values=values,
             sigmas=sigmas if np.all(sigmas > 0) else None,
         )
-        fixed = channel_model(channel, cfg.memory, cfg.detection)
-        del fixed["sigma_gamma"]
-        meta["fit"] = asdict(fit_sigma_gamma(dataset, **fixed))
+        model = channel_model(channel, cfg.memory, cfg.detection)
+        meta["fit"] = asdict(fit_sigma_gamma(dataset, model))
     except (FitError, ValueError) as exc:
         meta["fit"] = {"error": str(exc)}
     return RunArtifact(
@@ -360,12 +359,8 @@ def calibrate_table(cfg: ScenarioConfig, targets: dict[str, float] | None = None
             )
     gammas = {}
     for channel_id in sorted(targets):
-        channel = cfg.channel(channel_id)
-        fixed = channel_model(channel, cfg.memory, cfg.detection)
-        del fixed["gamma0"]
-        gammas[channel_id] = calibrate_static_gamma(
-            targets[channel_id], TABLE_TIME_MS, **fixed
-        )
+        model = channel_model(cfg.channel(channel_id), cfg.memory, cfg.detection)
+        gammas[channel_id] = calibrate_static_gamma(targets[channel_id], TABLE_TIME_MS, model)
     return {"memory": {"static_gamma": gammas}}
 
 

@@ -1,8 +1,13 @@
+import csv
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmemsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
 from qmemsim.fitting import closed_form_fidelity
@@ -225,6 +230,46 @@ class TestFit:
         assert code == EXIT_FIT
         assert "fit error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{"times": {"a": 1}, "values": [1, 2]}, {"times": [0, 10**400], "values": [1, 2]}],
+        ids=["object-column", "int-too-large"],
+    )
+    def test_non_numeric_json_column_exits_2_naming_the_file(self, tmp_path, capsys, payload):
+        path = write_json(tmp_path / "bad.json", payload)
+        assert main(["fit", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ")
+        assert err.count("\n") == 1
+
+    def test_ragged_csv_row_exits_2_naming_the_line(self, tmp_path, capsys):
+        path = tmp_path / "ragged.csv"
+        path.write_text("t,v\n1,0.1\n2,0.05,9\n3,0.02\n")
+        assert main(["fit", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: {path}: line 3: expected 2 cells, got 3\n"
+        )
+
+    def test_header_only_csv_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "header.csv"
+        path.write_text("t,v\n")
+        assert main(["fit", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {path}: no data rows after the header\n"
+
+    def test_oversized_csv_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("t,v\n1," + "9" * 200_000 + "\n")
+        assert main(["fit", str(path)]) == EXIT_CONFIG
+        assert "field larger than field limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["exponential", "sigma-gamma"])
+    def test_overflowing_fit_exits_3_printing_nothing(self, tmp_path, capsys, model):
+        path = write_json(tmp_path / "huge.json", {"times": [0.0, 1.0], "values": [1.0, 1e200]})
+        assert main(["fit", path, "--model", model]) == EXIT_FIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical error: overflow")
+
     def test_unknown_channel_for_sigma_gamma_exits_2(self, tmp_path, capsys):
         path = write_json(
             tmp_path / "fid.json", {"times": [1.0, 2.0], "values": [0.9, 0.8]}
@@ -297,3 +342,63 @@ def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, capsy
     assert os.listdir(fresh) == []
     assert os.listdir(existing) == [name]
     assert (existing / name).read_bytes() == before
+
+
+_numbers = st.one_of(st.floats(), st.integers(), st.booleans())
+_leaves = st.one_of(_numbers, st.none(), st.text(max_size=4))
+_json_values = st.recursive(
+    _leaves,
+    lambda inner: (
+        st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=10,
+)
+_json_columns = _json_values | st.lists(_numbers, max_size=6)
+_csv_cells = st.one_of(
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.sampled_from(["", "x", "nan", "-inf", "1e999", " 0.5", "[1]"]),
+)
+# Equal-length finite columns, so that many datasets reach the fitters.
+_numeric_columns = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(0.0, 1e4), min_size=n, max_size=n),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+        | st.lists(st.floats(-0.5, 1.5), min_size=n, max_size=n),
+    )
+)
+
+
+def _json_text(data):
+    return ".json", json.dumps(data)
+
+
+def _csv_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return ".csv", buf.getvalue()
+
+
+_datasets = st.one_of(
+    _json_values.map(_json_text),
+    st.fixed_dictionaries(
+        {"times": _json_columns, "values": _json_columns}, optional={"sigmas": _json_columns}
+    ).map(_json_text),
+    _numeric_columns.map(lambda c: _json_text({"times": c[0], "values": c[1]})),
+    st.lists(st.lists(_csv_cells, max_size=4), max_size=7).map(_csv_text),
+    _numeric_columns.map(lambda c: _csv_text([("t_ms", "value"), *zip(*c)])),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    dataset=_datasets,
+    model=st.sampled_from(["exponential", "sigma-gamma"]),
+)
+def test_fit_exit_codes_on_generated_datasets(dataset, model):
+    suffix, text = dataset
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data" + suffix)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["fit", path, "--model", model]) in {EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_IO}

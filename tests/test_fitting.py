@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from qmemsim.detection import DetectionConfig
 from qmemsim.errors import FitError
 from qmemsim.fitting import (
     DecayDataset,
-    achievable_fidelity_range,
     calibrate_static_gamma,
     channel_model,
     closed_form_fidelity,
@@ -15,6 +16,19 @@ from qmemsim.fitting import (
 from qmemsim.memory import DEFAULT_CHANNELS, MemoryConfig
 
 S2_PARAMS = dict(r0=0.127, tau=2.9, gamma0=1.0, sigma_gamma=104.0)
+
+
+def random_bundle(rng):
+    """A full ``closed_form_fidelity`` bundle with every parameter drawn."""
+    return dict(
+        r0=rng.uniform(0.02, 0.2),
+        tau=rng.uniform(0.8, 5.0),
+        gamma0=rng.uniform(0.0, 1.0),
+        sigma_gamma=rng.uniform(20.0, 300.0),
+        n_bar=rng.uniform(0.3, 3.0),
+        eta=rng.uniform(0.05, 1.0),
+        background=rng.uniform(0.0, 5e-3),
+    )
 
 
 def test_closed_form_reference_values():
@@ -44,7 +58,7 @@ def test_closed_form_validation():
         closed_form_fidelity(0.0, 0.1, -1.0, 1.0, 104.0)
 
 
-def test_fidelity_at_matches_closed_form():
+def test_channel_model_matches_closed_form():
     mem = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
@@ -54,7 +68,7 @@ def test_fidelity_at_matches_closed_form():
         assert abs(got - want) < 1e-15
 
 
-def test_fidelity_at_uses_static_gamma():
+def test_channel_model_uses_static_gamma():
     mem = MemoryConfig(static_gamma={"S2": 0.8917592722497402})
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
@@ -103,34 +117,38 @@ def test_fit_exponential_rejects_nonpositive_data():
         fit_exponential(DecayDataset(t, np.zeros_like(t)))
 
 
-def test_fit_sigma_gamma_noise_free_recovery():
+def test_fit_sigma_gamma_noise_free_recovery(rng):
     t = np.array([0.005, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0])
-    for sigma_true in (50.0, 104.0, 300.0):
-        values = closed_form_fidelity(t, 0.127, 2.9, 1.0, sigma_true)
-        report = fit_sigma_gamma(DecayDataset(t, values), r0=0.127, tau=2.9, gamma0=1.0)
+    bundles = [S2_PARAMS] + [random_bundle(rng) for _ in range(8)]
+    for model in bundles:
+        # A weak dephasing amplitude leaves the width unidentifiable.
+        model = {**model, "gamma0": max(model["gamma0"], 0.5)}
+        values = closed_form_fidelity(t, **model)
+        # The solver ignores the bundle's own sigma_gamma.
+        report = fit_sigma_gamma(DecayDataset(t, values), {**model, "sigma_gamma": 1.0})
         assert report.converged
         assert not report.at_bound
-        got = report.params["sigma_gamma"]
-        assert abs(got - sigma_true) / sigma_true < 1e-6
+        want = model["sigma_gamma"]
+        assert abs(report.params["sigma_gamma"] - want) / want < 1e-6
 
 
 def test_fit_sigma_gamma_flags_bracket_edge():
     # A flat dephasing envelope carries no width information; the search
     # runs to the bracket edge and must say so instead of failing.
     t = np.linspace(0.005, 6.0, 12)
-    values = closed_form_fidelity(t, 0.127, 2.9, 1.0, 1e9)
-    report = fit_sigma_gamma(DecayDataset(t, values), r0=0.127, tau=2.9, gamma0=1.0)
+    values = closed_form_fidelity(t, **{**S2_PARAMS, "sigma_gamma": 1e9})
+    report = fit_sigma_gamma(DecayDataset(t, values), S2_PARAMS)
     assert report.at_bound
 
 
 def test_calibrate_round_trip(rng):
     for _ in range(25):
-        r0 = rng.uniform(0.02, 0.2)
-        gamma0 = rng.uniform(0.0, 1.0)
+        model = random_bundle(rng)
         t = rng.uniform(0.0, 6.0)
-        target = closed_form_fidelity(t, r0, 2.9, gamma0, 104.0)
-        got = calibrate_static_gamma(target, t, r0, 2.9, 104.0)
-        assert abs(got - gamma0) < 1e-10
+        target = closed_form_fidelity(t, **model)
+        # The solver ignores the bundle's own gamma0.
+        got = calibrate_static_gamma(target, t, {**model, "gamma0": 0.5})
+        assert abs(got - model["gamma0"]) < 1e-10
 
 
 def test_calibrate_reference_channel_values():
@@ -141,19 +159,24 @@ def test_calibrate_reference_channel_values():
         0.0800023536228853: (0.895, 0.8883186572593773),
     }
     for r0, (target, gamma0) in cases.items():
-        got = calibrate_static_gamma(target, 0.005, r0, 2.9, 104.0)
+        got = calibrate_static_gamma(target, 0.005, {**S2_PARAMS, "r0": r0})
         assert abs(got - gamma0) < 1e-12
 
 
 def test_calibrate_rejects_unreachable_target():
-    floor, ceiling = achievable_fidelity_range(0.005, 0.127, 2.9, 104.0)
+    floor = closed_form_fidelity(0.005, **{**S2_PARAMS, "gamma0": 0.0})
+    ceiling = closed_form_fidelity(0.005, **S2_PARAMS)
     assert 0.4 < floor < ceiling < 1.0
-    with pytest.raises(FitError, match="achievable"):
-        calibrate_static_gamma(ceiling + 0.01, 0.005, 0.127, 2.9, 104.0)
-    with pytest.raises(FitError, match="achievable"):
-        calibrate_static_gamma(floor - 0.01, 0.005, 0.127, 2.9, 104.0)
+    message = re.escape(f"outside achievable range [{floor:.6g}, {ceiling:.6g}]")
+    with pytest.raises(FitError, match=message):
+        calibrate_static_gamma(ceiling + 0.01, 0.005, S2_PARAMS)
+    with pytest.raises(FitError, match=message):
+        calibrate_static_gamma(floor - 0.01, 0.005, S2_PARAMS)
+    # The range edges themselves are reachable.
+    assert calibrate_static_gamma(floor, 0.005, S2_PARAMS) == 0.0
+    assert calibrate_static_gamma(ceiling, 0.005, S2_PARAMS) == 1.0
 
 
 def test_calibrate_rejects_zero_signal():
     with pytest.raises(FitError, match="signal"):
-        calibrate_static_gamma(0.9, 0.005, 0.0, 2.9, 104.0)
+        calibrate_static_gamma(0.9, 0.005, {**S2_PARAMS, "r0": 0.0})
