@@ -6,6 +6,9 @@ Bernoulli sampling and much faster).  Post-selection on detected photons
 mixes the signal state with an isotropic background in proportion
 eta*R : 2N.
 
+States enter as Stokes vectors: basis i resolves S_i alone, so its two
+detectors see per-pulse means n_bar*eta*R*(1 +- S_i)/2 + N.
+
 Count layout: the rates and counts of one prepared input form a (3, 2)
 array whose rows are the analysis bases in MEASUREMENT_BASES order (HV,
 DA, RL; row i is Stokes axis i) and whose columns are the (+, -)
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import STATE_LABELS, check_density, density_of, ket_from_named
+from .polarization import check_density, check_stokes
 
 MAX_PULSES = 1_000_000_000
 
@@ -70,19 +73,9 @@ def effective_detection_efficiency(cfg: DetectionConfig) -> float:
     return total_detection_efficiency(cfg)
 
 
-def _projector(label: str) -> np.ndarray:
-    proj = density_of(ket_from_named(label))
-    proj.setflags(write=False)
-    return proj
-
-
-#: Read-only projector |s><s| onto each named polarization state.
-PROJECTORS = {label: _projector(label) for label in STATE_LABELS}
-
-
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """An analysis basis: an orthonormal projector pair.
+    """An analysis basis: the named +/- eigenstates of one Pauli operator.
 
     Its position in MEASUREMENT_BASES is its Stokes axis and its row in
     a count array.
@@ -91,14 +84,6 @@ class MeasurementBasis:
     label: str
     plus_label: str
     minus_label: str
-
-    @property
-    def plus_projector(self) -> np.ndarray:
-        return PROJECTORS[self.plus_label]
-
-    @property
-    def minus_projector(self) -> np.ndarray:
-        return PROJECTORS[self.minus_label]
 
 
 BASIS_HV = MeasurementBasis("HV", "H", "V")
@@ -109,23 +94,18 @@ BASIS_RL = MeasurementBasis("RL", "R", "L")
 MEASUREMENT_BASES = (BASIS_HV, BASIS_DA, BASIS_RL)
 
 
-def expected_rates(state: np.ndarray, efficiency: float, cfg: DetectionConfig) -> np.ndarray:
-    """Per-pulse mean counts of one state, a (3, 2) array (basis x (+, -)).
+def expected_rates(stokes: np.ndarray, efficiency: float, cfg: DetectionConfig) -> np.ndarray:
+    """Per-pulse mean counts (..., 3, 2) of Stokes vectors (..., 3).
 
-    mu_+- = n_bar * eta * R * Tr(Pi_+- rho) + background; each row sums
-    to n_bar * eta * R + 2 * background independently of the basis.
+    mu_+- = n_bar * eta * R * (1 +- S_i)/2 + background in basis i; each
+    row sums to n_bar * eta * R + 2 * background.
     """
-    state = check_density(state)
+    stokes = check_stokes(stokes)
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
     signal = cfg.n_bar * effective_detection_efficiency(cfg) * efficiency
-    background = cfg.background_n
-    rates = []
-    for basis in MEASUREMENT_BASES:
-        p_plus = float(np.trace(basis.plus_projector @ state).real)
-        p_plus = min(max(p_plus, 0.0), 1.0)
-        rates.append((signal * p_plus + background, signal * (1.0 - p_plus) + background))
-    return np.array(rates)
+    p_plus = np.clip((1.0 + stokes) / 2.0, 0.0, 1.0)
+    return signal * np.stack((p_plus, 1.0 - p_plus), axis=-1) + cfg.background_n
 
 
 def _check_rates(rates: np.ndarray, pulses: int) -> np.ndarray:

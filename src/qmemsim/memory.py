@@ -6,6 +6,9 @@ with a Gaussian factor driven by magnetic-field fluctuations.  Retrieval
 is routed into one of seven output channels selected by the read-beam
 angle.  The emission angle fixed by phase matching is the standalone
 ``theta_prime``; no efficiency, state or fidelity depends on it.
+
+Only the R/L relative phase of the stored qubit dephases: a coherence
+factor gamma maps its Stokes vector S to (gamma S_H, gamma S_D, S_R).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polarization import check_density
+from .polarization import check_stokes
 
 #: Hard cap on the read angle; the efficiency model is only anchored on
 #: measured points inside [0, 5] degrees.
@@ -80,6 +83,8 @@ class MemoryConfig:
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"static_gamma[{ch}] must be in [0, 1], got {g}")
         for th, r in self.r0_overrides.items():
+            if not 0.0 <= th <= THETA_MAX_DEG:
+                raise ValueError(f"r0_overrides key {th} must be finite, in [0, {THETA_MAX_DEG}]")
             if not 0.0 < r <= 1.0:
                 raise ValueError(f"r0_overrides[{th}] must be in (0, 1], got {r}")
 
@@ -133,19 +138,15 @@ def dephasing_factor(t: float, channel: ChannelSpec, cfg: MemoryConfig) -> float
     return cfg.channel_static_gamma(channel) * math.exp(-(t * t) / (sg * sg))
 
 
-def dephase(rho: np.ndarray, gamma: float) -> np.ndarray:
-    """Scale the R/L off-diagonals of rho by gamma (phase-damping channel).
+def dephase(stokes: np.ndarray, gamma: float) -> np.ndarray:
+    """Scale the H/V and D/A components of Stokes vectors (..., 3) by gamma.
 
-    Equivalent Kraus form: (1+gamma)/2 * rho + (1-gamma)/2 * sz rho sz
-    with sz diagonal in the storage basis.
+    On rho this scales the R/L off-diagonals by gamma, the Kraus form
+    (1+gamma)/2 * rho + (1-gamma)/2 * sz rho sz with sz diagonal in R/L.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    rho = check_density(rho)
-    out = rho.copy()
-    out[0, 1] *= gamma
-    out[1, 0] *= gamma
-    return out
+    return check_stokes(stokes) * np.array([gamma, gamma, 1.0])
 
 
 def theta_prime(theta: float, cfg: PhaseMatchConfig) -> float:

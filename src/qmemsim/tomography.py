@@ -19,6 +19,10 @@ only on the inputs, so its inverse is built and rank-checked once per
 input set and each solve is one matmul.  The trace convention is
 Tr(chi) = 1 for post-selected (trace-renormalized) maps.
 
+The simulated rates of a unit are expected_rates(dephase(S, gamma), R,
+detection) over the (4, 3) Stokes vectors S of the inputs, which are
+validated and cached with the design inverse.
+
 ``_reconstruct`` is the single reconstruction path (counts -> Stokes ->
 rho per input -> chi, solved then projected -> fidelity); the point
 estimate and every bootstrap resample go through it.  Counts are the
@@ -48,6 +52,7 @@ from .polarization import (
     density_from_stokes,
     density_of,
     ket_from_named,
+    stokes_of,
     uhlmann_fidelity,
 )
 
@@ -138,15 +143,16 @@ def _design_inverse(inputs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _input_set(input_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ideal input states (4, 2, 2) and their design inverse.
+    """Read-only Stokes vectors (4, 3) of the ideal inputs and their design inverse.
 
     Built and validated once per label tuple, on first use.
     """
     if len(input_labels) != 4:
         raise ValueError(f"need exactly 4 input states, got {len(input_labels)}")
-    states = np.array([check_density(density_of(ket_from_named(lbl))) for lbl in input_labels])
-    states.setflags(write=False)
-    return states, _design_inverse(states)
+    states = np.array([density_of(ket_from_named(lbl)) for lbl in input_labels])
+    stokes = np.array([stokes_of(rho) for rho in states])
+    stokes.setflags(write=False)
+    return stokes, _design_inverse(states)
 
 
 def _solve_chi(inverse: np.ndarray, outputs: np.ndarray) -> np.ndarray:
@@ -225,19 +231,19 @@ def run_process_tomography(
     """Simulate full process tomography of storage and retrieval.
 
     The channel's dephasing factor and retrieval efficiency at time t
-    are worked out once; each prepared input is dephased by that factor
-    and its expected rates in the three analysis bases are taken at that
-    efficiency.  Then all counts are drawn at once (or taken as exact
+    are worked out once; the Stokes vectors of all inputs are dephased by
+    that factor and their rates in the three analysis bases are taken at
+    that efficiency.  Then all counts are drawn at once (or taken as exact
     means when ``rng`` is None), the output states are reconstructed,
     chi is solved from the four pairs and scored against the identity
     process.  The draw consumes ``rng`` in input x basis x (+, -) order,
     so a run is fully determined by the supplied stream.
     """
     input_labels = tuple(input_labels)
-    states, _ = _input_set(input_labels)
+    stokes, _ = _input_set(input_labels)
     gamma = dephasing_factor(t, channel, memory)
     efficiency = retrieval_efficiency(channel.theta, t, memory)
-    rates = np.array([expected_rates(dephase(rho, gamma), efficiency, det) for rho in states])
+    rates = expected_rates(dephase(stokes, gamma), efficiency, det)
     if rng is None:
         counts = expected_counts(rates, pulses)
     else:

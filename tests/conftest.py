@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qmemsim.polarization import PAULI_BASIS
+from qmemsim.detection import MEASUREMENT_BASES, effective_detection_efficiency
+from qmemsim.polarization import PAULI_BASIS, density_of, ket_from_named
 
 
 @pytest.fixture
@@ -50,3 +51,24 @@ def apply_process(chi: np.ndarray, rho: np.ndarray) -> np.ndarray:
         for n, sn in enumerate(PAULI_BASIS):
             out += chi[m, n] * (sm @ rho @ sn.conj().T)
     return out
+
+
+def reference_dephase(rho: np.ndarray, gamma: float) -> np.ndarray:
+    """Matrix form of memory.dephase: the R/L off-diagonals scale by gamma."""
+    out = np.array(rho, dtype=complex)
+    out[0, 1] *= gamma
+    out[1, 0] *= gamma
+    return out
+
+
+def reference_rates(rho: np.ndarray, efficiency: float, det) -> np.ndarray:
+    """Matrix form of detection.expected_rates: one projector trace per basis."""
+    signal = det.n_bar * effective_detection_efficiency(det) * efficiency
+    rates = []
+    for basis in MEASUREMENT_BASES:
+        projector = density_of(ket_from_named(basis.plus_label))
+        p_plus = min(max(float(np.trace(projector @ rho).real), 0.0), 1.0)
+        rates.append(
+            (signal * p_plus + det.background_n, signal * (1.0 - p_plus) + det.background_n)
+        )
+    return np.array(rates)

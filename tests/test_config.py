@@ -75,6 +75,7 @@ def test_invariant_violation_names_the_field():
         ('{"memory": {"sigma_gamma": Infinity}}', "memory.sigma_gamma"),
         ('{"storage_times": [1.0, -Infinity]}', r"storage_times\[1\]"),
         ('{"memory": {"static_gamma": {"S2": NaN}}}', "memory.static_gamma.S2"),
+        ('{"memory": {"r0_overrides": {"nan": 0.1}}}', "memory.r0_overrides"),
         ('{"rep_rate_hz": 1%s}' % ("0" * 400), "rep_rate_hz"),
     ],
 )
@@ -138,8 +139,9 @@ def test_input_states_validation():
 def test_r0_overrides_string_keys_parse_as_angles():
     cfg = config_from_dict({"memory": {"r0_overrides": {"1.5": 0.11}}})
     assert cfg.memory.r0_overrides == {1.5: 0.11}
-    with pytest.raises(ConfigError, match="r0_overrides"):
-        config_from_dict({"memory": {"r0_overrides": {"a": 0.11}}})
+    for key in ("a", "8", "-1", "inf", "1e400"):
+        with pytest.raises(ConfigError, match="memory.r0_overrides"):
+            config_from_dict({"memory": {"r0_overrides": {key: 0.11}}})
 
 
 def test_static_gamma_entries_validated():

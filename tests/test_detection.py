@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmemsim.detection import (
-    BASIS_DA,
     BASIS_HV,
-    BASIS_RL,
     MEASUREMENT_BASES,
     DetectionConfig,
     effective_detection_efficiency,
@@ -15,11 +15,23 @@ from qmemsim.detection import (
     total_detection_efficiency,
 )
 from qmemsim.memory import dephase
-from qmemsim.polarization import density_of, ket_from_named, state_fidelity
-from conftest import random_density
+from qmemsim.polarization import (
+    density_from_stokes,
+    density_of,
+    ket_from_named,
+    state_fidelity,
+    stokes_of,
+)
+from conftest import (
+    random_density,
+    random_ket,
+    reference_dephase,
+    reference_rates,
+)
 
 DET = DetectionConfig()
 H_STATE = density_of(ket_from_named("H"))
+H_STOKES = stokes_of(H_STATE)
 
 
 def test_chain_product():
@@ -46,7 +58,7 @@ def test_effective_efficiency_uses_measured_total():
 
 def test_expected_rates_h_state_chain_efficiency():
     cfg = DetectionConfig(eta_total=None)
-    rates = expected_rates(H_STATE, 0.127, cfg)
+    rates = expected_rates(H_STOKES, 0.127, cfg)
     assert rates.shape == (3, 2)
     mu_plus, mu_minus = rates[MEASUREMENT_BASES.index(BASIS_HV)]
     assert abs(mu_plus - (0.22504 * 0.127 + 7e-4)) < 1e-12
@@ -58,34 +70,59 @@ def test_expected_rates_sum_identity(rng):
         state = random_density(rng)
         eff = rng.uniform(0, 1)
         total = DET.n_bar * 0.23 * eff + 2 * DET.background_n
-        for mu_plus, mu_minus in expected_rates(state, eff, DET):
+        for mu_plus, mu_minus in expected_rates(stokes_of(state), eff, DET):
             assert abs(mu_plus + mu_minus - total) < 1e-15
 
 
 def test_expected_rates_maximally_mixed_is_symmetric():
     half = np.eye(2) / 2
-    for mu_plus, mu_minus in expected_rates(half, 0.1, DET):
+    for mu_plus, mu_minus in expected_rates(stokes_of(half), 0.1, DET):
         assert abs(mu_plus - mu_minus) < 1e-15
 
 
 def test_expected_rates_zero_efficiency_gives_background():
-    assert np.all(expected_rates(H_STATE, 0.0, DET) == DET.background_n)
+    assert np.all(expected_rates(H_STOKES, 0.0, DET) == DET.background_n)
 
 
-def test_basis_projectors_complete_and_unbiased():
-    for basis in MEASUREMENT_BASES:
-        total = basis.plus_projector + basis.minus_projector
-        assert np.max(np.abs(total - np.eye(2))) < 1e-15
-    for a in (BASIS_HV, BASIS_DA, BASIS_RL):
-        for b in (BASIS_HV, BASIS_DA, BASIS_RL):
-            if a is b:
-                continue
-            overlap = np.trace(a.plus_projector @ b.plus_projector).real
-            assert abs(overlap - 0.5) < 1e-14
+def test_expected_rates_rejects_invalid_stokes():
+    for bad, match in (
+        (np.array([1.5, 0.0, 0.0]), "unit ball"),
+        (np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), "non-finite"),
+        (np.eye(2) / 2, "shape"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            expected_rates(bad, 0.1, DET)
+
+
+@st.composite
+def _physical_states(draw):
+    # Full-rank (Ginibre), pure and maximally mixed states.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["ginibre", "pure", "mixed"]))
+    if kind == "ginibre":
+        return random_density(rng)
+    if kind == "pure":
+        return density_of(random_ket(rng))
+    return np.eye(2, dtype=complex) / 2
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    _physical_states(),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([0.0, DET.background_n]),
+)
+def test_stokes_forward_map_matches_matrix_reference(rho, gamma, efficiency, background_n):
+    det = DetectionConfig(background_n=background_n)
+    got = expected_rates(dephase(stokes_of(rho), gamma), efficiency, det)
+    want = reference_rates(reference_dephase(rho, gamma), efficiency, det)
+    assert got.shape == (3, 2)
+    assert np.max(np.abs(got - want)) < 1e-15
 
 
 def test_sample_counts_deterministic_per_seed():
-    rates = expected_rates(H_STATE, 0.127, DET)
+    rates = expected_rates(H_STOKES, 0.127, DET)
     a = sample_counts(rates, 10**5, np.random.default_rng(7))
     b = sample_counts(rates, 10**5, np.random.default_rng(7))
     assert a.shape == (3, 2)
@@ -120,7 +157,7 @@ def test_sample_counts_rejects_overflow_scale():
 
 def test_expected_counts_hold_exact_means():
     assert expected_counts((0.03, 7e-4), 10**5).tolist() == [3000.0, 70.0]
-    rates = expected_rates(H_STATE, 0.127, DET)
+    rates = expected_rates(H_STOKES, 0.127, DET)
     assert np.array_equal(expected_counts(rates, 10**5), 10**5 * rates)
 
 
@@ -167,7 +204,7 @@ def test_postselected_survival_fidelity(rng):
     for _ in range(25):
         gamma = rng.uniform(0, 1)
         eff = rng.uniform(0.01, 0.2)
-        out = postselected_state(dephase(H_STATE, gamma), eff, DET)
+        out = postselected_state(density_from_stokes(dephase(H_STOKES, gamma)), eff, DET)
         got = state_fidelity(out, H_STATE)
         signal = 0.23 * eff
         want = ((1 + gamma) * signal + 2 * 7e-4) / (2 * (signal + 2 * 7e-4))

@@ -14,6 +14,7 @@ from qmemsim.memory import (
     theta_prime,
     walk_off_r0,
 )
+from qmemsim.polarization import density_from_stokes, stokes_of
 from conftest import random_density
 
 MEM = MemoryConfig()
@@ -87,18 +88,22 @@ def test_dephase_scales_off_diagonals(rng):
     for _ in range(20):
         rho = random_density(rng)
         gamma = rng.uniform(0, 1)
-        out = dephase(rho, gamma)
-        assert out[0, 0] == rho[0, 0]
-        assert out[1, 1] == rho[1, 1]
+        stokes = stokes_of(rho)
+        s_out = dephase(stokes, gamma)
+        assert np.array_equal(s_out, [gamma * stokes[0], gamma * stokes[1], stokes[2]])
+        assert np.array_equal(dephase(np.array([stokes, -stokes]), gamma), [s_out, -s_out])
+        out = density_from_stokes(s_out)
+        assert abs(out[0, 0] - rho[0, 0]) < 1e-15
+        assert abs(out[1, 1] - rho[1, 1]) < 1e-15
         assert abs(out[0, 1] - gamma * rho[0, 1]) < 1e-15
 
 
 def test_dephase_gamma_range():
-    rho = np.eye(2) / 2
-    with pytest.raises(ValueError):
-        dephase(rho, 1.5)
-    with pytest.raises(ValueError):
-        dephase(rho, -0.1)
+    mixed = np.zeros(3)
+    with pytest.raises(ValueError, match="gamma"):
+        dephase(mixed, 1.5)
+    with pytest.raises(ValueError, match="gamma"):
+        dephase(mixed, -0.1)
 
 
 def test_theta_prime_identity_at_zero_offset():
@@ -117,9 +122,9 @@ def test_theta_prime_small_deviation_at_default_offset():
 
 def test_dephase_rejects_invalid_state():
     for bad, match in (
-        (np.diag([1.5, -0.5]), "negative eigenvalue"),
-        (np.eye(2), "trace"),
-        (np.eye(3) / 3, "2x2"),
+        (np.array([0.0, 0.6, 0.9]), "unit ball"),
+        (np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]]), "non-finite"),
+        (np.zeros(2), "shape"),
     ):
         with pytest.raises(ValueError, match=match):
             dephase(bad, 0.5)

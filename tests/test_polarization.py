@@ -10,6 +10,7 @@ from qmemsim.polarization import (
     STATE_LABELS,
     check_density,
     check_ket,
+    check_stokes,
     density_from_stokes,
     density_of,
     ket_from_named,
@@ -98,6 +99,31 @@ def test_check_density_rejects_bad_inputs():
         check_density(np.diag([0.7, 0.7]))  # trace 1.4
     with pytest.raises(ValueError):
         check_density(np.diag([1.2, -0.2]))  # negative eigenvalue
+
+
+def test_check_stokes_accepts_the_states_check_density_accepts(rng):
+    stack = np.array([[stokes_of(random_density(rng)) for _ in range(5)] for _ in range(2)])
+    assert check_stokes(stack).shape == (2, 5, 3)
+    named = np.array([stokes_of(density_of(ket)) for ket in NAMED_KETS.values()])
+    assert np.array_equal(check_stokes(named), named)
+    # Both checks draw the unit-ball edge at the same eigenvalue tolerance.
+    for length, ok in ((1.0 + 1e-12, True), (1.0 + 1e-9, False)):
+        s = np.array([0.6, 0.0, 0.8]) * length
+        for check in (check_stokes, lambda s: check_density(density_from_stokes(s))):
+            if ok:
+                check(s)
+            else:
+                with pytest.raises(ValueError):
+                    check(s)
+    for bad, match in (
+        (np.float64(0.5), "shape"),
+        (np.zeros((3, 2)), "shape"),
+        (np.array([0.0, np.nan, 0.0]), "non-finite"),
+        (np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -np.inf]]), "non-finite"),
+        (np.array([[0.0, 0.0, 1.0], [0.8, 0.8, 0.0]]), "unit ball"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            check_stokes(bad)
 
 
 def test_psd_sqrt_squares_back(rng):

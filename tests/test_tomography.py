@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemsim.detection import PROJECTORS, DetectionConfig, expected_rates
+from qmemsim.detection import DetectionConfig, expected_rates
 from qmemsim.memory import (
     DEFAULT_CHANNELS,
     MemoryConfig,
@@ -42,9 +42,15 @@ from conftest import (
     chi_from_kraus,
     random_cptp_kraus,
     random_density,
+    reference_dephase,
+    reference_rates,
 )
 
 INPUT_STATES = {lbl: density_of(ket_from_named(lbl)) for lbl in DEFAULT_INPUT_LABELS}
+
+
+def _dephase_state(rho, gamma):
+    return density_from_stokes(dephase(stokes_of(rho), gamma))
 
 
 def test_stokes_from_counts_basic():
@@ -140,7 +146,7 @@ def test_process_matrix_identity_channel():
 def test_process_matrix_dephasing_channel(rng):
     for _ in range(10):
         gamma = rng.uniform(0, 1)
-        chi = process_matrix(_pairs_for(lambda rho: dephase(rho, gamma)))
+        chi = process_matrix(_pairs_for(lambda rho: _dephase_state(rho, gamma)))
         want = np.diag([(1 + gamma) / 2, 0.0, 0.0, (1 - gamma) / 2]).astype(complex)
         assert np.max(np.abs(chi - want)) < 1e-12
 
@@ -168,8 +174,8 @@ def test_degenerate_input_labels_rejected_at_first_use():
 
 
 def test_cached_constants_are_read_only():
-    states, inverse = _input_set(DEFAULT_INPUT_LABELS)
-    for arr in (states, inverse, *PROJECTORS.values()):
+    stokes, inverse = _input_set(DEFAULT_INPUT_LABELS)
+    for arr in (stokes, inverse):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0.0
 
@@ -221,7 +227,7 @@ def test_composite_map_chi00_closed_form(rng):
         gamma = rng.uniform(0, 1)
         eff = rng.uniform(0.005, 0.2)
         chi = process_matrix(
-            _pairs_for(lambda rho: postselected_state(dephase(rho, gamma), eff, det))
+            _pairs_for(lambda rho: postselected_state(_dephase_state(rho, gamma), eff, det))
         )
         s = det.n_bar * 0.23 * eff
         want = ((1 + gamma) * s + det.background_n) / (2 * (s + 2 * det.background_n))
@@ -244,8 +250,8 @@ def test_run_process_tomography_expected_matches_model():
 
 
 def test_run_process_tomography_composes_decay_and_dephasing():
-    # A static factor of 0.6 makes the dephasing visible in the D and R
-    # rows; expected-counts mode gives the exact means.
+    # A static factor of 0.6 makes the dephasing visible in the HV and DA
+    # rows; expected-counts mode gives the means of the matrix reference.
     s2 = DEFAULT_CHANNELS[2]
     cfg = MemoryConfig(static_gamma={"S2": 0.6})
     det = DetectionConfig()
@@ -254,9 +260,12 @@ def test_run_process_tomography_composes_decay_and_dephasing():
     gamma = dephasing_factor(t, s2, cfg)
     efficiency = retrieval_efficiency(s2.theta, t, cfg)
     want = pulses * np.array(
-        [expected_rates(dephase(rho, gamma), efficiency, det) for rho in INPUT_STATES.values()]
+        [
+            reference_rates(reference_dephase(rho, gamma), efficiency, det)
+            for rho in INPUT_STATES.values()
+        ]
     )
-    assert np.array_equal(res.counts, want)
+    assert np.max(np.abs(res.counts - want)) < 1e-15 * pulses
 
 
 def test_run_process_tomography_sampled_deterministic():
@@ -277,7 +286,8 @@ def _scalar_draw_counts(channel, t, pulses, rng):
     efficiency = retrieval_efficiency(channel.theta, t, cfg)
     counts = []
     for lbl in DEFAULT_INPUT_LABELS:
-        rates = expected_rates(dephase(INPUT_STATES[lbl], gamma), efficiency, det).tolist()
+        stokes = stokes_of(INPUT_STATES[lbl])
+        rates = expected_rates(dephase(stokes, gamma), efficiency, det).tolist()
         counts.append([[int(rng.poisson(pulses * mu)) for mu in row] for row in rates])
     return np.array(counts)
 
