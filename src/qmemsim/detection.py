@@ -75,7 +75,7 @@ def effective_detection_efficiency(cfg: DetectionConfig) -> float:
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """An analysis basis: the named +/- eigenstates of one Pauli operator.
+    """An analysis basis of one Pauli operator, named with its + eigenstate.
 
     Its position in MEASUREMENT_BASES is its Stokes axis and its row in
     a count array.
@@ -83,12 +83,11 @@ class MeasurementBasis:
 
     label: str
     plus_label: str
-    minus_label: str
 
 
-BASIS_HV = MeasurementBasis("HV", "H", "V")
-BASIS_DA = MeasurementBasis("DA", "D", "A")
-BASIS_RL = MeasurementBasis("RL", "R", "L")
+BASIS_HV = MeasurementBasis("HV", "H")
+BASIS_DA = MeasurementBasis("DA", "D")
+BASIS_RL = MeasurementBasis("RL", "R")
 
 #: The three mutually unbiased analysis bases, in Stokes-axis order.
 MEASUREMENT_BASES = (BASIS_HV, BASIS_DA, BASIS_RL)

@@ -14,9 +14,12 @@ take a bundle and free one parameter of it: ``fit_sigma_gamma`` fits
 sigma_gamma to a decay curve, and ``calibrate_static_gamma`` inverts the
 model for gamma0 at a single (t, F) point.
 
-Fitters are hand-rolled (log-linear seed plus damped Gauss-Newton,
-golden-section plus Newton polish) so that convergence behaviour and
-iteration counts stay identical across platforms.
+Both fits are one golden-section search over one log-scaled parameter.
+The exponential fit searches tau and takes the amplitude in closed form
+at each tau (variable projection), so the function searched is already
+the profile of the 2-parameter least-squares cost.  The search is
+hand-rolled so that its iteration counts stay identical across
+platforms.
 """
 
 from __future__ import annotations
@@ -29,10 +32,10 @@ from .detection import DetectionConfig, effective_detection_efficiency
 from .errors import FitError
 from .memory import ChannelSpec, MemoryConfig, retrieval_efficiency
 
-_MAX_GN_ITERS = 200
-_GN_REL_TOL = 1e-8
 _SIGMA_BRACKET = (0.1, 1.0e4)
-_POLISH_REL_TOL = 1e-6
+# tau is searched over (max t - min t) times this range, so the
+# exponential fit needs no time unit.
+_TAU_SPAN_BRACKET = (1.0e-6, 1.0e6)
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,46 @@ def channel_model(channel: ChannelSpec, memory: MemoryConfig, det: DetectionConf
     }
 
 
-def fit_exponential(dataset: DecayDataset) -> FitReport:
-    """Fit a * exp(-t / tau) by damped Gauss-Newton from a log-linear seed.
+def _golden_section(f, lo: float, hi: float) -> tuple[float, int]:
+    """Minimum of a unimodal f on [lo, hi], to a bracket width of 1e-10.
 
-    Weighted by 1/sigma^2 when the dataset carries errors.  Raises
-    FitError when no usable seed exists or the iteration cap is hit.
+    Returns the bracket midpoint and the number of bracket reductions.
+    """
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a_, b_ = lo, hi
+    c = b_ - invphi * (b_ - a_)
+    d = a_ + invphi * (b_ - a_)
+    fc, fd = f(c), f(d)
+    iterations = 0
+    while b_ - a_ > 1e-10:
+        iterations += 1
+        if fc < fd:
+            b_, d, fd = d, c, fc
+            c = b_ - invphi * (b_ - a_)
+            fc = f(c)
+        else:
+            a_, c, fc = c, d, fd
+            d = a_ + invphi * (b_ - a_)
+            fd = f(d)
+    return (a_ + b_) / 2.0, iterations
+
+
+def _at_bound(x: float, lo: float, hi: float) -> bool:
+    return bool(min(x - lo, hi - x) < 1e-6)
+
+
+def fit_exponential(dataset: DecayDataset) -> FitReport:
+    """Fit a * exp(-t / tau) by variable projection.
+
+    Weighted by 1/sigma^2 when the dataset carries errors.  At each tau
+    the best amplitude is linear least squares in closed form, so one
+    golden-section search over log(tau), bracketed by the data span times
+    [1e-6, 1e6], fits both.  Flat or rising data end at the upper edge
+    with ``at_bound`` set.  Uncertainties come from the Jacobian at the
+    optimum; without errors they are scaled by the residual variance,
+    and left empty when no residual degree of freedom remains.  Raises
+    FitError unless 2 distinct times carry positive values and the
+    fitted amplitude is positive.
     """
     t = dataset.times
     v = dataset.values
@@ -138,68 +176,48 @@ def fit_exponential(dataset: DecayDataset) -> FitReport:
 
     pos = v > 0
     if np.unique(t[pos]).size < 2:
-        raise FitError("need positive values at 2 distinct times to seed an exponential fit")
-    coeffs = np.polyfit(t[pos], np.log(v[pos]), 1)
-    if coeffs[0] >= 0:
-        # Non-decaying seed; start from the data span instead.
-        tau = max(t[-1] - t[0], 1.0)
-    else:
-        tau = -1.0 / coeffs[0]
-    a = float(np.exp(coeffs[1]))
+        raise FitError("need positive values at 2 distinct times to fit an exponential")
 
-    def residuals(a_: float, tau_: float) -> np.ndarray:
-        return np.sqrt(w) * (a_ * np.exp(-t / tau_) - v)
-
-    cost = float(np.sum(residuals(a, tau) ** 2))
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_GN_ITERS + 1):
+    def amplitude(tau: float) -> tuple[float, np.ndarray]:
         e = np.exp(-t / tau)
-        jac = np.column_stack([e, a * t / tau**2 * e]) * np.sqrt(w)[:, None]
-        r = residuals(a, tau)
-        try:
-            step = np.linalg.solve(jac.T @ jac, -jac.T @ r)
-        except np.linalg.LinAlgError:
-            raise FitError("singular normal equations in exponential fit") from None
-        scale = 1.0
-        for _ in range(30):
-            a_new, tau_new = a + scale * step[0], tau + scale * step[1]
-            if tau_new > 0 and a_new > 0:
-                new_cost = float(np.sum(residuals(a_new, tau_new) ** 2))
-                if new_cost <= cost:
-                    break
-            scale *= 0.5
-        else:
-            converged = True  # no improving step left: at the minimum
-            break
-        rel = max(abs(a_new - a) / max(abs(a), 1e-30), abs(tau_new - tau) / tau)
-        a, tau, cost = a_new, tau_new, new_cost
-        if rel < _GN_REL_TOL:
-            converged = True
-            break
-    if not converged:
-        raise FitError(f"exponential fit did not converge in {_MAX_GN_ITERS} iterations")
+        norm = float(np.sum(w * e**2))
+        # Late data at a short tau underflow e to 0: no amplitude fits.
+        return (float(np.sum(w * v * e)) / norm if norm > 0 else 0.0), e
 
-    e = np.exp(-t / tau)
+    def sse(log_tau: float) -> float:
+        a_, e = amplitude(float(np.exp(log_tau)))
+        return float(np.sum(w * (a_ * e - v) ** 2))
+
+    span = float(t.max() - t.min())
+    lo, hi = (float(np.log(span * k)) for k in _TAU_SPAN_BRACKET)
+    x, iterations = _golden_section(sse, lo, hi)
+    tau = float(np.exp(x))
+    a, e = amplitude(tau)
+    if not a > 0:
+        raise FitError(f"fitted exponential amplitude {a:.6g} is not positive")
+
+    cost = sse(x)
     jac = np.column_stack([e, a * t / tau**2 * e]) * np.sqrt(w)[:, None]
     uncertainties: dict[str, float] = {}
-    try:
-        cov = np.linalg.inv(jac.T @ jac)
-        if dataset.sigmas is None and t.size > 2:
-            cov = cov * cost / (t.size - 2)
-        if np.all(np.diag(cov) >= 0):
-            uncertainties = {
-                "r0": float(np.sqrt(cov[0, 0])),
-                "tau": float(np.sqrt(cov[1, 1])),
-            }
-    except np.linalg.LinAlgError:
-        pass
+    if dataset.sigmas is not None or t.size > 2:
+        try:
+            cov = np.linalg.inv(jac.T @ jac)
+            if dataset.sigmas is None:
+                cov = cov * cost / (t.size - 2)
+            if np.all(np.diag(cov) >= 0):
+                uncertainties = {
+                    "r0": float(np.sqrt(cov[0, 0])),
+                    "tau": float(np.sqrt(cov[1, 1])),
+                }
+        except np.linalg.LinAlgError:
+            pass
     return FitReport(
-        params={"r0": float(a), "tau": float(tau)},
+        params={"r0": a, "tau": tau},
         uncertainties=uncertainties,
         residual_norm=float(np.sqrt(cost)),
         iterations=iterations,
         converged=True,
+        at_bound=_at_bound(x, lo, hi),
     )
 
 
@@ -208,11 +226,10 @@ def fit_sigma_gamma(dataset: DecayDataset, model: dict) -> FitReport:
 
     The bundle's own ``sigma_gamma`` is ignored and every other parameter
     is held fixed.  One-dimensional weighted least squares on the
-    closed-form fidelity: golden-section search over log(sigma_gamma) in
-    a fixed bracket, followed by a Newton polish on the smooth interior.
-    Data that prefers the bracket edge (effectively no observable
-    dephasing decay) is reported with ``at_bound`` set rather than
-    rejected.
+    closed-form fidelity: a golden-section search over log(sigma_gamma)
+    in a fixed bracket.  Data that prefers the bracket edge (effectively
+    no observable dephasing decay) is reported with ``at_bound`` set
+    rather than rejected.
     """
     t = dataset.times
     v = dataset.values
@@ -223,49 +240,13 @@ def fit_sigma_gamma(dataset: DecayDataset, model: dict) -> FitReport:
         return float(np.sum(w * (curve - v) ** 2))
 
     lo, hi = np.log(_SIGMA_BRACKET[0]), np.log(_SIGMA_BRACKET[1])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = lo, hi
-    c = b_ - invphi * (b_ - a_)
-    d = a_ + invphi * (b_ - a_)
-    fc, fd = sse(c), sse(d)
-    iterations = 0
-    while b_ - a_ > 1e-10:
-        iterations += 1
-        if fc < fd:
-            b_, d, fd = d, c, fc
-            c = b_ - invphi * (b_ - a_)
-            fc = sse(c)
-        else:
-            a_, c, fc = c, d, fd
-            d = a_ + invphi * (b_ - a_)
-            fd = sse(d)
-    x = (a_ + b_) / 2.0
-
-    # Newton polish on the interior minimum; central differences are
-    # accurate enough at this scale and keep the code dependency-free.
-    h = 1e-6
-    for _ in range(20):
-        g_minus, g_0, g_plus = sse(x - h), sse(x), sse(x + h)
-        d1 = (g_plus - g_minus) / (2.0 * h)
-        d2 = (g_plus - 2.0 * g_0 + g_minus) / h**2
-        if d2 <= 0:
-            break
-        step = -d1 / d2
-        if not lo < x + step < hi:
-            break
-        x += step
-        iterations += 1
-        if abs(step) < _POLISH_REL_TOL:
-            break
-
-    at_bound = bool(min(x - lo, hi - x) < 1e-6)
-    sigma = float(np.exp(x))
+    x, iterations = _golden_section(sse, lo, hi)
     return FitReport(
-        params={"sigma_gamma": sigma},
+        params={"sigma_gamma": float(np.exp(x))},
         residual_norm=float(np.sqrt(sse(x))),
         iterations=iterations,
         converged=True,
-        at_bound=at_bound,
+        at_bound=_at_bound(x, lo, hi),
     )
 
 

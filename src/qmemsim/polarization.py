@@ -94,10 +94,13 @@ def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
 
 
 def check_stokes(stokes: np.ndarray) -> np.ndarray:
-    """Validate Stokes vectors (..., 3): finite, |S| <= 1 to check_density's EIG_TOL."""
-    stokes = np.asarray(stokes, dtype=float)
+    """Validate Stokes vectors (..., 3): real, finite, |S| <= 1 to check_density's EIG_TOL."""
+    stokes = np.asarray(stokes)
     if stokes.ndim == 0 or stokes.shape[-1] != 3:
         raise ValueError(f"Stokes vectors must have shape (..., 3), got {stokes.shape}")
+    if np.iscomplexobj(stokes):
+        raise ValueError("Stokes vectors must be real, got a complex array")
+    stokes = np.asarray(stokes, dtype=float)
     if not np.all(np.isfinite(stokes)):
         raise ValueError("Stokes vector contains non-finite values")
     if np.any(np.linalg.norm(stokes, axis=-1) > 1.0 + 2.0 * EIG_TOL):  # (1 - |S|)/2 < -EIG_TOL

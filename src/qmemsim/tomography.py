@@ -79,7 +79,6 @@ class ProcessResult:
 
     chi: np.ndarray
     process_fidelity: float
-    input_labels: tuple[str, ...]
     raw_chi00: float
     projection_applied: bool
     projection_distance: float
@@ -268,7 +267,6 @@ def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResu
     return ProcessResult(
         chi=chi,
         process_fidelity=min(max(float(chi[0, 0].real), 0.0), 1.0),
-        input_labels=input_labels,
         raw_chi00=float(chi_raw[0, 0].real),
         projection_applied=applied,
         projection_distance=distance,

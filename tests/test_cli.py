@@ -178,6 +178,19 @@ class TestFit:
         assert report["params"]["r0"] == pytest.approx(0.127, abs=1e-9)
         assert report["params"]["tau"] == pytest.approx(2.9, abs=1e-9)
 
+    def test_exponential_late_start(self, tmp_path, capsys):
+        # At short trial taus exp(-t / tau) underflows to 0 at every
+        # sample; under the fit's errstate a 0/0 amplitude would raise.
+        times = np.linspace(100.0, 106.0, 8)
+        values = 0.127 * np.exp(-times / 2.9)
+        lines = ["t_ms,efficiency"] + [f"{t},{v}" for t, v in zip(times, values)]
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["fit", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["params"]["r0"] == pytest.approx(0.127, rel=1e-6)
+        assert report["params"]["tau"] == pytest.approx(2.9, rel=1e-6)
+
     def test_exponential_json_with_sigmas_and_out(self, tmp_path, capsys):
         times = np.linspace(0.5, 5.0, 8)
         payload = {

@@ -89,6 +89,8 @@ def test_expected_rates_rejects_invalid_stokes():
         (np.array([1.5, 0.0, 0.0]), "unit ball"),
         (np.array([[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]), "non-finite"),
         (np.eye(2) / 2, "shape"),
+        (np.eye(2, dtype=complex) / 2, "shape"),
+        (np.array([0.0, 0.0, 0.5 + 0.0j]), "real"),
     ):
         with pytest.raises(ValueError, match=match):
             expected_rates(bad, 0.1, DET)

@@ -111,10 +111,62 @@ def test_fit_exponential_noisy_weighted(rng):
     assert report.uncertainties["tau"] > 0
 
 
+def _weighted_sse(dataset, r0, tau):
+    curve = r0 * np.exp(-dataset.times / tau)
+    return float(np.sum(dataset.weights() * (curve - dataset.values) ** 2))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fit_exponential_is_a_stationary_point(rng, weighted):
+    t = np.linspace(0.005, 6.0, 12)
+    sigma = 1e-3 * (1.0 + t)
+    for _ in range(10):
+        values = 0.127 * np.exp(-t / 2.9) + rng.normal(scale=sigma)
+        dataset = DecayDataset(t, values, sigma if weighted else None)
+        report = fit_exponential(dataset)
+        best = _weighted_sse(dataset, **report.params)
+        for key in ("r0", "tau"):
+            for step in (1.0 - 1e-6, 1.0 + 1e-6):
+                moved = {**report.params, key: report.params[key] * step}
+                assert _weighted_sse(dataset, **moved) >= best
+
+
+def test_fit_exponential_is_unit_agnostic(rng):
+    t = np.linspace(0.005, 6.0, 12)
+    for _ in range(10):
+        tau = rng.uniform(0.8, 5.0)
+        values = rng.uniform(0.05, 0.3) * np.exp(-t / tau)
+        ms = fit_exponential(DecayDataset(t, values)).params["tau"]
+        us = fit_exponential(DecayDataset(1000.0 * t, values)).params["tau"]
+        assert abs(us / (1000.0 * ms) - 1.0) < 1e-8
+
+
+def test_fit_exponential_flags_non_decaying_data():
+    # The best decay for flat or rising data is tau -> infinity: the
+    # search runs to the bracket edge and must say so.
+    t = np.linspace(0.0, 6.0, 12)
+    for values in (np.full_like(t, 0.1), 0.1 * np.exp(t / 3.0)):
+        report = fit_exponential(DecayDataset(t, values))
+        assert report.at_bound
+
+
+def test_fit_exponential_two_points_report_only_given_errors():
+    # Two points leave no residual degrees of freedom: without sigmas
+    # there is nothing to scale the covariance by.
+    t, values = np.array([0.0, 1.0]), np.array([1.0, 0.5])
+    assert fit_exponential(DecayDataset(t, values)).uncertainties == {}
+    report = fit_exponential(DecayDataset(t, values, np.array([0.01, 0.01])))
+    assert set(report.uncertainties) == {"r0", "tau"}
+
+
 def test_fit_exponential_rejects_nonpositive_data():
     t = np.linspace(0.0, 5.0, 6)
-    with pytest.raises(FitError):
+    with pytest.raises(FitError, match="2 distinct times"):
         fit_exponential(DecayDataset(t, np.zeros_like(t)))
+    # Positive at two times, but the best curve has a negative amplitude.
+    values = np.array([0.1, 0.1, -5.0, -5.0, -5.0, -5.0])
+    with pytest.raises(FitError, match="amplitude"):
+        fit_exponential(DecayDataset(t, values))
 
 
 def test_fit_sigma_gamma_noise_free_recovery(rng):

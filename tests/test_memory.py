@@ -125,6 +125,8 @@ def test_dephase_rejects_invalid_state():
         (np.array([0.0, 0.6, 0.9]), "unit ball"),
         (np.array([[1.0, 0.0, 0.0], [0.0, np.inf, 0.0]]), "non-finite"),
         (np.zeros(2), "shape"),
+        (np.eye(2, dtype=complex) / 2, "shape"),
+        (np.zeros(3, dtype=complex), "real"),
     ):
         with pytest.raises(ValueError, match=match):
             dephase(bad, 0.5)
