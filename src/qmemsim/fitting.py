@@ -163,41 +163,43 @@ def fit_exponential(dataset: DecayDataset) -> FitReport:
     Weighted by 1/sigma^2 when the dataset carries errors.  At each tau
     the best amplitude is linear least squares in closed form, so one
     golden-section search over log(tau), bracketed by the data span times
-    [1e-6, 1e6], fits both.  Flat or rising data end at the upper edge
-    with ``at_bound`` set.  Uncertainties come from the Jacobian at the
-    optimum; without errors they are scaled by the residual variance,
-    and left empty when no residual degree of freedom remains.  Raises
-    FitError unless 2 distinct times carry positive values and the
-    fitted amplitude is positive.
+    [1e-6, 1e6], fits both.  It runs on t - min(t) and v / max|v|, so
+    tiny values and late times do not underflow.  Flat or rising data
+    end at the upper edge with ``at_bound`` set.  Uncertainties come from
+    the Jacobian at the optimum; without errors they are scaled by the
+    residual variance, and left empty when no residual degree of freedom
+    remains.  Raises FitError unless 2 distinct times carry positive
+    values and the fitted amplitude is positive and finite.
     """
     t = dataset.times
-    v = dataset.values
-    w = dataset.weights()
-
-    pos = v > 0
-    if np.unique(t[pos]).size < 2:
+    if np.unique(t[dataset.values > 0]).size < 2:
         raise FitError("need positive values at 2 distinct times to fit an exponential")
+    t0, scale = float(t.min()), float(np.max(np.abs(dataset.values)))
+    v = dataset.values / scale
+    w = np.ones_like(t) if dataset.sigmas is None else (scale / dataset.sigmas) ** 2
 
     def amplitude(tau: float) -> tuple[float, np.ndarray]:
-        e = np.exp(-t / tau)
-        norm = float(np.sum(w * e**2))
-        # Late data at a short tau underflow e to 0: no amplitude fits.
-        return (float(np.sum(w * v * e)) / norm if norm > 0 else 0.0), e
+        e = np.exp(-(t - t0) / tau)  # 1 at t0: the denominator is never 0
+        return float(np.sum(w * v * e) / np.sum(w * e**2)), e
 
     def sse(log_tau: float) -> float:
         a_, e = amplitude(float(np.exp(log_tau)))
         return float(np.sum(w * (a_ * e - v) ** 2))
 
-    span = float(t.max() - t.min())
-    lo, hi = (float(np.log(span * k)) for k in _TAU_SPAN_BRACKET)
+    lo, hi = (float(np.log((t.max() - t0) * k)) for k in _TAU_SPAN_BRACKET)
     x, iterations = _golden_section(sse, lo, hi)
     tau = float(np.exp(x))
     a, e = amplitude(tau)
     if not a > 0:
-        raise FitError(f"fitted exponential amplitude {a:.6g} is not positive")
+        raise FitError(f"fitted exponential amplitude {a * scale:.6g} is not positive")
+    with np.errstate(over="ignore"):
+        r0 = float(a * scale * np.exp(t0 / tau))
+    if not np.isfinite(r0):
+        raise FitError(f"fitted amplitude at t = 0 overflows (tau = {tau:.6g})")
 
     cost = sse(x)
-    jac = np.column_stack([e, a * t / tau**2 * e]) * np.sqrt(w)[:, None]
+    # d(v / scale) / d(r0, tau); a / r0 is exp(-t0 / tau) / scale.
+    jac = np.column_stack([e * (a / r0), a * t / tau**2 * e]) * np.sqrt(w)[:, None]
     uncertainties: dict[str, float] = {}
     if dataset.sigmas is not None or t.size > 2:
         try:
@@ -212,9 +214,9 @@ def fit_exponential(dataset: DecayDataset) -> FitReport:
         except np.linalg.LinAlgError:
             pass
     return FitReport(
-        params={"r0": a, "tau": tau},
+        params={"r0": r0, "tau": tau},
         uncertainties=uncertainties,
-        residual_norm=float(np.sqrt(cost)),
+        residual_norm=float(np.sqrt(cost)) * (scale if dataset.sigmas is None else 1.0),
         iterations=iterations,
         converged=True,
         at_bound=_at_bound(x, lo, hi),

@@ -70,7 +70,8 @@ _DOMAIN_EFFICIENCY = 3
 
 def derive_rng(seed: int, *key: int) -> np.random.Generator:
     """Independent deterministic stream for one unit of work."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, *key)))
+    # The stream default_rng(SeedSequence(...)) gives, without its dispatch.
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, *key))))
 
 
 def _require_tomography_inputs(cfg: ScenarioConfig) -> None:

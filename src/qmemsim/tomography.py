@@ -6,28 +6,26 @@ maximization; at the count scales simulated here the two agree to well
 within the error bars, and the closed-form projection keeps every run
 bit-reproducible.  For a qubit, clamping the negative eigenvalue of
 (I + S.sigma)/2 and renormalizing the trace is exactly the rescaling
-S -> S/|S|, so a state is projected in closed form; the process matrix
-chi is projected by clamping the negative eigenvalues of its 4x4
-eigendecomposition and renormalizing the trace.
+S -> S/|S|; the process matrix chi is projected by clamping the negative
+eigenvalues of its 4x4 eigendecomposition and renormalizing the trace.
 
 The process matrix chi expands a qubit channel in the ordered operator
-basis PAULI_BASIS:  rho_out = sum_mn chi[m, n] sigma_m rho_in sigma_n+.
-Four informationally complete input states give exactly the 16 real
-constraints needed, so chi is recovered by one linear solve (Chuang &
-Nielsen, J. Mod. Opt. 44, 2455 (1997)).  The 16x16 design matrix depends
-only on the inputs, so its inverse is built and rank-checked once per
-input set and each solve is one matmul.  The trace convention is
-Tr(chi) = 1 for post-selected (trace-renormalized) maps.
+basis PAULI_BASIS:  rho_out = sum_mn chi[m, n] sigma_m rho_in sigma_n+,
+with Tr(chi) = 1 for post-selected (trace-renormalized) maps.  Four
+informationally complete inputs give the 16 real constraints needed, so
+chi is one linear solve (Chuang & Nielsen, J. Mod. Opt. 44, 2455 (1997)).
+The design matrix depends only on the inputs, and so does the whole
+linear map from the output Stokes rows (1, S_k) to the Hermitized chi:
+``_input_set`` builds and rank-checks it once per input set, next to the
+inputs' validated Stokes vectors S that the simulated rates
+expected_rates(dephase(S, gamma), R, detection) start from.
 
-The simulated rates of a unit are expected_rates(dephase(S, gamma), R,
-detection) over the (4, 3) Stokes vectors S of the inputs, which are
-validated and cached with the design inverse.
-
-``_reconstruct`` is the single reconstruction path (counts -> Stokes ->
-rho per input -> chi, solved then projected -> fidelity); the point
-estimate and every bootstrap resample go through it.  Counts are the
-(n_inputs, 3, 2) arrays described in ``detection``.  Its fidelity
-against the identity process is the projected chi[0, 0].
+``_reconstruct`` is the single reconstruction path, one vectorized pass
+over the (n_inputs, 3, 2) counts of ``detection``: Stokes rows, their
+closed-form projection, one matvec through the cached map, the chi
+projection, and the fidelity against the identity process, which is the
+projected chi[0, 0].  The point estimate and every bootstrap resample go
+through it.
 """
 
 from __future__ import annotations
@@ -86,23 +84,22 @@ class ProcessResult:
 
 
 def stokes_from_counts(counts: np.ndarray) -> np.ndarray:
-    """Stokes vector from one input's (3, 2) counts (basis x (+, -)).
+    """Stokes vectors from (..., 3, 2) counts (basis x (+, -)).
 
     Each basis contributes S = (n_plus - n_minus)/(n_plus + n_minus) on
-    its own axis.
+    its own axis.  An error names the first bad basis in input order.
     """
     counts = np.asarray(counts)
-    if counts.shape != (len(MEASUREMENT_BASES), 2):
-        raise ValueError(f"counts must have shape (3, 2), got {counts.shape}")
-    stokes = np.zeros(3)
-    for axis, (n_plus, n_minus) in enumerate(counts.tolist()):
-        if n_plus < 0 or n_minus < 0:
-            raise ValueError(f"negative counts in basis {MEASUREMENT_BASES[axis].label}")
-        total = n_plus + n_minus
-        if total <= 0:
-            raise ValueError(f"zero total counts in basis {MEASUREMENT_BASES[axis].label}")
-        stokes[axis] = (n_plus - n_minus) / total
-    return stokes
+    if counts.shape[-2:] != (len(MEASUREMENT_BASES), 2):
+        raise ValueError(f"counts must end in shape (3, 2), got {counts.shape}")
+    plus, minus = counts[..., 0], counts[..., 1]
+    total = plus + minus
+    if (counts < 0).any() or (total <= 0).any():
+        negative = (counts < 0).any(axis=-1)
+        first = tuple(np.argwhere(negative | (total <= 0))[0])
+        kind = "negative" if negative[first] else "zero total"
+        raise ValueError(f"{kind} counts in basis {MEASUREMENT_BASES[first[-1]].label}")
+    return (plus - minus) / total
 
 
 def state_estimate(stokes: np.ndarray) -> TomographyResult:
@@ -127,37 +124,35 @@ def state_estimate(stokes: np.ndarray) -> TomographyResult:
 
 
 def _design_inverse(inputs: np.ndarray) -> np.ndarray:
-    """Read-only inverse of the 16x16 design matrix of four input states.
-
-    Degenerate (not informationally complete) input sets are rejected.
-    """
+    """Inverse of the 16x16 design matrix of four informationally complete states."""
     # Row 4k + 2i + o, column 4m + n holds (sigma_m rho_in_k sigma_n+)[i, o].
     a = np.einsum("mij,kjl,nol->kiomn", _PAULIS, inputs, _PAULIS.conj()).reshape(16, 16)
     if np.linalg.matrix_rank(a) < 16:
         raise ValueError("degenerate input set: states are not informationally complete")
-    inverse = np.linalg.inv(a)
-    inverse.setflags(write=False)
-    return inverse
+    return np.linalg.inv(a)
 
 
 @functools.lru_cache(maxsize=None)
 def _input_set(input_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Stokes vectors (4, 3) of the ideal inputs and their design inverse.
+    """Read-only Stokes vectors (4, 3) of the ideal inputs and their chi map (16, 16).
 
-    Built and validated once per label tuple, on first use.
+    The chi map takes the output rows x_k = (1, S_k), flattened, to the
+    Hermitized vec chi: the Bloch map rho_k = sum_i x_ki sigma_i / 2
+    folded into the design inverse.  For real x, chi+ comes from the
+    conjugated map with the rows of (m, n) and (n, m) swapped.
     """
     if len(input_labels) != 4:
         raise ValueError(f"need exactly 4 input states, got {len(input_labels)}")
     states = np.array([density_of(ket_from_named(lbl)) for lbl in input_labels])
     stokes = np.array([stokes_of(rho) for rho in states])
-    stokes.setflags(write=False)
-    return stokes, _design_inverse(states)
-
-
-def _solve_chi(inverse: np.ndarray, outputs: np.ndarray) -> np.ndarray:
-    """Hermitized chi from the design inverse and the (4, 2, 2) outputs."""
-    chi = (inverse @ outputs.reshape(16)).reshape(4, 4)
-    return (chi + chi.conj().T) / 2.0
+    # Row 4k + 2a + b, column 4l + i holds delta_kl sigma_i[a, b] / 2.
+    bloch = np.einsum("kl,iab->kabli", np.eye(4), _PAULIS / 2.0).reshape(16, 16)
+    chi_map = _design_inverse(states) @ bloch
+    swapped = chi_map.reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
+    chi_map = (chi_map + swapped.conj()) / 2.0
+    for arr in (stokes, chi_map):
+        arr.setflags(write=False)
+    return stokes, chi_map
 
 
 def process_matrix_linear(
@@ -171,7 +166,8 @@ def process_matrix_linear(
     if len(pairs) != 4:
         raise ValueError(f"need exactly 4 input/output pairs, got {len(pairs)}")
     checked = np.array([[check_density(rho) for rho in pair] for pair in pairs])
-    return _solve_chi(_design_inverse(checked[:, 0]), checked[:, 1])
+    chi = (_design_inverse(checked[:, 0]) @ checked[:, 1].reshape(16)).reshape(4, 4)
+    return (chi + chi.conj().T) / 2.0
 
 
 def project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, bool, float]:
@@ -184,7 +180,7 @@ def project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, bool, float]:
     vals, vecs = np.linalg.eigh(chi)
     if vals[0] >= -_PROJECT_EIG_TOL:
         return chi, False, 0.0
-    clamped = np.clip(vals, 0.0, None)
+    clamped = np.maximum(vals, 0.0)
     projected = (vecs * (clamped / clamped.sum())) @ vecs.conj().T
     return projected, True, float(np.linalg.norm(projected - chi))
 
@@ -197,9 +193,7 @@ def process_matrix(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray
 
 def identity_chi() -> np.ndarray:
     """Process matrix of the ideal (identity) channel: single unit at (0,0)."""
-    chi = np.zeros((4, 4), dtype=complex)
-    chi[0, 0] = 1.0
-    return chi
+    return np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
 
 
 def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
@@ -214,7 +208,7 @@ def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
 
 
 def _check_unit_trace(name: str, mat: np.ndarray) -> None:
-    if abs(np.trace(np.asarray(mat)).real - 1.0) > 1e-6:
+    if abs(np.asarray(mat).trace().real - 1.0) > 1e-6:
         raise ValueError(f"{name} is not trace-normalized")
 
 
@@ -233,35 +227,38 @@ def run_process_tomography(
     are worked out once; the Stokes vectors of all inputs are dephased by
     that factor and their rates in the three analysis bases are taken at
     that efficiency.  Then all counts are drawn at once (or taken as exact
-    means when ``rng`` is None), the output states are reconstructed,
-    chi is solved from the four pairs and scored against the identity
-    process.  The draw consumes ``rng`` in input x basis x (+, -) order,
-    so a run is fully determined by the supplied stream.
+    means when ``rng`` is None), and ``_reconstruct`` turns them into chi
+    and scores it against the identity process.  The draw consumes
+    ``rng`` in input x basis x (+, -) order, so a run is fully determined
+    by the supplied stream.
     """
     input_labels = tuple(input_labels)
     stokes, _ = _input_set(input_labels)
     gamma = dephasing_factor(t, channel, memory)
     efficiency = retrieval_efficiency(channel.theta, t, memory)
     rates = expected_rates(dephase(stokes, gamma), efficiency, det)
-    if rng is None:
-        counts = expected_counts(rates, pulses)
-    else:
-        counts = sample_counts(rates, pulses, rng)
+    counts = expected_counts(rates, pulses) if rng is None else sample_counts(rates, pulses, rng)
     return _reconstruct(counts, input_labels)
 
 
 def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResult:
-    """Score (n_inputs, 3, 2) counts: Stokes -> rho -> chi -> fidelity.
+    """Score (n_inputs, 3, 2) counts in one pass: Stokes -> chi -> fidelity.
 
-    The fidelity against the identity process, whose chi is a single
-    unit at (0, 0), is the projected chi[0, 0].
+    Stokes rows outside the unit ball are rescaled to S/|S|, as in
+    ``state_estimate``.  The fidelity against the identity process is the
+    projected chi[0, 0].
     """
     input_labels = tuple(input_labels)
-    _, inverse = _input_set(input_labels)
+    _, chi_map = _input_set(input_labels)
     if len(counts) != len(input_labels):
         raise ValueError(f"need counts for {len(input_labels)} inputs, got {len(counts)}")
-    outputs = np.array([state_estimate(stokes_from_counts(c)).rho for c in counts])
-    chi_raw = _solve_chi(inverse, outputs)
+    stokes = stokes_from_counts(counts)
+    length = np.sqrt(np.einsum("ki,ki->k", stokes, stokes))[:, None]
+    if not np.isfinite(length).all():
+        raise ValueError("Stokes estimate contains non-finite values")
+    rows = np.ones((len(stokes), 4))
+    np.divide(stokes, np.where(length > 1.0 + 2.0 * _PROJECT_EIG_TOL, length, 1.0), out=rows[:, 1:])
+    chi_raw = (chi_map @ rows.ravel()).reshape(4, 4)
     chi, applied, distance = project_process_matrix(chi_raw)
     _check_unit_trace("chi", chi)
     return ProcessResult(

@@ -277,7 +277,12 @@ class TestFit:
 
     @pytest.mark.parametrize("model", ["exponential", "sigma-gamma"])
     def test_overflowing_fit_exits_3_printing_nothing(self, tmp_path, capsys, model):
-        path = write_json(tmp_path / "huge.json", {"times": [0.0, 1.0], "values": [1.0, 1e200]})
+        # The exponential fit scales values by max|v|; a sigma 1e200 below
+        # it still overflows the weights.
+        path = write_json(
+            tmp_path / "huge.json",
+            {"times": [0.0, 1.0], "values": [1.0, 1e200], "sigmas": [1.0, 1e-100]},
+        )
         assert main(["fit", path, "--model", model]) == EXIT_FIT
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -169,6 +169,28 @@ def test_fit_exponential_rejects_nonpositive_data():
         fit_exponential(DecayDataset(t, values))
 
 
+def test_fit_exponential_recovers_underflowed_late_data():
+    # Values near 1e-166: their squares underflow unless the search runs
+    # on v / max|v|, and exp(-t / tau) does unless it runs on t - min(t).
+    t = np.linspace(1100.0, 1106.0, 8)
+    values = 0.127 * np.exp(-t / 2.9)
+    for sigmas in (None, 0.01 * values):
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            report = fit_exponential(DecayDataset(t, values, sigmas))
+        assert abs(report.params["r0"] / 0.127 - 1.0) < 1e-7
+        assert abs(report.params["tau"] / 2.9 - 1.0) < 1e-7
+        assert not report.at_bound
+        assert set(report.uncertainties) == {"r0", "tau"}
+        assert all(np.isfinite(list(report.uncertainties.values())))
+
+
+def test_fit_exponential_rejects_an_overflowing_amplitude():
+    # A drop of 300 decades in 1 ms, 1000 ms after t = 0: r0 = inf.
+    dataset = DecayDataset(np.array([1000.0, 1001.0]), np.array([1.0, 1e-300]))
+    with pytest.raises(FitError, match="overflows"):
+        fit_exponential(dataset)
+
+
 def test_fit_sigma_gamma_noise_free_recovery(rng):
     t = np.array([0.005, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 5.0, 6.0])
     bundles = [S2_PARAMS] + [random_bundle(rng) for _ in range(8)]

@@ -57,6 +57,14 @@ class TestDeriveRng:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("key", [(12345, 1, 2, 5000), (777, 2, 0, 0, 499), (0,), (2**63, 7)])
+    def test_stream_is_default_rng_of_the_seed_sequence(self, key):
+        # Means below and above 10 take numpy's two Poisson algorithms.
+        lam = np.array([[0.5, 3.0], [40.0, 2.0e4]])
+        reference = np.random.default_rng(np.random.SeedSequence(entropy=key))
+        want = reference.poisson(lam, size=(3, 2, 2))
+        assert np.array_equal(derive_rng(*key).poisson(lam, size=(3, 2, 2)), want)
+
 
 class TestTomographyPoint:
     def test_expected_mode_matches_closed_form(self):
