@@ -16,12 +16,8 @@ from .config import (
     load_config,
 )
 from .detection import (
-    BASIS_DA,
-    BASIS_HV,
-    BASIS_RL,
     MEASUREMENT_BASES,
     DetectionConfig,
-    MeasurementBasis,
     effective_detection_efficiency,
     expected_counts,
     expected_rates,
@@ -57,9 +53,7 @@ from .polarization import (
     density_from_stokes,
     density_of,
     ket_from_named,
-    state_fidelity,
     stokes_of,
-    uhlmann_fidelity,
 )
 from .scenarios import (
     DEFAULT_CALIBRATION_TARGETS,

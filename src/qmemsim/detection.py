@@ -73,24 +73,8 @@ def effective_detection_efficiency(cfg: DetectionConfig) -> float:
     return total_detection_efficiency(cfg)
 
 
-@dataclass(frozen=True)
-class MeasurementBasis:
-    """An analysis basis of one Pauli operator, named with its + eigenstate.
-
-    Its position in MEASUREMENT_BASES is its Stokes axis and its row in
-    a count array.
-    """
-
-    label: str
-    plus_label: str
-
-
-BASIS_HV = MeasurementBasis("HV", "H")
-BASIS_DA = MeasurementBasis("DA", "D")
-BASIS_RL = MeasurementBasis("RL", "R")
-
-#: The three mutually unbiased analysis bases, in Stokes-axis order.
-MEASUREMENT_BASES = (BASIS_HV, BASIS_DA, BASIS_RL)
+#: The three mutually unbiased analysis bases in Stokes-axis order, + eigenstate first.
+MEASUREMENT_BASES = ("HV", "DA", "RL")
 
 
 def expected_rates(stokes: np.ndarray, efficiency: float, cfg: DetectionConfig) -> np.ndarray:

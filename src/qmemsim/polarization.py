@@ -1,4 +1,4 @@
-"""Exact 2x2 / 4x4 complex linear algebra for polarization qubits.
+"""Exact 2x2 complex linear algebra for polarization qubits.
 
 Working basis is circular, {|R>, |L>}: the storage basis in which the
 memory dephasing is diagonal.  Fixed phase convention for the six named
@@ -22,7 +22,6 @@ NORM_TOL = 1e-12
 HERM_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIG_TOL = 1e-10
-EIG_REJECT = 1e-6
 
 _SQ2 = np.sqrt(2.0)
 
@@ -130,57 +129,3 @@ def density_from_stokes(stokes: np.ndarray) -> np.ndarray:
     x, y, z = stokes.tolist()
     return np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]) / 2.0
 
-
-def psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """PSD square root of a Hermitian PSD matrix (dim 2 or 4).
-
-    Eigenvalues in [-EIG_REJECT, 0) are clamped to zero; anything more
-    negative is rejected as unphysical input.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    n = mat.shape[0]
-    if mat.shape != (n, n) or n not in (2, 4):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got {mat.shape}")
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
-        raise ValueError("matrix is not Hermitian")
-    vals, vecs = np.linalg.eigh(mat)
-    if vals[0] < -EIG_REJECT:
-        raise ValueError(f"matrix has significantly negative eigenvalue {vals[0]!r}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def _rank_one_part(mat: np.ndarray) -> tuple[float, np.ndarray] | None:
-    vals, vecs = np.linalg.eigh(mat)
-    if np.all(vals[:-1] <= 1e-12):
-        return float(vals[-1]), vecs[:, -1]
-    return None
-
-
-def uhlmann_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """F = (Tr sqrt(sqrt(a) b sqrt(a)))^2 for Hermitian PSD a, b.
-
-    When one operand is (numerically) rank one the exact reduction
-    F = lambda <v| other |v> is used; the general eigh-based square root
-    loses ~sqrt(eps) of precision on rank-deficient matrices, which
-    would swamp tight fidelity tolerances.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    for first, second in ((a, b), (b, a)):
-        pure = _rank_one_part(first)
-        if pure is not None:
-            lam, v = pure
-            fid = lam * float(np.real(np.vdot(v, second @ v)))
-            return min(max(fid, 0.0), 1.0)
-    root = psd_sqrt(a)
-    inner = root @ b @ root
-    inner = (inner + inner.conj().T) / 2.0
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    fid = float(np.sum(np.sqrt(vals)) ** 2)
-    return min(max(fid, 0.0), 1.0)
-
-
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity between two physical qubit states."""
-    return uhlmann_fidelity(check_density(rho), check_density(sigma))

@@ -98,7 +98,7 @@ def tomography_point(
     t: float,
     expected: bool = False,
 ) -> dict:
-    """One full-tomography unit: fidelity, its Monte Carlo error, model value.
+    """One full-tomography unit: "fidelity", its Monte Carlo error "sigma", and "model".
 
     Pure in (cfg, channel_id, t, expected): safe to evaluate units in
     any order or concurrently.  In expected-counts mode the statistical
@@ -132,7 +132,6 @@ def tomography_point(
         "fidelity": result.process_fidelity,
         "sigma": sigma,
         "model": closed_form_fidelity(t, **params),
-        "result": result,
     }
 
 

@@ -51,7 +51,6 @@ from .polarization import (
     density_of,
     ket_from_named,
     stokes_of,
-    uhlmann_fidelity,
 )
 
 #: Input preparation quartet used by default (informationally complete).
@@ -98,7 +97,7 @@ def stokes_from_counts(counts: np.ndarray) -> np.ndarray:
         negative = (counts < 0).any(axis=-1)
         first = tuple(np.argwhere(negative | (total <= 0))[0])
         kind = "negative" if negative[first] else "zero total"
-        raise ValueError(f"{kind} counts in basis {MEASUREMENT_BASES[first[-1]].label}")
+        raise ValueError(f"{kind} counts in basis {MEASUREMENT_BASES[first[-1]]}")
     return (plus - minus) / total
 
 
@@ -112,15 +111,22 @@ def state_estimate(stokes: np.ndarray) -> TomographyResult:
     (I + S/|S| . sigma)/2, which is returned with the projection flag set
     and its Frobenius distance (|S| - 1)/sqrt(2) from the linear estimate.
     """
-    stokes = np.asarray(stokes, dtype=float)
-    if not np.all(np.isfinite(stokes)):
+    projected, fired = _project_stokes(np.asarray(stokes, dtype=float))
+    rho, rho_lin = density_from_stokes(projected), density_from_stokes(stokes)
+    return TomographyResult(rho, bool(fired), float(np.linalg.norm(rho - rho_lin)))
+
+
+def _project_stokes(stokes: np.ndarray, out: np.ndarray | None = None) -> tuple:
+    """Rescale the Stokes rows (..., 3) with |S| > 1 + 2 _PROJECT_EIG_TOL to S/|S|.
+
+    Returns the rows, written to ``out`` if given, and the mask (...) of
+    the rescaled ones.  Non-finite rows are rejected.
+    """
+    length = np.sqrt(np.einsum("...i,...i->...", stokes, stokes))[..., None]
+    if not np.isfinite(length).all():
         raise ValueError("Stokes estimate contains non-finite values")
-    rho_lin = density_from_stokes(stokes)
-    length = float(np.linalg.norm(stokes))
-    if length <= 1.0 + 2.0 * _PROJECT_EIG_TOL:
-        return TomographyResult(rho_lin, False, 0.0)
-    rho = density_from_stokes(stokes / length)
-    return TomographyResult(rho, True, float(np.linalg.norm(rho - rho_lin)))
+    fired = length > 1.0 + 2.0 * _PROJECT_EIG_TOL
+    return np.divide(stokes, np.where(fired, length, 1.0), out=out), fired[..., 0]
 
 
 def _design_inverse(inputs: np.ndarray) -> np.ndarray:
@@ -197,14 +203,19 @@ def identity_chi() -> np.ndarray:
 
 
 def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(chi) chi_ideal sqrt(chi)))^2.
+    """Fidelity lambda <v|chi|v> of chi to a unitary target chi_ideal = lambda |v><v|.
 
-    Both arguments must be Hermitian, PSD (to tolerance) and normalized
-    to unit trace.  For a rank-1 ideal at (0,0) this reduces to chi[0,0].
+    Exact for the rank-one chi of a unitary (Chuang & Nielsen 1997), and
+    chi[0, 0] for identity_chi().  Both arguments must have unit trace; an
+    ideal with an eigenvalue other than its largest above 1e-12 is rejected.
     """
     _check_unit_trace("chi", chi)
     _check_unit_trace("chi_ideal", chi_ideal)
-    return uhlmann_fidelity(chi, chi_ideal)
+    vals, vecs = np.linalg.eigh(chi_ideal)
+    if vals[-2] > 1e-12:
+        raise ValueError("chi_ideal is not rank one, so it is not the chi of a unitary")
+    fid = vals[-1] * float(np.vdot(vecs[:, -1], np.asarray(chi) @ vecs[:, -1]).real)
+    return min(max(fid, 0.0), 1.0)
 
 
 def _check_unit_trace(name: str, mat: np.ndarray) -> None:
@@ -244,20 +255,20 @@ def run_process_tomography(
 def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResult:
     """Score (n_inputs, 3, 2) counts in one pass: Stokes -> chi -> fidelity.
 
-    Stokes rows outside the unit ball are rescaled to S/|S|, as in
-    ``state_estimate``.  The fidelity against the identity process is the
-    projected chi[0, 0].
+    Stokes rows outside the unit ball are rescaled to S/|S| by
+    ``_project_stokes``, as in ``state_estimate``.  The fidelity against
+    the identity process is the projected chi[0, 0].
     """
     input_labels = tuple(input_labels)
     _, chi_map = _input_set(input_labels)
-    if len(counts) != len(input_labels):
-        raise ValueError(f"need counts for {len(input_labels)} inputs, got {len(counts)}")
+    shape = np.shape(counts)
+    if shape != (len(input_labels), 3, 2):
+        if shape[1:] == (3, 2):
+            raise ValueError(f"need counts for {len(input_labels)} inputs, got {shape[0]}")
+        raise ValueError(f"counts must have shape ({len(input_labels)}, 3, 2), got {shape}")
     stokes = stokes_from_counts(counts)
-    length = np.sqrt(np.einsum("ki,ki->k", stokes, stokes))[:, None]
-    if not np.isfinite(length).all():
-        raise ValueError("Stokes estimate contains non-finite values")
     rows = np.ones((len(stokes), 4))
-    np.divide(stokes, np.where(length > 1.0 + 2.0 * _PROJECT_EIG_TOL, length, 1.0), out=rows[:, 1:])
+    _project_stokes(stokes, out=rows[:, 1:])
     chi_raw = (chi_map @ rows.ravel()).reshape(4, 4)
     chi, applied, distance = project_process_matrix(chi_raw)
     _check_unit_trace("chi", chi)

@@ -66,7 +66,7 @@ def reference_rates(rho: np.ndarray, efficiency: float, det) -> np.ndarray:
     signal = det.n_bar * effective_detection_efficiency(det) * efficiency
     rates = []
     for basis in MEASUREMENT_BASES:
-        projector = density_of(ket_from_named(basis.plus_label))
+        projector = density_of(ket_from_named(basis[0]))
         p_plus = min(max(float(np.trace(projector @ rho).real), 0.0), 1.0)
         rates.append(
             (signal * p_plus + det.background_n, signal * (1.0 - p_plus) + det.background_n)

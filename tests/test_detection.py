@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemsim.detection import (
-    BASIS_HV,
     MEASUREMENT_BASES,
     DetectionConfig,
     effective_detection_efficiency,
@@ -19,7 +18,6 @@ from qmemsim.polarization import (
     density_from_stokes,
     density_of,
     ket_from_named,
-    state_fidelity,
     stokes_of,
 )
 from conftest import (
@@ -30,7 +28,8 @@ from conftest import (
 )
 
 DET = DetectionConfig()
-H_STATE = density_of(ket_from_named("H"))
+H_KET = ket_from_named("H")
+H_STATE = density_of(H_KET)
 H_STOKES = stokes_of(H_STATE)
 
 
@@ -60,7 +59,7 @@ def test_expected_rates_h_state_chain_efficiency():
     cfg = DetectionConfig(eta_total=None)
     rates = expected_rates(H_STOKES, 0.127, cfg)
     assert rates.shape == (3, 2)
-    mu_plus, mu_minus = rates[MEASUREMENT_BASES.index(BASIS_HV)]
+    mu_plus, mu_minus = rates[MEASUREMENT_BASES.index("HV")]
     assert abs(mu_plus - (0.22504 * 0.127 + 7e-4)) < 1e-12
     assert abs(mu_minus - 7e-4) < 1e-15
 
@@ -207,7 +206,7 @@ def test_postselected_survival_fidelity(rng):
         gamma = rng.uniform(0, 1)
         eff = rng.uniform(0.01, 0.2)
         out = postselected_state(density_from_stokes(dephase(H_STOKES, gamma)), eff, DET)
-        got = state_fidelity(out, H_STATE)
+        got = np.vdot(H_KET, out @ H_KET).real
         signal = 0.23 * eff
         want = ((1 + gamma) * signal + 2 * 7e-4) / (2 * (signal + 2 * 7e-4))
         assert abs(got - want) < 1e-12

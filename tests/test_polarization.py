@@ -14,12 +14,9 @@ from qmemsim.polarization import (
     density_from_stokes,
     density_of,
     ket_from_named,
-    psd_sqrt,
-    state_fidelity,
     stokes_of,
-    uhlmann_fidelity,
 )
-from conftest import random_density, random_ket
+from conftest import random_density
 
 FAMILIES = (("H", "V"), ("D", "A"), ("R", "L"))
 
@@ -124,56 +121,6 @@ def test_check_stokes_accepts_the_states_check_density_accepts(rng):
     ):
         with pytest.raises(ValueError, match=match):
             check_stokes(bad)
-
-
-def test_psd_sqrt_squares_back(rng):
-    for dim in (2, 4):
-        for _ in range(20):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            mat = g @ g.conj().T
-            mat /= np.trace(mat).real
-            root = psd_sqrt(mat)
-            assert np.max(np.abs(root @ root - mat)) < 1e-9
-
-
-def test_psd_sqrt_rejects_clearly_negative():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.diag([1.001, -1e-3]))
-
-
-def test_psd_sqrt_clamps_roundoff_negatives():
-    root = psd_sqrt(np.diag([1.0, -1e-9]))
-    assert np.all(np.isfinite(root))
-
-
-def test_uhlmann_self_fidelity(rng):
-    for _ in range(20):
-        rho = random_density(rng)
-        assert abs(uhlmann_fidelity(rho, rho) - 1.0) < 1e-12
-
-
-def test_uhlmann_pure_states_reduce_to_overlap(rng):
-    for _ in range(20):
-        a, b = random_ket(rng), random_ket(rng)
-        expected = abs(np.vdot(a, b)) ** 2
-        got = uhlmann_fidelity(density_of(a), density_of(b))
-        assert abs(got - expected) < 1e-10
-
-
-def test_uhlmann_symmetric_and_bounded(rng):
-    for _ in range(20):
-        a, b = random_density(rng), random_density(rng)
-        f_ab = uhlmann_fidelity(a, b)
-        f_ba = uhlmann_fidelity(b, a)
-        assert abs(f_ab - f_ba) < 1e-10
-        assert 0.0 <= f_ab <= 1.0
-
-
-def test_state_fidelity_mixed_with_identity(rng):
-    half = np.eye(2) / 2
-    for label in STATE_LABELS:
-        rho = density_of(ket_from_named(label))
-        assert abs(state_fidelity(rho, half) - 0.5) < 1e-12
 
 
 def test_pauli_basis_is_orthogonal():

@@ -25,3 +25,12 @@ def test_readme_names_only_existing_api():
     assert len(modules) >= 8
     for name in modules:
         importlib.import_module(f"{qmemsim.__name__}.{name}")
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    library = _section("Library use")
+    example = library[library.index("```python\n") + len("```python\n") :].split("```")[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 7
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["table1.csv", "table1.json"]

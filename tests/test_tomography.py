@@ -17,7 +17,6 @@ from qmemsim.polarization import (
     density_of,
     ket_from_named,
     stokes_of,
-    uhlmann_fidelity,
 )
 from qmemsim.detection import postselected_state
 from qmemsim.tomography import (
@@ -64,6 +63,8 @@ def test_stokes_from_counts_missing_basis():
         stokes_from_counts(np.array([(750, 250), (500, 500)]))
     with pytest.raises(ValueError, match="need counts for 4 inputs, got 3"):
         reconstruct_from_records(np.full((3, 3, 2), 5))
+    with pytest.raises(ValueError, match=r"shape \(4, 3, 2\), got \(4, 4, 3, 2\)"):
+        reconstruct_from_records(np.full((4, 4, 3, 2), 5))
 
 
 def test_stokes_from_counts_zero_total():
@@ -258,6 +259,24 @@ def test_process_fidelity_rank_one_ideal_is_chi00(rng):
 def test_process_fidelity_requires_unit_trace():
     with pytest.raises(ValueError, match="trace"):
         process_fidelity(np.eye(4, dtype=complex), identity_chi())
+    with pytest.raises(ValueError, match="chi_ideal is not trace-normalized"):
+        process_fidelity(identity_chi(), 2 * identity_chi())
+
+
+def test_process_fidelity_to_a_pauli_target(rng):
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    chi = g @ g.conj().T
+    chi /= np.trace(chi).real
+    ideals = [chi_from_kraus([pauli]) for pauli in PAULI_BASIS]
+    for k, ideal in enumerate(ideals):
+        assert abs(process_fidelity(ideal, ideal) - 1.0) < 1e-12
+        assert process_fidelity(ideals[(k + 1) % 4], ideal) < 1e-12
+        assert abs(process_fidelity(chi, ideal) - chi[k, k].real) < 1e-12
+
+
+def test_process_fidelity_rejects_an_ideal_that_is_not_rank_one():
+    with pytest.raises(ValueError, match="not rank one"):
+        process_fidelity(identity_chi(), np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
 
 
 def test_composite_map_chi00_closed_form(rng):
@@ -418,7 +437,7 @@ def _reference_reconstruct(counts):
     # The chain before the closed forms: per-basis Stokes ratios,
     # eigen-clamp state projection, a least-squares solve of the 16x16
     # system built one (k, m, n) block at a time, eigen-clamp chi
-    # projection and the Uhlmann fidelity.
+    # projection and the fidelity to the identity process.
     a = np.zeros((16, 16), dtype=complex)
     b = np.zeros(16, dtype=complex)
     for k, lbl in enumerate(DEFAULT_INPUT_LABELS):
@@ -435,7 +454,7 @@ def _reference_reconstruct(counts):
     chi_raw = solution.reshape(4, 4)
     chi_raw = (chi_raw + chi_raw.conj().T) / 2.0
     chi, applied, distance = _eigen_clamp(chi_raw)
-    return uhlmann_fidelity(chi, identity_chi()), float(chi_raw[0, 0].real), applied, distance
+    return process_fidelity(chi, identity_chi()), float(chi_raw[0, 0].real), applied, distance
 
 
 @st.composite
