@@ -77,18 +77,26 @@ def effective_detection_efficiency(cfg: DetectionConfig) -> float:
 MEASUREMENT_BASES = ("HV", "DA", "RL")
 
 
-def expected_rates(stokes: np.ndarray, efficiency: float, cfg: DetectionConfig) -> np.ndarray:
+def expected_rates(
+    stokes: np.ndarray, efficiency: float | np.ndarray, cfg: DetectionConfig
+) -> np.ndarray:
     """Per-pulse mean counts (..., 3, 2) of Stokes vectors (..., 3).
 
     mu_+- = n_bar * eta * R * (1 +- S_i)/2 + background in basis i; each
-    row sums to n_bar * eta * R + 2 * background.
+    row sums to n_bar * eta * R + 2 * background.  The retrieval
+    efficiency R is a number or an array of them that broadcasts against
+    the stack's leading shape (...).
     """
     stokes = check_stokes(stokes)
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
+    efficiency = np.asarray(efficiency, dtype=float)
+    outside = ~((efficiency >= 0.0) & (efficiency <= 1.0))
+    if outside.any():
+        raise ValueError(f"efficiency must be in [0, 1], got {efficiency[outside].flat[0]}")
     signal = cfg.n_bar * effective_detection_efficiency(cfg) * efficiency
     p_plus = np.clip((1.0 + stokes) / 2.0, 0.0, 1.0)
-    return signal * np.stack((p_plus, 1.0 - p_plus), axis=-1) + cfg.background_n
+    rates = signal[..., None, None] * np.stack((p_plus, 1.0 - p_plus), axis=-1)
+    rates += cfg.background_n
+    return rates
 
 
 def _check_rates(rates: np.ndarray, pulses: int) -> np.ndarray:

@@ -169,7 +169,9 @@ def fit_exponential(dataset: DecayDataset) -> FitReport:
     the Jacobian at the optimum; without errors they are scaled by the
     residual variance, and left empty when no residual degree of freedom
     remains.  Raises FitError unless 2 distinct times carry positive
-    values and the fitted amplitude is positive and finite.
+    values, no nonzero weighted value squares to 0 after the scaling (a
+    span of more than ~150 decades, over which the cost is flat), and
+    the fitted amplitude is positive and finite.
     """
     t = dataset.times
     if np.unique(t[dataset.values > 0]).size < 2:
@@ -177,6 +179,8 @@ def fit_exponential(dataset: DecayDataset) -> FitReport:
     t0, scale = float(t.min()), float(np.max(np.abs(dataset.values)))
     v = dataset.values / scale
     w = np.ones_like(t) if dataset.sigmas is None else (scale / dataset.sigmas) ** 2
+    if np.any((v != 0) & (w * v**2 == 0)):
+        raise FitError("values span too many decades to fit: a nonzero value squares to 0")
 
     def amplitude(tau: float) -> tuple[float, np.ndarray]:
         e = np.exp(-(t - t0) / tau)  # 1 at t0: the denominator is never 0

@@ -138,15 +138,19 @@ def dephasing_factor(t: float, channel: ChannelSpec, cfg: MemoryConfig) -> float
     return cfg.channel_static_gamma(channel) * math.exp(-(t * t) / (sg * sg))
 
 
-def dephase(stokes: np.ndarray, gamma: float) -> np.ndarray:
+def dephase(stokes: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
     """Scale the H/V and D/A components of Stokes vectors (..., 3) by gamma.
 
-    On rho this scales the R/L off-diagonals by gamma, the Kraus form
-    (1+gamma)/2 * rho + (1-gamma)/2 * sz rho sz with sz diagonal in R/L.
+    ``gamma`` is a factor or an array of them that broadcasts against the
+    stack's leading shape (...).  On rho this scales the R/L off-diagonals
+    by gamma, the Kraus form (1+gamma)/2 * rho + (1-gamma)/2 * sz rho sz
+    with sz diagonal in R/L.
     """
-    if not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
-    return check_stokes(stokes) * np.array([gamma, gamma, 1.0])
+    gamma = np.asarray(gamma, dtype=float)
+    outside = ~((gamma >= 0.0) & (gamma <= 1.0))
+    if outside.any():
+        raise ValueError(f"gamma must be in [0, 1], got {gamma[outside].flat[0]}")
+    return check_stokes(stokes) * np.stack((gamma, gamma, np.ones_like(gamma)), axis=-1)
 
 
 def theta_prime(theta: float, cfg: PhaseMatchConfig) -> float:

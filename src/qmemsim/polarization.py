@@ -78,7 +78,7 @@ def density_of(ket: np.ndarray) -> np.ndarray:
     return np.outer(ket, ket.conj())
 
 
-def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
+def check_density(rho: np.ndarray) -> np.ndarray:
     """Validate a physical density matrix (Hermitian, unit trace, PSD)."""
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
@@ -87,7 +87,7 @@ def check_density(rho: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
         raise ValueError("density matrix is not Hermitian")
     if abs(np.trace(rho).real - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace is {np.trace(rho).real!r}, expected 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -eig_tol:
+    if np.min(np.linalg.eigvalsh(rho)) < -EIG_TOL:
         raise ValueError("density matrix has a negative eigenvalue")
     return rho
 

@@ -1,11 +1,14 @@
 """Scenario runners and artifact emission.
 
 Each scenario maps a configured measurement plan onto the simulation
-pipeline and packs the results into a RunArtifact.  Every stochastic
-unit of work (one channel at one storage time, or one Monte Carlo
-resample) derives its own RNG stream from (seed, domain, unit key), so
-results do not depend on evaluation order and a scenario restricted to
-a subset of its grid reproduces exactly the rows of the full run.
+pipeline and packs the results into a RunArtifact.  A unit is one
+channel at one storage time, one row of a tomography table; a scenario
+runs all its units in one batched pass (``tomography_points``).  Every
+stochastic unit of work (a unit's counts, or one Monte Carlo resample)
+derives its own RNG stream from (seed, domain, unit key), and the pass
+scores each unit on its own, so a row depends neither on evaluation
+order nor on the batch size: a scenario restricted to a subset of its
+grid reproduces exactly the rows of the full run.
 
 Unit keys use the channel's position in the configured channel list and
 the storage time in integer picoseconds; the domain constant separates
@@ -16,14 +19,16 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import json
 import os
 from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .config import ScenarioConfig, _time_key, effective_config
-from .detection import effective_detection_efficiency
+from .detection import effective_detection_efficiency, expected_counts
 from .errors import ConfigError, FitError
 from .fitting import (
     DecayDataset,
@@ -34,7 +39,7 @@ from .fitting import (
     fit_sigma_gamma,
 )
 from .memory import retrieval_efficiency, walk_off_r0
-from .tomography import _input_set, monte_carlo_error, run_process_tomography
+from .tomography import _input_set, _rates, _reconstruct, monte_carlo_error
 
 FORMAT_VERSION = 1
 
@@ -74,13 +79,6 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, *key))))
 
 
-def _require_tomography_inputs(cfg: ScenarioConfig) -> None:
-    try:
-        _input_set(cfg.input_states)
-    except ValueError as exc:
-        raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
-
-
 @dataclass
 class RunArtifact:
     """One scenario's results: a table, its metadata and the config echo."""
@@ -92,47 +90,50 @@ class RunArtifact:
     meta: dict
 
 
+def tomography_points(
+    cfg: ScenarioConfig,
+    units: Sequence[tuple[str, float]],
+    expected: bool = False,
+) -> dict[str, list[float]]:
+    """Lists "fidelity", its Monte Carlo error "sigma" and "model" of units (channel_id, t).
+
+    The forward model and the reconstruction run once over the stack of
+    all units, the model once per channel.  Each unit draws its counts
+    and resamples from its own streams, so its values do not depend on
+    the other units.  In expected-counts mode every sigma is exactly 0.
+    """
+    idx = np.array([cfg.channel_index(channel_id) for channel_id, _ in units], dtype=int)
+    try:
+        _input_set(cfg.input_states)
+    except ValueError as exc:
+        raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
+    times = np.array([t for _, t in units], dtype=float)
+    specs = [(cfg.channels[i], t) for i, t in zip(idx.tolist(), times.tolist())]
+    rates = _rates(specs, cfg.memory, cfg.detection, cfg.input_states)
+    counts = expected_counts(rates, cfg.pulses_per_setting)
+    del specs, rates  # the kernel below holds the largest arrays of the pass
+    keys = [] if expected else [(i, _time_key(t)) for i, t in zip(idx.tolist(), times.tolist())]
+    for k, key in enumerate(keys):  # each unit's means are replaced by its own draw
+        counts[k] = derive_rng(cfg.seed, _DOMAIN_TOMOGRAPHY, *key).poisson(counts[k])
+    fidelity = _reconstruct(counts, cfg.input_states).process_fidelity
+    model, sigma = np.empty(len(units)), np.zeros(len(units))
+    for i in sorted(set(idx.tolist())):
+        params = channel_model(cfg.channels[i], cfg.memory, cfg.detection)
+        model[idx == i] = closed_form_fidelity(times[idx == i], **params)
+    for k, key in enumerate(keys):
+        stream_for = functools.partial(derive_rng, cfg.seed, _DOMAIN_RESAMPLE, *key)
+        sigma[k] = monte_carlo_error(counts[k], cfg.mc_resamples, stream_for, cfg.input_states)
+    return {"fidelity": fidelity.tolist(), "sigma": sigma.tolist(), "model": model.tolist()}
+
+
 def tomography_point(
     cfg: ScenarioConfig,
     channel_id: str,
     t: float,
     expected: bool = False,
 ) -> dict:
-    """One full-tomography unit: "fidelity", its Monte Carlo error "sigma", and "model".
-
-    Pure in (cfg, channel_id, t, expected): safe to evaluate units in
-    any order or concurrently.  In expected-counts mode the statistical
-    error is exactly zero.
-    """
-    idx = cfg.channel_index(channel_id)
-    channel = cfg.channels[idx]
-    _require_tomography_inputs(cfg)
-    tkey = _time_key(t)
-    rng = None if expected else derive_rng(cfg.seed, _DOMAIN_TOMOGRAPHY, idx, tkey)
-    result = run_process_tomography(
-        channel,
-        t,
-        cfg.memory,
-        cfg.detection,
-        cfg.pulses_per_setting,
-        rng,
-        cfg.input_states,
-    )
-    if expected:
-        sigma = 0.0
-    else:
-        sigma = monte_carlo_error(
-            result.counts,
-            cfg.mc_resamples,
-            lambda j: derive_rng(cfg.seed, _DOMAIN_RESAMPLE, idx, tkey, j),
-            cfg.input_states,
-        )
-    params = channel_model(channel, cfg.memory, cfg.detection)
-    return {
-        "fidelity": result.process_fidelity,
-        "sigma": sigma,
-        "model": closed_form_fidelity(t, **params),
-    }
+    """One full-tomography unit: the ``tomography_points`` values of (channel_id, t)."""
+    return {k: v[0] for k, v in tomography_points(cfg, [(channel_id, t)], expected).items()}
 
 
 def efficiency_point(
@@ -252,18 +253,9 @@ def run_fig5(
     values.
     """
     channel = cfg.channel(channel_id)
-    rows = []
-    for t in cfg.storage_times:
-        point = tomography_point(cfg, channel_id, t, expected_counts)
-        rows.append(
-            (
-                t,
-                point["fidelity"],
-                point["sigma"],
-                point["model"],
-                point["fidelity"] - point["model"],
-            )
-        )
+    points = tomography_points(cfg, [(channel_id, t) for t in cfg.storage_times], expected_counts)
+    columns = (points["fidelity"], points["sigma"], points["model"])
+    rows = [(t, f, s, m, f - m) for t, f, s, m in zip(cfg.storage_times, *columns)]
     times = np.array([r[0] for r in rows])
     values = np.array([r[1] for r in rows])
     sigmas = np.array([r[2] for r in rows])
@@ -298,10 +290,9 @@ def run_fig5(
 def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifact:
     """Per-channel process fidelity at the table storage time."""
     t = TABLE_TIME_MS
-    rows = []
-    for ch in cfg.channels:
-        point = tomography_point(cfg, ch.id, t, expected_counts)
-        rows.append((ch.id, ch.theta, point["fidelity"], point["sigma"], point["model"]))
+    points = tomography_points(cfg, [(ch.id, t) for ch in cfg.channels], expected_counts)
+    columns = (points["fidelity"], points["sigma"], points["model"])
+    rows = [(ch.id, ch.theta, f, s, m) for ch, f, s, m in zip(cfg.channels, *columns)]
     settings = len(cfg.input_states) * 3
     return RunArtifact(
         name="table1",
@@ -320,13 +311,10 @@ def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifac
 
 def run_simulate(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifact:
     """Custom scenario: full tomography over every channel and storage time."""
-    rows = []
-    for ch in cfg.channels:
-        for t in cfg.storage_times:
-            point = tomography_point(cfg, ch.id, t, expected_counts)
-            rows.append(
-                (ch.id, ch.theta, t, point["fidelity"], point["sigma"], point["model"])
-            )
+    grid = [(ch, t) for ch in cfg.channels for t in cfg.storage_times]
+    points = tomography_points(cfg, [(ch.id, t) for ch, t in grid], expected_counts)
+    columns = (points["fidelity"], points["sigma"], points["model"])
+    rows = [(ch.id, ch.theta, t, f, s, m) for (ch, t), f, s, m in zip(grid, *columns)]
     return RunArtifact(
         name="simulate",
         columns=("channel", "theta_deg", "t_ms", "fidelity", "fidelity_sigma", "model_fidelity"),

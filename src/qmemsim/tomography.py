@@ -20,12 +20,15 @@ linear map from the output Stokes rows (1, S_k) to the Hermitized chi:
 inputs' validated Stokes vectors S that the simulated rates
 expected_rates(dephase(S, gamma), R, detection) start from.
 
-``_reconstruct`` is the single reconstruction path, one vectorized pass
-over the (n_inputs, 3, 2) counts of ``detection``: Stokes rows, their
-closed-form projection, one matvec through the cached map, the chi
-projection, and the fidelity against the identity process, which is the
-projected chi[0, 0].  The point estimate and every bootstrap resample go
-through it.
+``_reconstruct`` is the one reconstruction kernel: Stokes rows, their
+projection, the cached map, one batched eigh for the chi projection and
+the projected chi[0, 0] (the fidelity to the identity process) in one
+pass over a (..., n_inputs, 3, 2) count stack.  A scenario scores all its
+units in one call; a bootstrap resample is a call on one unit.  The map
+is applied as a stacked real (32, 16) matrix-vector product per unit, not
+as one matrix product over all units, whose BLAS blocking (and so the
+last bits of a row) depends on the unit count: like eigh's per-matrix
+LAPACK calls, it makes every row independent of the batch.
 """
 
 from __future__ import annotations
@@ -72,13 +75,13 @@ class TomographyResult:
 
 @dataclass(frozen=True)
 class ProcessResult:
-    """A reconstructed process matrix plus fidelity and diagnostics."""
+    """Reconstructed process matrices, fidelities and diagnostics of a (...) stack of units."""
 
     chi: np.ndarray
-    process_fidelity: float
-    raw_chi00: float
-    projection_applied: bool
-    projection_distance: float
+    process_fidelity: np.ndarray
+    raw_chi00: np.ndarray
+    projection_applied: np.ndarray
+    projection_distance: np.ndarray
     counts: np.ndarray
 
 
@@ -93,7 +96,7 @@ def stokes_from_counts(counts: np.ndarray) -> np.ndarray:
         raise ValueError(f"counts must end in shape (3, 2), got {counts.shape}")
     plus, minus = counts[..., 0], counts[..., 1]
     total = plus + minus
-    if (counts < 0).any() or (total <= 0).any():
+    if counts.min(initial=0) < 0 or total.min(initial=1) <= 0:
         negative = (counts < 0).any(axis=-1)
         first = tuple(np.argwhere(negative | (total <= 0))[0])
         kind = "negative" if negative[first] else "zero total"
@@ -123,7 +126,7 @@ def _project_stokes(stokes: np.ndarray, out: np.ndarray | None = None) -> tuple:
     the rescaled ones.  Non-finite rows are rejected.
     """
     length = np.sqrt(np.einsum("...i,...i->...", stokes, stokes))[..., None]
-    if not np.isfinite(length).all():
+    if not length.max(initial=0.0) < np.inf:  # NaN fails too
         raise ValueError("Stokes estimate contains non-finite values")
     fired = length > 1.0 + 2.0 * _PROJECT_EIG_TOL
     return np.divide(stokes, np.where(fired, length, 1.0), out=out), fired[..., 0]
@@ -140,12 +143,13 @@ def _design_inverse(inputs: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _input_set(input_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Stokes vectors (4, 3) of the ideal inputs and their chi map (16, 16).
+    """Read-only Stokes vectors (4, 3) of the ideal inputs and their chi map (32, 16).
 
     The chi map takes the output rows x_k = (1, S_k), flattened, to the
     Hermitized vec chi: the Bloch map rho_k = sum_i x_ki sigma_i / 2
     folded into the design inverse.  For real x, chi+ comes from the
-    conjugated map with the rows of (m, n) and (n, m) swapped.
+    conjugated map with the rows of (m, n) and (n, m) swapped.  Rows 2j and
+    2j + 1 hold the real and imaginary parts of complex row j.
     """
     if len(input_labels) != 4:
         raise ValueError(f"need exactly 4 input states, got {len(input_labels)}")
@@ -156,6 +160,7 @@ def _input_set(input_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     chi_map = _design_inverse(states) @ bloch
     swapped = chi_map.reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
     chi_map = (chi_map + swapped.conj()) / 2.0
+    chi_map = np.stack((chi_map.real, chi_map.imag), axis=1).reshape(32, 16)
     for arr in (stokes, chi_map):
         arr.setflags(write=False)
     return stokes, chi_map
@@ -177,18 +182,34 @@ def process_matrix_linear(
 
 
 def project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, bool, float]:
-    """Clamp negative eigenvalues of chi and renormalize Tr(chi) to 1.
+    """Clamp negative eigenvalues of a unit-trace chi and renormalize Tr(chi) to 1.
 
     Returns (chi_projected, projection_applied, frobenius_distance).
     """
     chi = np.asarray(chi, dtype=complex)
-    chi = (chi + chi.conj().T) / 2.0
+    projected, applied, distance = _project_chi((chi + chi.conj().T) / 2.0)
+    return projected, bool(applied), float(distance)
+
+
+def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Clamp the negative eigenvalues of unit-trace Hermitian chi (..., 4, 4) and renormalize.
+
+    Only units with an eigenvalue below -_PROJECT_EIG_TOL change.  Returns
+    the projected chi, their mask (...) and their Frobenius distance from chi.
+    """
     vals, vecs = np.linalg.eigh(chi)
-    if vals[0] >= -_PROJECT_EIG_TOL:
-        return chi, False, 0.0
+    _check_unit_trace("chi", vals.sum(axis=-1))
+    applied = vals[..., 0] < -_PROJECT_EIG_TOL
+    fired = np.count_nonzero(applied)
+    if not fired:
+        return chi, applied, np.zeros(applied.shape)
     clamped = np.maximum(vals, 0.0)
-    projected = (vecs * (clamped / clamped.sum())) @ vecs.conj().T
-    return projected, True, float(np.linalg.norm(projected - chi))
+    lam = clamped / clamped.sum(axis=-1, keepdims=True)
+    projected = (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    if fired < applied.size:
+        lam = np.where(applied[..., None], lam, vals)
+        projected = np.where(applied[..., None, None], projected, chi)
+    return projected, applied, np.sqrt(np.square(lam - vals).sum(axis=-1))
 
 
 def process_matrix(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -209,8 +230,8 @@ def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     chi[0, 0] for identity_chi().  Both arguments must have unit trace; an
     ideal with an eigenvalue other than its largest above 1e-12 is rejected.
     """
-    _check_unit_trace("chi", chi)
-    _check_unit_trace("chi_ideal", chi_ideal)
+    _check_unit_trace("chi", np.trace(chi).real)
+    _check_unit_trace("chi_ideal", np.trace(chi_ideal).real)
     vals, vecs = np.linalg.eigh(chi_ideal)
     if vals[-2] > 1e-12:
         raise ValueError("chi_ideal is not rank one, so it is not the chi of a unitary")
@@ -218,8 +239,9 @@ def process_fidelity(chi: np.ndarray, chi_ideal: np.ndarray) -> float:
     return min(max(fid, 0.0), 1.0)
 
 
-def _check_unit_trace(name: str, mat: np.ndarray) -> None:
-    if abs(np.asarray(mat).trace().real - 1.0) > 1e-6:
+def _check_unit_trace(name: str, trace: np.ndarray) -> None:
+    """Reject real traces (...) unless each is 1 to within 1e-6 (a NaN fails)."""
+    if not abs(trace - 1.0).max(initial=0.0) <= 1e-6:
         raise ValueError(f"{name} is not trace-normalized")
 
 
@@ -232,62 +254,70 @@ def run_process_tomography(
     rng: np.random.Generator | None = None,
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
 ) -> ProcessResult:
-    """Simulate full process tomography of storage and retrieval.
+    """Simulate full process tomography of storage and retrieval at time t.
 
-    The channel's dephasing factor and retrieval efficiency at time t
-    are worked out once; the Stokes vectors of all inputs are dephased by
-    that factor and their rates in the three analysis bases are taken at
-    that efficiency.  Then all counts are drawn at once (or taken as exact
-    means when ``rng`` is None), and ``_reconstruct`` turns them into chi
-    and scores it against the identity process.  The draw consumes
-    ``rng`` in input x basis x (+, -) order, so a run is fully determined
-    by the supplied stream.
+    All counts are drawn at once from the ``_rates`` of the unit (or are
+    their exact means when ``rng`` is None), and ``_reconstruct`` turns
+    them into chi and scores it against the identity process.  The draw
+    consumes ``rng`` in input x basis x (+, -) order, so a run is fully
+    determined by the supplied stream.
     """
-    input_labels = tuple(input_labels)
-    stokes, _ = _input_set(input_labels)
-    gamma = dephasing_factor(t, channel, memory)
-    efficiency = retrieval_efficiency(channel.theta, t, memory)
-    rates = expected_rates(dephase(stokes, gamma), efficiency, det)
+    rates = _rates([(channel, t)], memory, det, input_labels)[0]
     counts = expected_counts(rates, pulses) if rng is None else sample_counts(rates, pulses, rng)
     return _reconstruct(counts, input_labels)
 
 
-def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResult:
-    """Score (n_inputs, 3, 2) counts in one pass: Stokes -> chi -> fidelity.
+def _rates(
+    units: Sequence[tuple[ChannelSpec, float]],
+    memory: MemoryConfig,
+    det: DetectionConfig,
+    input_labels: Sequence[str],
+) -> np.ndarray:
+    """Per-pulse mean counts (units, n_inputs, 3, 2) of (channel, t) units.
 
-    Stokes rows outside the unit ball are rescaled to S/|S| by
-    ``_project_stokes``, as in ``state_estimate``.  The fidelity against
-    the identity process is the projected chi[0, 0].
+    One ``dephase`` and one ``expected_rates`` call cover all units.
+    """
+    stokes, _ = _input_set(tuple(input_labels))
+    gamma, efficiency = np.empty((2, len(units), 1))
+    for k, (channel, t) in enumerate(units):
+        gamma[k] = dephasing_factor(t, channel, memory)
+        efficiency[k] = retrieval_efficiency(channel.theta, t, memory)
+    return expected_rates(dephase(stokes, gamma), efficiency, det)
+
+
+def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResult:
+    """Score a (..., n_inputs, 3, 2) count stack in one pass: Stokes -> chi -> fidelity.
+
+    Every field of the result has the leading shape (...) of ``counts``,
+    and a unit's values do not depend on the other units.
     """
     input_labels = tuple(input_labels)
     _, chi_map = _input_set(input_labels)
-    shape = np.shape(counts)
-    if shape != (len(input_labels), 3, 2):
-        if shape[1:] == (3, 2):
-            raise ValueError(f"need counts for {len(input_labels)} inputs, got {shape[0]}")
-        raise ValueError(f"counts must have shape ({len(input_labels)}, 3, 2), got {shape}")
-    stokes = stokes_from_counts(counts)
-    rows = np.ones((len(stokes), 4))
-    _project_stokes(stokes, out=rows[:, 1:])
-    chi_raw = (chi_map @ rows.ravel()).reshape(4, 4)
-    chi, applied, distance = project_process_matrix(chi_raw)
-    _check_unit_trace("chi", chi)
-    return ProcessResult(
-        chi=chi,
-        process_fidelity=min(max(float(chi[0, 0].real), 0.0), 1.0),
-        raw_chi00=float(chi_raw[0, 0].real),
-        projection_applied=applied,
-        projection_distance=distance,
-        counts=counts,
-    )
+    counts = np.asarray(counts)
+    n, lead = len(input_labels), counts.shape[:-3]
+    if counts.shape[-3:] != (n, 3, 2):
+        if counts.ndim >= 3 and counts.shape[-2:] == (3, 2):
+            raise ValueError(f"need counts for {n} inputs, got {counts.shape[-3]}")
+        raise ValueError(f"counts must have shape (..., {n}, 3, 2), got {counts.shape}")
+    rows = np.ones(counts.shape[:-2] + (4,))
+    _project_stokes(stokes_from_counts(counts), out=rows[..., 1:])
+    vec_chi = np.matmul(chi_map, rows.reshape(lead + (16, 1)))
+    del rows  # free it before the eigendecomposition
+    chi_raw = vec_chi.reshape(lead + (32,)).view(complex).reshape(lead + (4, 4))
+    chi, applied, distance = _project_chi(chi_raw)
+    fidelity = np.minimum(np.maximum(chi[..., 0, 0].real, 0.0), 1.0)
+    return ProcessResult(chi, fidelity, chi_raw[..., 0, 0].real, applied, distance, counts)
 
 
 def reconstruct_from_records(
     counts: np.ndarray,
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
 ) -> float:
-    """Process fidelity of the reconstruction from (n_inputs, 3, 2) counts."""
-    return _reconstruct(counts, input_labels).process_fidelity
+    """Process fidelity of the reconstruction from one unit's (n_inputs, 3, 2) counts."""
+    if np.ndim(counts) != 3:
+        shape = np.shape(counts)
+        raise ValueError(f"counts must have shape ({len(input_labels)}, 3, 2), got {shape}")
+    return float(_reconstruct(counts, input_labels).process_fidelity)
 
 
 def monte_carlo_error(

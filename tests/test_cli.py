@@ -243,6 +243,15 @@ class TestFit:
         assert code == EXIT_FIT
         assert "fit error" in capsys.readouterr().err
 
+    def test_values_spanning_too_many_decades_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "steep.csv"
+        path.write_text("t,v\n0.0,1.0\n1.0,1e-200\n")
+        assert main(["fit", str(path)]) == EXIT_FIT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("fit error: values span too many decades to fit")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "payload",
         [{"times": {"a": 1}, "values": [1, 2]}, {"times": [0, 10**400], "values": [1, 2]}],

@@ -83,6 +83,18 @@ def test_expected_rates_zero_efficiency_gives_background():
     assert np.all(expected_rates(H_STOKES, 0.0, DET) == DET.background_n)
 
 
+def test_expected_rates_broadcasts_an_array_of_efficiencies(rng):
+    stokes = np.array([stokes_of(random_density(rng)) for _ in range(4)])
+    efficiencies = np.append(rng.uniform(0, 0.2, size=5), [0.0, 1.0])
+    batched = expected_rates(stokes, efficiencies[:, None], DET)
+    assert batched.shape == (7, 4, 3, 2)
+    for efficiency, rates in zip(efficiencies.tolist(), batched):
+        assert np.array_equal(rates, expected_rates(stokes, efficiency, DET))
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match=rf"efficiency must be in \[0, 1\], got {bad}"):
+            expected_rates(stokes, np.array([[0.1], [bad]]), DET)
+
+
 def test_expected_rates_rejects_invalid_stokes():
     for bad, match in (
         (np.array([1.5, 0.0, 0.0]), "unit ball"),

@@ -185,10 +185,26 @@ def test_fit_exponential_recovers_underflowed_late_data():
 
 
 def test_fit_exponential_rejects_an_overflowing_amplitude():
-    # A drop of 300 decades in 1 ms, 1000 ms after t = 0: r0 = inf.
-    dataset = DecayDataset(np.array([1000.0, 1001.0]), np.array([1.0, 1e-300]))
+    # A drop of 150 decades in 1 ms, 1000 ms after t = 0: r0 = inf.
+    dataset = DecayDataset(np.array([1000.0, 1001.0]), np.array([1.0, 1e-150]))
     with pytest.raises(FitError, match="overflows"):
         fit_exponential(dataset)
+
+
+@pytest.mark.parametrize("smallest", [1e-200, 1e-300])
+def test_fit_exponential_rejects_values_spanning_too_many_decades(smallest):
+    # (v / max|v|)^2 underflows to 0, so the cost is flat over small tau
+    # and the search used to return tau = 0.002684 without at_bound.
+    dataset = DecayDataset(np.array([0.0, 1.0]), np.array([1.0, smallest]))
+    with pytest.raises(FitError, match="too many decades"):
+        fit_exponential(dataset)
+
+
+def test_fit_exponential_recovers_a_drop_of_100_decades():
+    report = fit_exponential(DecayDataset(np.array([0.0, 1.0]), np.array([1.0, 1e-100])))
+    assert abs(report.params["tau"] * 100.0 * np.log(10.0) - 1.0) < 1e-10
+    assert abs(report.params["r0"] - 1.0) < 1e-10
+    assert not report.at_bound
 
 
 def test_fit_sigma_gamma_noise_free_recovery(rng):

@@ -106,6 +106,18 @@ def test_dephase_gamma_range():
         dephase(mixed, -0.1)
 
 
+def test_dephase_broadcasts_an_array_of_gammas(rng):
+    stokes = np.array([stokes_of(random_density(rng)) for _ in range(4)])
+    gammas = np.append(rng.uniform(0, 1, size=5), [0.0, 1.0])
+    batched = dephase(stokes, gammas[:, None])
+    assert batched.shape == (7, 4, 3)
+    for gamma, rows in zip(gammas.tolist(), batched):
+        assert np.array_equal(rows, dephase(stokes, gamma))
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ValueError, match=rf"gamma must be in \[0, 1\], got {bad}"):
+            dephase(stokes, np.array([[0.5], [bad], [0.2]]))
+
+
 def test_theta_prime_identity_at_zero_offset():
     pm = PhaseMatchConfig(delta=0.0)
     for th in np.linspace(0.0, 5.0, 21):

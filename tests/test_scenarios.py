@@ -206,6 +206,21 @@ class TestSimulate:
         assert art.columns[:3] == ("channel", "theta_deg", "t_ms")
 
 
+@pytest.mark.parametrize("expected", [False, True], ids=["sampled", "expected"])
+def test_batched_rows_equal_single_unit_points(expected):
+    # A scenario scores its whole grid in one pass; each row must equal
+    # its unit scored on its own, bit for bit.
+    cfg = small_cfg(mc_resamples=3, storage_times=(0.005, 0.8, 2.5, 6.0))
+    simulate = run_simulate(cfg, expected_counts=expected)
+    for channel, _, t, fidelity, sigma, model in simulate.rows:
+        point = tomography_point(cfg, channel, t, expected)
+        assert (fidelity, sigma, model) == (point["fidelity"], point["sigma"], point["model"])
+    fig5 = run_fig5(cfg, expected_counts=expected, channel_id="S4")
+    for t, fidelity, sigma, model, _ in fig5.rows:
+        point = tomography_point(cfg, "S4", t, expected)
+        assert (fidelity, sigma, model) == (point["fidelity"], point["sigma"], point["model"])
+
+
 class TestCalibration:
     def test_fragment_shape_and_round_trip(self):
         cfg = ScenarioConfig()

@@ -116,8 +116,9 @@ def test_cached_chi_map_matches_the_linear_solve(rng, labels):
         stokes *= rng.uniform(0.0, 1.0, size=(4, 1))
         rows = np.concatenate((np.ones((4, 1)), stokes), axis=1)
         want = process_matrix_linear(list(zip(inputs, map(density_from_stokes, stokes))))
-        got = (chi_map @ rows.reshape(16)).reshape(4, 4)
+        got = (chi_map @ rows.reshape(16)).view(complex).reshape(4, 4)
         assert np.max(np.abs(got - want)) < 1e-15
+        assert np.array_equal(got, got.conj().T)
 
 
 def test_state_estimate_interior_point_untouched():
@@ -372,6 +373,52 @@ def test_reconstruct_from_records_round_trip():
     sampled = run_process_tomography(s2, 2.0, cfg, det, 10**4, np.random.default_rng(3))
     for res in (expected, sampled):
         assert reconstruct_from_records(res.counts) == res.process_fidelity
+
+
+def _assert_rows_equal_single_unit_calls(stack):
+    res = _reconstruct(stack, DEFAULT_INPUT_LABELS)
+    assert res.chi.shape == stack.shape[:-3] + (4, 4)
+    for k, counts in enumerate(stack):
+        one = _reconstruct(counts, DEFAULT_INPUT_LABELS)
+        assert np.array_equal(res.chi[k], one.chi)
+        assert res.process_fidelity[k] == one.process_fidelity
+        assert res.raw_chi00[k] == one.raw_chi00
+        assert res.projection_applied[k] == one.projection_applied
+        assert res.projection_distance[k] == one.projection_distance
+    return res
+
+
+def test_reconstruct_stack_rows_equal_single_unit_calls(rng):
+    # Sampled units at M = 3000 (the chi projection fires) next to
+    # expected-counts and high-count units (it does not).
+    cfg, det = MemoryConfig(), DetectionConfig()
+    s2, s6 = DEFAULT_CHANNELS[2], DEFAULT_CHANNELS[6]
+    units = [
+        (s2, 0.005, 3000, np.random.default_rng(1)),
+        (s2, 0.005, 10**5, None),
+        (s2, 3.0, 3000, np.random.default_rng(2)),
+        (s6, 6.0, 10**5, None),
+        (s6, 1.0, 10**5, np.random.default_rng(3)),
+        (s2, 1.0, 3000, np.random.default_rng(4)),
+        (s6, 0.0, 10**5, None),
+    ]
+    stack = np.array([run_process_tomography(*u[:2], cfg, det, *u[2:]).counts for u in units])
+    res = _assert_rows_equal_single_unit_calls(stack)
+    assert set(res.projection_applied.tolist()) == {True, False}
+    # A larger stack of low counts, where most units project.
+    res = _assert_rows_equal_single_unit_calls(rng.integers(1, 60, size=(300, 4, 3, 2)))
+    assert 0 < res.projection_applied.sum() < 300
+
+
+def test_reconstruct_stack_names_the_zero_total_basis_of_its_bad_unit():
+    stack = np.full((7, 4, 3, 2), 50)
+    stack[4, 2, 1] = (0, 0)
+    with pytest.raises(ValueError, match="zero total counts in basis DA"):
+        _reconstruct(stack, DEFAULT_INPUT_LABELS)
+    with pytest.raises(ValueError, match="need counts for 4 inputs, got 3"):
+        _reconstruct(stack[:, :3], DEFAULT_INPUT_LABELS)
+    with pytest.raises(ValueError, match=r"shape \(\.\.\., 4, 3, 2\), got \(7, 4, 2, 2\)"):
+        _reconstruct(stack[:, :, :2], DEFAULT_INPUT_LABELS)
 
 
 def test_monte_carlo_error_deterministic_and_positive():
