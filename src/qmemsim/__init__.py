@@ -77,7 +77,6 @@ from .tomography import (
     monte_carlo_error,
     process_fidelity,
     process_matrix,
-    run_process_tomography,
     state_estimate,
     stokes_from_counts,
 )

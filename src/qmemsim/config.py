@@ -29,6 +29,8 @@ from .tomography import DEFAULT_INPUT_LABELS
 DEFAULT_SEED = 12345
 DEFAULT_PULSES = 100_000
 DEFAULT_RESAMPLES = 500
+#: Largest accepted mc_resamples: a run holds one float per resample.
+MAX_RESAMPLES = 1_000_000
 #: Storage-time grid (ms): dense enough for decay fits, includes the
 #: 5 us table point and the 6 ms endpoint.
 DEFAULT_STORAGE_TIMES = (
@@ -95,8 +97,10 @@ class ScenarioConfig:
                 f"pulses_per_setting must be in [1, {MAX_PULSES}], "
                 f"got {self.pulses_per_setting}"
             )
-        if self.mc_resamples < 2:
-            raise ValueError(f"mc_resamples must be >= 2, got {self.mc_resamples}")
+        if not 2 <= self.mc_resamples <= MAX_RESAMPLES:
+            raise ValueError(
+                f"mc_resamples must be in [2, {MAX_RESAMPLES}], got {self.mc_resamples}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.rep_rate_hz <= 0:

@@ -174,7 +174,8 @@ def fit_exponential(dataset: DecayDataset) -> FitReport:
     the fitted amplitude is positive and finite.
     """
     t = dataset.times
-    if np.unique(t[dataset.values > 0]).size < 2:
+    positive = t[dataset.values > 0]
+    if not positive.size or not positive.max() > positive.min():
         raise FitError("need positive values at 2 distinct times to fit an exponential")
     t0, scale = float(t.min()), float(np.max(np.abs(dataset.values)))
     v = dataset.values / scale

@@ -15,20 +15,21 @@ with Tr(chi) = 1 for post-selected (trace-renormalized) maps.  Four
 informationally complete inputs give the 16 real constraints needed, so
 chi is one linear solve (Chuang & Nielsen, J. Mod. Opt. 44, 2455 (1997)).
 The design matrix depends only on the inputs, and so does the whole
-linear map from the output Stokes rows (1, S_k) to the Hermitized chi:
-``_input_set`` builds and rank-checks it once per input set, next to the
-inputs' validated Stokes vectors S that the simulated rates
-expected_rates(dephase(S, gamma), R, detection) start from.
+linear map from the output Stokes rows (1, S_k) to the Hermitized chi.
+Every chi here is ``_solve_chi`` applying a ``_chi_map``: ``_input_set``
+caches the map of a labelled input set next to the inputs' Stokes vectors
+S that the simulated rates expected_rates(dephase(S, gamma), R, detection)
+start from, and ``process_matrix`` builds the map of the states it is given.
 
-``_reconstruct`` is the one reconstruction kernel: Stokes rows, their
-projection, the cached map, one batched eigh for the chi projection and
-the projected chi[0, 0] (the fidelity to the identity process) in one
-pass over a (..., n_inputs, 3, 2) count stack.  A scenario scores all its
-units in one call; a bootstrap resample is a call on one unit.  The map
-is applied as a stacked real (32, 16) matrix-vector product per unit, not
-as one matrix product over all units, whose BLAS blocking (and so the
-last bits of a row) depends on the unit count: like eigh's per-matrix
-LAPACK calls, it makes every row independent of the batch.
+``_reconstruct`` is the kernel for counts: Stokes rows, their
+projection and ``_solve_chi`` (one batched eigh for the chi projection),
+then the projected chi[0, 0] (the fidelity to the identity process), in
+one pass over a (..., n_inputs, 3, 2) count stack.  A scenario scores all
+its units in one call; a bootstrap resample is a call on one unit.  The
+map is applied as a stacked real (32, 16) matrix-vector product per
+unit, not as one matrix product over all units, whose BLAS blocking (and
+so the last bits of a row) depends on the unit count: like eigh's
+per-matrix LAPACK calls, it makes every row independent of the batch.
 """
 
 from __future__ import annotations
@@ -39,13 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detection import (
-    DetectionConfig,
-    MEASUREMENT_BASES,
-    expected_counts,
-    expected_rates,
-    sample_counts,
-)
+from .detection import DetectionConfig, MEASUREMENT_BASES, expected_rates
 from .memory import ChannelSpec, MemoryConfig, dephase, dephasing_factor, retrieval_efficiency
 from .polarization import (
     PAULI_BASIS,
@@ -82,7 +77,6 @@ class ProcessResult:
     raw_chi00: np.ndarray
     projection_applied: np.ndarray
     projection_distance: np.ndarray
-    counts: np.ndarray
 
 
 def stokes_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -119,76 +113,66 @@ def state_estimate(stokes: np.ndarray) -> TomographyResult:
     return TomographyResult(rho, bool(fired), float(np.linalg.norm(rho - rho_lin)))
 
 
-def _project_stokes(stokes: np.ndarray, out: np.ndarray | None = None) -> tuple:
+def _project_stokes(stokes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rescale the Stokes rows (..., 3) with |S| > 1 + 2 _PROJECT_EIG_TOL to S/|S|.
 
-    Returns the rows, written to ``out`` if given, and the mask (...) of
-    the rescaled ones.  Non-finite rows are rejected.
+    Returns the rows and the mask (...) of the rescaled ones.  Non-finite
+    rows are rejected.
     """
     length = np.sqrt(np.einsum("...i,...i->...", stokes, stokes))[..., None]
     if not length.max(initial=0.0) < np.inf:  # NaN fails too
         raise ValueError("Stokes estimate contains non-finite values")
     fired = length > 1.0 + 2.0 * _PROJECT_EIG_TOL
-    return np.divide(stokes, np.where(fired, length, 1.0), out=out), fired[..., 0]
+    return stokes / np.where(fired, length, 1.0), fired[..., 0]
 
 
-def _design_inverse(inputs: np.ndarray) -> np.ndarray:
-    """Inverse of the 16x16 design matrix of four informationally complete states."""
+def _chi_map(states: np.ndarray) -> np.ndarray:
+    """Real (32, 16) map from the output rows (1, S_k) of four input states (4, 2, 2) to chi.
+
+    The map takes the rows x_k = (1, S_k), flattened, to the Hermitized
+    vec chi: the Bloch map rho_k = sum_i x_ki sigma_i / 2 folded into the
+    inverse of the 16x16 design matrix, whose rank is checked first.  For
+    real x, chi+ comes from the conjugated map with the rows of (m, n) and
+    (n, m) swapped.  Rows 2j and 2j + 1 hold the real and imaginary parts
+    of complex row j.
+    """
     # Row 4k + 2i + o, column 4m + n holds (sigma_m rho_in_k sigma_n+)[i, o].
-    a = np.einsum("mij,kjl,nol->kiomn", _PAULIS, inputs, _PAULIS.conj()).reshape(16, 16)
+    a = np.einsum("mij,kjl,nol->kiomn", _PAULIS, states, _PAULIS.conj()).reshape(16, 16)
     if np.linalg.matrix_rank(a) < 16:
         raise ValueError("degenerate input set: states are not informationally complete")
-    return np.linalg.inv(a)
+    # Row 4k + 2a + b, column 4l + i holds delta_kl sigma_i[a, b] / 2.
+    bloch = np.einsum("kl,iab->kabli", np.eye(4), _PAULIS / 2.0).reshape(16, 16)
+    chi_map = np.linalg.inv(a) @ bloch
+    swapped = chi_map.reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
+    chi_map = (chi_map + swapped.conj()) / 2.0
+    return np.stack((chi_map.real, chi_map.imag), axis=1).reshape(32, 16)
 
 
 @functools.lru_cache(maxsize=None)
 def _input_set(input_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Stokes vectors (4, 3) of the ideal inputs and their chi map (32, 16).
-
-    The chi map takes the output rows x_k = (1, S_k), flattened, to the
-    Hermitized vec chi: the Bloch map rho_k = sum_i x_ki sigma_i / 2
-    folded into the design inverse.  For real x, chi+ comes from the
-    conjugated map with the rows of (m, n) and (n, m) swapped.  Rows 2j and
-    2j + 1 hold the real and imaginary parts of complex row j.
-    """
+    """Read-only Stokes vectors (4, 3) of the ideal inputs and their ``_chi_map``."""
     if len(input_labels) != 4:
         raise ValueError(f"need exactly 4 input states, got {len(input_labels)}")
     states = np.array([density_of(ket_from_named(lbl)) for lbl in input_labels])
     stokes = np.array([stokes_of(rho) for rho in states])
-    # Row 4k + 2a + b, column 4l + i holds delta_kl sigma_i[a, b] / 2.
-    bloch = np.einsum("kl,iab->kabli", np.eye(4), _PAULIS / 2.0).reshape(16, 16)
-    chi_map = _design_inverse(states) @ bloch
-    swapped = chi_map.reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
-    chi_map = (chi_map + swapped.conj()) / 2.0
-    chi_map = np.stack((chi_map.real, chi_map.imag), axis=1).reshape(32, 16)
+    chi_map = _chi_map(states)
     for arr in (stokes, chi_map):
         arr.setflags(write=False)
     return stokes, chi_map
 
 
-def process_matrix_linear(
-    pairs: Sequence[tuple[np.ndarray, np.ndarray]]
-) -> np.ndarray:
-    """Solve the 16x16 linear system for chi from four (in, out) pairs.
+def _solve_chi(chi_map: np.ndarray, stokes: np.ndarray) -> tuple:
+    """Chi (..., 4, 4) of output Stokes vectors (..., 4, 3) through a ``_chi_map``.
 
-    The result is Hermitized but not projected; degenerate (not
-    informationally complete) input sets are rejected.
+    Returns the ``_project_chi`` result (chi, mask, distance) and the raw chi.
     """
-    if len(pairs) != 4:
-        raise ValueError(f"need exactly 4 input/output pairs, got {len(pairs)}")
-    checked = np.array([[check_density(rho) for rho in pair] for pair in pairs])
-    chi = (_design_inverse(checked[:, 0]) @ checked[:, 1].reshape(16)).reshape(4, 4)
-    return (chi + chi.conj().T) / 2.0
-
-
-def project_process_matrix(chi: np.ndarray) -> tuple[np.ndarray, bool, float]:
-    """Clamp negative eigenvalues of a unit-trace chi and renormalize Tr(chi) to 1.
-
-    Returns (chi_projected, projection_applied, frobenius_distance).
-    """
-    chi = np.asarray(chi, dtype=complex)
-    projected, applied, distance = _project_chi((chi + chi.conj().T) / 2.0)
-    return projected, bool(applied), float(distance)
+    lead = stokes.shape[:-2]
+    rows = np.ones(stokes.shape[:-1] + (4,))
+    rows[..., 1:] = stokes
+    vec_chi = np.matmul(chi_map, rows.reshape(lead + (16, 1)))
+    del rows  # free it before the eigendecomposition
+    chi_raw = vec_chi.reshape(lead + (32,)).view(complex).reshape(lead + (4, 4))
+    return (*_project_chi(chi_raw), chi_raw)
 
 
 def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,9 +197,12 @@ def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def process_matrix(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Reconstruct chi from four pairs, projected to the physical cone."""
-    chi, _, _ = project_process_matrix(process_matrix_linear(pairs))
-    return chi
+    """Reconstruct chi from four (in, out) density-matrix pairs, projected to the physical cone."""
+    if len(pairs) != 4:
+        raise ValueError(f"need exactly 4 input/output pairs, got {len(pairs)}")
+    inputs = np.array([check_density(rho_in) for rho_in, _ in pairs])
+    stokes = np.array([stokes_of(rho_out) for _, rho_out in pairs])
+    return _solve_chi(_chi_map(inputs), stokes)[0]
 
 
 def identity_chi() -> np.ndarray:
@@ -245,28 +232,6 @@ def _check_unit_trace(name: str, trace: np.ndarray) -> None:
         raise ValueError(f"{name} is not trace-normalized")
 
 
-def run_process_tomography(
-    channel: ChannelSpec,
-    t: float,
-    memory: MemoryConfig,
-    det: DetectionConfig,
-    pulses: int,
-    rng: np.random.Generator | None = None,
-    input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
-) -> ProcessResult:
-    """Simulate full process tomography of storage and retrieval at time t.
-
-    All counts are drawn at once from the ``_rates`` of the unit (or are
-    their exact means when ``rng`` is None), and ``_reconstruct`` turns
-    them into chi and scores it against the identity process.  The draw
-    consumes ``rng`` in input x basis x (+, -) order, so a run is fully
-    determined by the supplied stream.
-    """
-    rates = _rates([(channel, t)], memory, det, input_labels)[0]
-    counts = expected_counts(rates, pulses) if rng is None else sample_counts(rates, pulses, rng)
-    return _reconstruct(counts, input_labels)
-
-
 def _rates(
     units: Sequence[tuple[ChannelSpec, float]],
     memory: MemoryConfig,
@@ -291,22 +256,17 @@ def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResu
     Every field of the result has the leading shape (...) of ``counts``,
     and a unit's values do not depend on the other units.
     """
-    input_labels = tuple(input_labels)
-    _, chi_map = _input_set(input_labels)
+    _, chi_map = _input_set(tuple(input_labels))
     counts = np.asarray(counts)
-    n, lead = len(input_labels), counts.shape[:-3]
+    n = len(input_labels)
     if counts.shape[-3:] != (n, 3, 2):
         if counts.ndim >= 3 and counts.shape[-2:] == (3, 2):
             raise ValueError(f"need counts for {n} inputs, got {counts.shape[-3]}")
         raise ValueError(f"counts must have shape (..., {n}, 3, 2), got {counts.shape}")
-    rows = np.ones(counts.shape[:-2] + (4,))
-    _project_stokes(stokes_from_counts(counts), out=rows[..., 1:])
-    vec_chi = np.matmul(chi_map, rows.reshape(lead + (16, 1)))
-    del rows  # free it before the eigendecomposition
-    chi_raw = vec_chi.reshape(lead + (32,)).view(complex).reshape(lead + (4, 4))
-    chi, applied, distance = _project_chi(chi_raw)
+    stokes, _ = _project_stokes(stokes_from_counts(counts))
+    chi, applied, distance, chi_raw = _solve_chi(chi_map, stokes)
     fidelity = np.minimum(np.maximum(chi[..., 0, 0].real, 0.0), 1.0)
-    return ProcessResult(chi, fidelity, chi_raw[..., 0, 0].real, applied, distance, counts)
+    return ProcessResult(chi, fidelity, chi_raw[..., 0, 0].real, applied, distance)
 
 
 def reconstruct_from_records(

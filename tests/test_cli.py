@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from hypothesis import strategies as st
 
 from qmemsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
 from qmemsim.fitting import closed_form_fidelity
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_json(path, payload):
@@ -105,6 +110,22 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: zero total counts")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_too_many_resamples_exit_2_without_traceback(self, tmp_path):
+        # The resample array is allocated before any resample runs, so an
+        # unbounded count would fail there with a memory error.
+        cfg = write_json(tmp_path / "huge.json", {"mc_resamples": 10**13})
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmemsim", "simulate", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert "Traceback" not in proc.stderr
+        assert "mc_resamples must be in [2, 1000000]" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize(

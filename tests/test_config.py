@@ -87,6 +87,13 @@ def test_non_finite_numbers_rejected(tmp_path, text, path):
         load_config(str(cfg))
 
 
+def test_mc_resamples_range():
+    assert config_from_dict({"mc_resamples": 1_000_000}).mc_resamples == 1_000_000
+    for value in (1, 1_000_001):
+        with pytest.raises(ConfigError, match=r"mc_resamples must be in \[2, 1000000\]"):
+            config_from_dict({"mc_resamples": value})
+
+
 def test_bool_is_not_a_number():
     with pytest.raises(ConfigError, match="memory.tau"):
         config_from_dict({"memory": {"tau": True}})

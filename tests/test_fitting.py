@@ -163,6 +163,10 @@ def test_fit_exponential_rejects_nonpositive_data():
     t = np.linspace(0.0, 5.0, 6)
     with pytest.raises(FitError, match="2 distinct times"):
         fit_exponential(DecayDataset(t, np.zeros_like(t)))
+    # Positive values at one time only, however often it repeats.
+    for times, values in (([1.0, 1.0], [0.5, 0.4]), ([2.0, 2.0, 2.0, 3.0], [0.9, 0.8, 0.7, 0.0])):
+        with pytest.raises(FitError, match="2 distinct times"):
+            fit_exponential(DecayDataset(np.array(times), np.array(values)))
     # Positive at two times, but the best curve has a negative amplitude.
     values = np.array([0.1, 0.1, -5.0, -5.0, -5.0, -5.0])
     with pytest.raises(FitError, match="amplitude"):

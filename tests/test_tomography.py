@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemsim.detection import DetectionConfig, expected_rates
+from qmemsim.detection import DetectionConfig, expected_counts, expected_rates, sample_counts
 from qmemsim.memory import (
     DEFAULT_CHANNELS,
     MemoryConfig,
@@ -23,15 +23,14 @@ from qmemsim.tomography import (
     _PROJECT_EIG_TOL,
     DEFAULT_INPUT_LABELS,
     _input_set,
+    _project_chi,
+    _rates,
     _reconstruct,
     identity_chi,
     monte_carlo_error,
     process_fidelity,
     process_matrix,
-    process_matrix_linear,
-    project_process_matrix,
     reconstruct_from_records,
-    run_process_tomography,
     state_estimate,
     stokes_from_counts,
 )
@@ -50,6 +49,14 @@ INPUT_STATES = {lbl: density_of(ket_from_named(lbl)) for lbl in DEFAULT_INPUT_LA
 
 def _dephase_state(rho, gamma):
     return density_from_stokes(dephase(stokes_of(rho), gamma))
+
+
+def _run_process_tomography(channel, t, cfg, det, pulses, rng=None):
+    # One unit's process tomography: the counts drawn from (or, with no
+    # rng, the means of) its rates, and their reconstruction.
+    rates = _rates([(channel, t)], cfg, det, DEFAULT_INPUT_LABELS)[0]
+    counts = expected_counts(rates, pulses) if rng is None else sample_counts(rates, pulses, rng)
+    return counts, _reconstruct(counts, DEFAULT_INPUT_LABELS)
 
 
 def test_stokes_from_counts_basic():
@@ -104,10 +111,27 @@ def test_stokes_from_counts_names_the_first_bad_basis_of_a_stack():
         reconstruct_from_records(counts[1, [0, 1, 3, 2]])
 
 
+def _reference_chi(inputs, outputs):
+    # Hermitized least-squares solve of the 16x16 system of four
+    # (input, output) density-matrix pairs, built one (k, m, n) block at
+    # a time.
+    a = np.zeros((16, 16), dtype=complex)
+    b = np.zeros(16, dtype=complex)
+    for k, (rho_in, rho_out) in enumerate(zip(inputs, outputs)):
+        b[4 * k : 4 * k + 4] = rho_out.reshape(4)
+        for m, sm in enumerate(PAULI_BASIS):
+            for n, sn in enumerate(PAULI_BASIS):
+                a[4 * k : 4 * k + 4, 4 * m + n] = (sm @ rho_in @ sn.conj().T).reshape(4)
+    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    assert rank == 16
+    chi = solution.reshape(4, 4)
+    return (chi + chi.conj().T) / 2.0
+
+
 @pytest.mark.parametrize("labels", [DEFAULT_INPUT_LABELS, ("V", "A", "L", "H")])
 def test_cached_chi_map_matches_the_linear_solve(rng, labels):
     # The map takes the rows (1, S_k) to the same Hermitized chi as the
-    # design-inverse solve on the density matrices (I + S_k . sigma)/2.
+    # design-matrix solve on the density matrices (I + S_k . sigma)/2.
     _, chi_map = _input_set(labels)
     inputs = [density_of(ket_from_named(l)) for l in labels]
     for _ in range(200):
@@ -115,7 +139,7 @@ def test_cached_chi_map_matches_the_linear_solve(rng, labels):
         stokes = directions / np.linalg.norm(directions, axis=1, keepdims=True)
         stokes *= rng.uniform(0.0, 1.0, size=(4, 1))
         rows = np.concatenate((np.ones((4, 1)), stokes), axis=1)
-        want = process_matrix_linear(list(zip(inputs, map(density_from_stokes, stokes))))
+        want = _reference_chi(inputs, [density_from_stokes(s) for s in stokes])
         got = (chi_map @ rows.reshape(16)).view(complex).reshape(4, 4)
         assert np.max(np.abs(got - want)) < 1e-15
         assert np.array_equal(got, got.conj().T)
@@ -205,7 +229,7 @@ def test_process_matrix_rejects_degenerate_inputs():
     labels = ("H", "V", "D", "A")
     pairs = [(density_of(ket_from_named(l)),) * 2 for l in labels]
     with pytest.raises(ValueError, match="informationally complete"):
-        process_matrix_linear(pairs)
+        process_matrix(pairs)
 
 
 def test_degenerate_input_labels_rejected_at_first_use():
@@ -224,8 +248,8 @@ def test_cached_constants_are_read_only():
 
 
 def test_process_matrix_wrong_pair_count():
-    with pytest.raises(ValueError):
-        process_matrix_linear(_pairs_for(lambda rho: rho)[:3])
+    with pytest.raises(ValueError, match="need exactly 4 input/output pairs, got 3"):
+        process_matrix(_pairs_for(lambda rho: rho)[:3])
 
 
 def test_random_cptp_reconstruction(rng):
@@ -241,9 +265,19 @@ def test_random_cptp_reconstruction(rng):
             ) < 1e-8
 
 
+def test_process_matrix_on_another_input_set_recovers_random_channels(rng):
+    # The map is built from whatever inputs the pairs carry, not only the
+    # default quartet.
+    inputs = [density_of(ket_from_named(l)) for l in ("V", "A", "L", "H")]
+    for _ in range(10):
+        kraus = random_cptp_kraus(rng)
+        chi = process_matrix([(rho, apply_kraus(kraus, rho)) for rho in inputs])
+        assert np.max(np.abs(chi - chi_from_kraus(kraus))) < 1e-8
+
+
 def test_project_process_matrix_clamps():
     chi = np.diag([1.02, 0.0, 0.0, -0.02]).astype(complex)
-    projected, applied, distance = project_process_matrix(chi)
+    projected, applied, distance = _project_chi(chi)
     assert applied and distance > 0
     assert np.linalg.eigvalsh(projected)[0] >= -1e-15
     assert abs(np.trace(projected).real - 1.0) < 1e-12
@@ -303,11 +337,11 @@ def test_run_process_tomography_expected_matches_model():
 
     model = channel_model(s2, cfg, det)
     for t in (0.0, 0.5, 3.0, 6.0):
-        res = run_process_tomography(s2, t, cfg, det, 10**5, rng=None)
+        counts, res = _run_process_tomography(s2, t, cfg, det, 10**5, rng=None)
         assert abs(res.process_fidelity - closed_form_fidelity(t, **model)) < 1e-9
         assert not res.projection_applied
         assert abs(res.raw_chi00 - res.process_fidelity) < 1e-12
-        assert res.counts.shape == (len(DEFAULT_INPUT_LABELS), 3, 2)
+        assert counts.shape == (len(DEFAULT_INPUT_LABELS), 3, 2)
 
 
 def test_run_process_tomography_composes_decay_and_dephasing():
@@ -317,7 +351,7 @@ def test_run_process_tomography_composes_decay_and_dephasing():
     cfg = MemoryConfig(static_gamma={"S2": 0.6})
     det = DetectionConfig()
     t, pulses = 1.7, 10**5
-    res = run_process_tomography(s2, t, cfg, det, pulses, rng=None)
+    counts, _ = _run_process_tomography(s2, t, cfg, det, pulses, rng=None)
     gamma = dephasing_factor(t, s2, cfg)
     efficiency = retrieval_efficiency(s2.theta, t, cfg)
     want = pulses * np.array(
@@ -326,18 +360,18 @@ def test_run_process_tomography_composes_decay_and_dephasing():
             for rho in INPUT_STATES.values()
         ]
     )
-    assert np.max(np.abs(res.counts - want)) < 1e-15 * pulses
+    assert np.max(np.abs(counts - want)) < 1e-15 * pulses
 
 
 def test_run_process_tomography_sampled_deterministic():
     cfg = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
-    a = run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(5))
-    b = run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(5))
+    counts_a, a = _run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(5))
+    counts_b, b = _run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(5))
     assert a.process_fidelity == b.process_fidelity
-    assert a.counts.dtype.kind == "i"
-    assert np.array_equal(a.counts, b.counts)
+    assert counts_a.dtype.kind == "i"
+    assert np.array_equal(counts_a, counts_b)
 
 
 def _scalar_draw_counts(channel, t, pulses, rng):
@@ -360,19 +394,20 @@ def test_run_process_tomography_single_draw_matches_scalar_draws():
     s2 = DEFAULT_CHANNELS[2]
     for pulses in (200, 10**5):
         for seed in range(5):
-            res = run_process_tomography(s2, 0.5, cfg, det, pulses, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            counts, _ = _run_process_tomography(s2, 0.5, cfg, det, pulses, rng)
             want = _scalar_draw_counts(s2, 0.5, pulses, np.random.default_rng(seed))
-            assert np.array_equal(res.counts, want)
+            assert np.array_equal(counts, want)
 
 
 def test_reconstruct_from_records_round_trip():
     cfg = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
-    expected = run_process_tomography(s2, 2.0, cfg, det, 10**5, rng=None)
-    sampled = run_process_tomography(s2, 2.0, cfg, det, 10**4, np.random.default_rng(3))
-    for res in (expected, sampled):
-        assert reconstruct_from_records(res.counts) == res.process_fidelity
+    expected = _run_process_tomography(s2, 2.0, cfg, det, 10**5, rng=None)
+    sampled = _run_process_tomography(s2, 2.0, cfg, det, 10**4, np.random.default_rng(3))
+    for counts, res in (expected, sampled):
+        assert reconstruct_from_records(counts) == res.process_fidelity
 
 
 def _assert_rows_equal_single_unit_calls(stack):
@@ -402,7 +437,7 @@ def test_reconstruct_stack_rows_equal_single_unit_calls(rng):
         (s2, 1.0, 3000, np.random.default_rng(4)),
         (s6, 0.0, 10**5, None),
     ]
-    stack = np.array([run_process_tomography(*u[:2], cfg, det, *u[2:]).counts for u in units])
+    stack = np.array([_run_process_tomography(*u[:2], cfg, det, *u[2:])[0] for u in units])
     res = _assert_rows_equal_single_unit_calls(stack)
     assert set(res.projection_applied.tolist()) == {True, False}
     # A larger stack of low counts, where most units project.
@@ -425,13 +460,13 @@ def test_monte_carlo_error_deterministic_and_positive():
     cfg = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
-    res = run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9))
+    counts, _ = _run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9))
 
     def stream_for(j):
         return np.random.default_rng((123, j))
 
-    a = monte_carlo_error(res.counts, 50, stream_for)
-    b = monte_carlo_error(res.counts, 50, stream_for)
+    a = monte_carlo_error(counts, 50, stream_for)
+    b = monte_carlo_error(counts, 50, stream_for)
     assert a == b
     assert a > 0
 
@@ -464,7 +499,7 @@ def test_monte_carlo_error_matches_scalar_draws():
     cfg = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
-    high_counts = run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9)).counts
+    high_counts, _ = _run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9))
 
     def stream_for(j):
         return np.random.default_rng((77, j))
@@ -482,24 +517,13 @@ def test_monte_carlo_error_needs_two_resamples():
 
 def _reference_reconstruct(counts):
     # The chain before the closed forms: per-basis Stokes ratios,
-    # eigen-clamp state projection, a least-squares solve of the 16x16
-    # system built one (k, m, n) block at a time, eigen-clamp chi
-    # projection and the fidelity to the identity process.
-    a = np.zeros((16, 16), dtype=complex)
-    b = np.zeros(16, dtype=complex)
-    for k, lbl in enumerate(DEFAULT_INPUT_LABELS):
+    # eigen-clamp state projection, the reference chi solve, eigen-clamp
+    # chi projection and the fidelity to the identity process.
+    outputs = []
+    for k in range(len(DEFAULT_INPUT_LABELS)):
         stokes = np.array([(p - m) / (p + m) for p, m in counts[k].tolist()])
-        rho_out, _, _ = _eigen_clamp(density_from_stokes(stokes))
-        b[4 * k : 4 * k + 4] = rho_out.reshape(4)
-        for m, sm in enumerate(PAULI_BASIS):
-            for n, sn in enumerate(PAULI_BASIS):
-                a[4 * k : 4 * k + 4, 4 * m + n] = (
-                    sm @ INPUT_STATES[lbl] @ sn.conj().T
-                ).reshape(4)
-    solution, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    assert rank == 16
-    chi_raw = solution.reshape(4, 4)
-    chi_raw = (chi_raw + chi_raw.conj().T) / 2.0
+        outputs.append(_eigen_clamp(density_from_stokes(stokes))[0])
+    chi_raw = _reference_chi(list(INPUT_STATES.values()), outputs)
     chi, applied, distance = _eigen_clamp(chi_raw)
     return process_fidelity(chi, identity_chi()), float(chi_raw[0, 0].real), applied, distance
 
