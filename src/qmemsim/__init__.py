@@ -9,7 +9,6 @@ byte-reproducible.
 """
 
 from .config import (
-    CONFIG_SCHEMA,
     ScenarioConfig,
     config_from_dict,
     effective_config,

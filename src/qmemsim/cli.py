@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import ScenarioConfig, load_config
+from .config import ScenarioConfig, _build, load_config
 from .errors import ConfigError, FitError
 from .fitting import DecayDataset, channel_model, fit_exponential, fit_sigma_gamma
 from .scenarios import (
@@ -118,6 +118,9 @@ def _load_dataset(path: str) -> DecayDataset:
                 data = json.load(fh)
                 if not isinstance(data, dict) or "times" not in data or "values" not in data:
                     raise ConfigError(f"{path}: expected an object with times and values")
+                extra = [key for key in data if key not in ("times", "values", "sigmas")]
+                if extra:
+                    raise ConfigError(f"{path}: unknown key {extra[0]}")
                 columns = [data["times"], data["values"], data.get("sigmas")]
             else:
                 reader = csv.reader(fh)
@@ -202,15 +205,12 @@ def _run(args: argparse.Namespace) -> int:
                 raise IOError(f"cannot read targets {args.targets}: {exc}") from None
             except ValueError as exc:  # malformed JSON or text that is not UTF-8
                 raise ConfigError(f"invalid JSON in {args.targets}: {exc}") from None
-            if not isinstance(raw, dict) or not raw:
+            targets = _build(dict[str, float], raw, args.targets)
+            if not targets:
                 raise ConfigError(f"{args.targets}: expected a non-empty channel->fidelity object")
-            targets = {}
-            for key, value in raw.items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"{args.targets}: {key}: expected a number")
+            for key, value in targets.items():
                 if not 0.0 < value <= 1.0:
-                    raise ConfigError(f"{args.targets}: {key}: fidelity must be in (0, 1]")
-                targets[key] = float(value)
+                    raise ConfigError(f"{args.targets}.{key}: fidelity must be in (0, 1]")
         fragment = calibrate_table(cfg, targets)
         print(json.dumps(fragment, sort_keys=True, indent=2))
         if args.out:

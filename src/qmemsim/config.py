@@ -3,21 +3,22 @@
 A scenario bundles the physics (memory, detection, phase matching), the
 channel list, the measurement plan (storage times, input states, pulses
 per setting) and the run controls (seed, resample count, output dir).
-Loading is strict: unknown keys are rejected with their full field path
-so a typo in a config file fails loudly instead of silently running
-defaults.  The dataclasses are the only description of the document:
-the accepted schema, the builder and the echo all walk their fields.
+The dataclasses are the only description of the document: the loader
+(``_build``) and the echo (``_echo``) both walk their fields.  Loading
+is strict and checks as it builds: unknown and missing keys, wrong
+types and out-of-range values fail with their full field path, so a
+typo in a config file fails loudly instead of silently running defaults.
 
 ``effective_config`` echoes every parameter a run will actually use,
 defaults included, so an emitted artifact is self-describing and the
-echo can be diffed against the schema.
+echo loads back as the same config.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
 from .detection import MAX_PULSES, DetectionConfig
@@ -123,106 +124,76 @@ def _fields(cls) -> dict:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
-def _schema_of(hint):
-    # Dataclasses become objects, tuples lists, dicts {"*": leaf}; the
-    # leaf types are int (strict), float (int or float) and str.
-    if is_dataclass(hint):
-        return {name: _schema_of(h) for name, h in _fields(hint).items()}
-    if get_origin(hint) is tuple:
-        return [_schema_of(get_args(hint)[0])]
-    if get_origin(hint) is dict:
-        return {"*": _schema_of(get_args(hint)[1])}
-    if hint == float | None:
-        return "nullable_float"
-    return hint
-
-
-#: Accepted config document, derived from the ScenarioConfig dataclasses.
-#: Bools are rejected everywhere (json true/false is never a number
-#: here); "nullable_float" additionally admits null.
-CONFIG_SCHEMA: dict = _schema_of(ScenarioConfig)
-
-
 def _join(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
-def _check_leaf(path: str, value, leaf_type) -> None:
-    if leaf_type == "nullable_float":
+def _check_leaf(path: str, value, hint):
+    """JSON ``value`` as a leaf of type ``hint``: int, float, str or float | None."""
+    # A bool is never a number; a float field stores a finite float.
+    if hint == float | None:
         if value is None:
-            return
-        leaf_type = float
+            return None
+        hint = float
     if isinstance(value, bool):
-        raise ConfigError(f"{path}: expected {leaf_type.__name__}, got bool")
-    if leaf_type is float:
+        raise ConfigError(f"{path}: expected {hint.__name__}, got bool")
+    if hint is float:
         if not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected number, got {type(value).__name__}")
         try:
-            finite = math.isfinite(value)
+            value = float(value)
         except OverflowError:  # an integer too large for a float
-            finite = False
-        if not finite:
+            value = math.inf
+        if not math.isfinite(value):
             raise ConfigError(f"{path}: expected a finite number")
-    elif not isinstance(value, leaf_type):
-        raise ConfigError(
-            f"{path}: expected {leaf_type.__name__}, got {type(value).__name__}"
-        )
-
-
-def _validate(data, schema, path: str) -> None:
-    if isinstance(schema, dict):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path or 'config'}: expected an object")
-        if "*" in schema:
-            for key, value in data.items():
-                _check_leaf(f"{path}.{key}", value, schema["*"])
-            return
-        for key, value in data.items():
-            child = _join(path, key)
-            if key not in schema:
-                raise ConfigError(f"unknown key {child}")
-            _validate(value, schema[key], child)
-    elif isinstance(schema, list):
-        if not isinstance(data, list):
-            raise ConfigError(f"{path}: expected a list")
-        for i, item in enumerate(data):
-            _validate(item, schema[0], f"{path}[{i}]")
-    else:
-        _check_leaf(path, data, schema)
+    elif not isinstance(value, hint):
+        raise ConfigError(f"{path}: expected {hint.__name__}, got {type(value).__name__}")
+    return value
 
 
 def _build(hint, data, path: str):
-    """Value of type ``hint`` from validated JSON data; errors name the path."""
-    if is_dataclass(hint):
-        hints = _fields(hint)
-        kwargs = {
-            key: _build(hints[key], value, _join(path, key))
-            for key, value in data.items()
-        }
-        try:
-            return hint(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(_join(path, str(exc))) from None
-        except TypeError as exc:  # a required field is missing
-            raise ConfigError(f"{path}: {exc}") from None
-    args = get_args(hint)
-    if get_origin(hint) is tuple:
+    """Value of type ``hint`` from parsed JSON ``data``, checked as it is built.
+
+    Dataclasses and dicts read JSON objects, tuples read lists; the first
+    error in document order is raised as a ConfigError naming its path.
+    """
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is tuple:
+        if not isinstance(data, list):
+            raise ConfigError(f"{path}: expected a list")
         return tuple(_build(args[0], item, f"{path}[{i}]") for i, item in enumerate(data))
-    if get_origin(hint) is dict:
-        try:  # JSON keys are strings; angle keys parse as floats
-            return {args[0](k): _build(args[1], v, f"{path}.{k}") for k, v in data.items()}
-        except ValueError:
-            raise ConfigError(f"{path}: keys must parse as {args[0].__name__}") from None
-    if hint in (float, float | None) and data is not None:
-        return float(data)
-    return data
+    if not (is_dataclass(hint) or origin is dict):
+        return _check_leaf(path, data, hint)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object")
+    if origin is dict:
+        built = {}
+        for key, value in data.items():
+            try:  # JSON keys are strings; angle keys parse as floats
+                parsed = args[0](key)
+            except ValueError:
+                raise ConfigError(f"{path}: keys must parse as {args[0].__name__}") from None
+            built[parsed] = _build(args[1], value, f"{path}.{key}")
+        return built
+    hints = _fields(hint)
+    kwargs = {}
+    for key, value in data.items():
+        if key not in hints:
+            raise ConfigError(f"unknown key {_join(path, key)}")
+        kwargs[key] = _build(hints[key], value, _join(path, key))
+    for f in fields(hint):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {_join(path, f.name)}")
+    try:
+        return hint(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(_join(path, str(exc))) from None
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    """Validate a parsed config mapping and build a ScenarioConfig."""
+    """Check a parsed config mapping and build a ScenarioConfig."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    _validate(data, CONFIG_SCHEMA, "")
     return _build(ScenarioConfig, data, "")
 
 

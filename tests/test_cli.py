@@ -274,15 +274,22 @@ class TestFit:
         assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "payload",
-        [{"times": {"a": 1}, "values": [1, 2]}, {"times": [0, 10**400], "values": [1, 2]}],
-        ids=["object-column", "int-too-large"],
+        "payload, detail",
+        [
+            ({"times": {"a": 1}, "values": [1, 2]}, ""),
+            ({"times": [0, 10**400], "values": [1, 2]}, ""),
+            # "sigma" is a typo for "sigmas": it must not fit unweighted.
+            ({"times": [1, 2], "values": [0.1, 0.05], "sigma": [0.01, 0.01]}, "unknown key sigma"),
+        ],
+        ids=["object-column", "int-too-large", "unknown-key"],
     )
-    def test_non_numeric_json_column_exits_2_naming_the_file(self, tmp_path, capsys, payload):
+    def test_non_numeric_json_column_exits_2_naming_the_file(
+        self, tmp_path, capsys, payload, detail
+    ):
         path = write_json(tmp_path / "bad.json", payload)
         assert main(["fit", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith(f"config error: {path}: ")
+        assert err.startswith(f"config error: {path}: {detail}")
         assert err.count("\n") == 1
 
     def test_ragged_csv_row_exits_2_naming_the_line(self, tmp_path, capsys):
@@ -348,6 +355,21 @@ class TestCalibrate:
         code = main(["calibrate", "--targets", targets])
         assert code == EXIT_CONFIG
         assert "fidelity must be in" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"S2": "0.9"}, ".S2: expected number, got str"),
+            ({"S2": True}, ".S2: expected float, got bool"),
+            ([0.9], ": expected an object"),
+            ({}, ": expected a non-empty channel->fidelity object"),
+        ],
+        ids=["string", "bool", "list", "empty"],
+    )
+    def test_malformed_targets_exit_2_naming_the_file(self, tmp_path, capsys, payload, message):
+        targets = write_json(tmp_path / "targets.json", payload)
+        assert main(["calibrate", "--targets", targets]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {targets}{message}\n"
 
     def test_unknown_channel_target_exits_2(self, tmp_path, capsys):
         targets = write_json(tmp_path / "targets.json", {"S9": 0.9})

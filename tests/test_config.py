@@ -1,9 +1,9 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from qmemsim.config import (
-    CONFIG_SCHEMA,
     ScenarioConfig,
     config_from_dict,
     effective_config,
@@ -69,6 +69,26 @@ def test_invariant_violation_names_the_field():
 
 
 @pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"memory": 3}, "memory: expected an object"),
+        ({"channels": {}}, "channels: expected a list"),
+        ({"storage_times": 1.0}, "storage_times: expected a list"),
+        ({"memory": {"static_gamma": []}}, "memory.static_gamma: expected an object"),
+        ({"channels": [3]}, r"channels\[0\]: expected an object"),
+    ],
+)
+def test_structural_error_names_the_path(data, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        config_from_dict(data)
+
+
+def test_first_error_in_document_order_wins():
+    with pytest.raises(ConfigError, match=r"^detection.n_bar must be > 0, got -1.0$"):
+        config_from_dict({"detection": {"n_bar": -1}, "memory": {"tau": "x"}})
+
+
+@pytest.mark.parametrize(
     "text, path",
     [
         ('{"memory": {"tau": NaN}}', "memory.tau"),
@@ -116,8 +136,10 @@ def test_channels_parsing_and_validation():
         {"channels": [{"id": "A", "theta": 0.0}, {"id": "B", "theta": 2.5}]}
     )
     assert [ch.id for ch in cfg.channels] == ["A", "B"]
-    with pytest.raises(ConfigError, match=r"channels\[1\]"):
+    with pytest.raises(ConfigError, match=r"^missing key channels\[1\]\.theta$"):
         config_from_dict({"channels": [{"id": "A", "theta": 0.0}, {"id": "B"}]})
+    with pytest.raises(ConfigError, match=r"^missing key channels\[0\]\.id$"):
+        config_from_dict({"channels": [{"theta": 0.0}]})
     with pytest.raises(ConfigError, match="unique"):
         config_from_dict(
             {"channels": [{"id": "A", "theta": 0.0}, {"id": "A", "theta": 1.0}]}
@@ -156,61 +178,42 @@ def test_static_gamma_entries_validated():
         config_from_dict({"memory": {"static_gamma": {"S0": 1.5}}})
 
 
-def _audit(schema, data, path=""):
-    if isinstance(schema, dict):
-        if "*" in schema:
-            assert isinstance(data, dict), path
-            return
-        assert isinstance(data, dict), path
-        assert set(schema) == set(data), f"{path}: {sorted(set(schema) ^ set(data))}"
-        for key in schema:
-            _audit(schema[key], data[key], f"{path}.{key}" if path else key)
-    elif isinstance(schema, list):
-        assert isinstance(data, list), path
-        for i, item in enumerate(data):
-            _audit(schema[0], item, f"{path}[{i}]")
-    elif schema == "nullable_float":
-        assert data is None or isinstance(data, (int, float)), path
-    elif schema is float:
-        assert isinstance(data, (int, float)), path
-    else:
-        assert isinstance(data, schema), path
+#: The two maps of the echo; the every-leaf round trip replaces each whole.
+_MAPS = ("memory.static_gamma", "memory.r0_overrides")
 
 
-def test_effective_config_covers_schema_exactly():
-    # Closure audit: every constant the simulation uses appears in the
-    # echo, and the echo has no key outside the documented schema.
-    _audit(CONFIG_SCHEMA, effective_config(ScenarioConfig()))
+def _join(path, key):
+    return f"{path}.{key}" if path else key
 
 
-def _non_default(schema, value):
+def _non_default(value, path=""):
     # Every leaf of the default echo moved to another valid value: lists
-    # reversed, numbers halved (0 becomes 0.5), ints incremented, strings
-    # reversed, nullable floats nulled and maps replaced.
-    if isinstance(schema, dict) and "*" in schema:
+    # reversed, floats halved (0 becomes 0.5), ints incremented, strings
+    # reversed and maps replaced.
+    if path in _MAPS:
         return {"1.5": 0.5}
-    if isinstance(schema, dict):
-        return {key: _non_default(schema[key], value[key]) for key in schema}
-    if isinstance(schema, list):
-        return [_non_default(schema[0], item) for item in reversed(value)]
-    if schema == "nullable_float":
-        return None
-    if schema is float:
+    if isinstance(value, dict):
+        return {key: _non_default(item, _join(path, key)) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_non_default(item) for item in reversed(value)]
+    if isinstance(value, float):
         return value / 2 if value else 0.5
-    if schema is int:
+    if isinstance(value, int):
         return value + 1
     return value[::-1]
 
 
-def _leaves(schema, data, path=""):
-    if isinstance(schema, dict) and "*" not in schema:
-        for key in schema:
-            yield from _leaves(schema[key], data[key], f"{path}.{key}")
-    elif isinstance(schema, list):
-        for i, item in enumerate(data):
-            yield from _leaves(schema[0], item, f"{path}[{i}]")
-    else:
-        yield path, data
+def _same_fields(a, b, path=""):
+    # Paths of the dataclass fields where two configs agree; tuples are
+    # compared item by item, maps whole.
+    if is_dataclass(a):
+        for f in fields(a):
+            yield from _same_fields(getattr(a, f.name), getattr(b, f.name), _join(path, f.name))
+    elif isinstance(a, tuple):
+        for i, (x, y) in enumerate(zip(a, b, strict=True)):
+            yield from _same_fields(x, y, f"{path}[{i}]")
+    elif a == b:
+        yield path
 
 
 def test_effective_config_round_trips():
@@ -229,15 +232,16 @@ def test_effective_config_round_trips():
         }
     )
     assert config_from_dict(effective_config(custom)) == custom
+    # A number given for a float field is stored and echoed as a float.
+    int_tau = config_from_dict({"memory": {"tau": 3}})
+    assert json.dumps(effective_config(int_tau)["memory"]["tau"]) == "3.0"
+    assert config_from_dict(effective_config(int_tau)) == int_tau
 
-    default = effective_config(ScenarioConfig())
-    every_leaf = config_from_dict(_non_default(CONFIG_SCHEMA, default))
-    echo = effective_config(every_leaf)
-    for (path, old), (_, new) in zip(
-        _leaves(CONFIG_SCHEMA, default), _leaves(CONFIG_SCHEMA, echo), strict=True
-    ):
-        assert old != new, path
-    assert config_from_dict(echo) == every_leaf
+    # Moving every leaf of the default echo moves every field: a field
+    # missing from the echo would stay at its default.
+    every_leaf = config_from_dict(_non_default(effective_config(cfg)))
+    assert list(_same_fields(cfg, every_leaf)) == []
+    assert config_from_dict(effective_config(every_leaf)) == every_leaf
 
 
 def test_channel_lookup():
