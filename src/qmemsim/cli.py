@@ -121,7 +121,9 @@ def _load_dataset(path: str) -> DecayDataset:
                 extra = [key for key in data if key not in ("times", "values", "sigmas")]
                 if extra:
                     raise ConfigError(f"{path}: unknown key {extra[0]}")
-                columns = [data["times"], data["values"], data.get("sigmas")]
+                # Each column follows the config's leaf rules; null sigmas fit unweighted.
+                keys = ["times", "values"] + (["sigmas"] if data.get("sigmas") is not None else [])
+                columns = [_build(tuple[float, ...], data[key], f"{path}: {key}") for key in keys]
             else:
                 reader = csv.reader(fh)
                 header = next(reader, None)

@@ -1,13 +1,15 @@
 """Scenario configuration: JSON loading, validation and echo.
 
-A scenario bundles the physics (memory, detection, phase matching), the
-channel list, the measurement plan (storage times, input states, pulses
-per setting) and the run controls (seed, resample count, output dir).
-The dataclasses are the only description of the document: the loader
+A scenario bundles the physics (memory, detection), the channel list,
+the measurement plan (storage times, input states, pulses per setting)
+and the run controls (seed, resample count, output dir).  The
+dataclasses are the only description of the document: the loader
 (``_build``) and the echo (``_echo``) both walk their fields.  Loading
-is strict and checks as it builds: unknown and missing keys, wrong
-types and out-of-range values fail with their full field path, so a
-typo in a config file fails loudly instead of silently running defaults.
+is strict and checks as it builds: unknown keys, missing keys of fields
+without a default (a channel's id and theta), wrong types and
+out-of-range values fail with their full field path, so a typo in a
+config file fails loudly instead of silently running defaults.  Every
+other missing key takes its default.
 
 ``effective_config`` echoes every parameter a run will actually use,
 defaults included, so an emitted artifact is self-describing and the
@@ -23,7 +25,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .detection import MAX_PULSES, DetectionConfig
 from .errors import ConfigError
-from .memory import DEFAULT_CHANNELS, ChannelSpec, MemoryConfig, PhaseMatchConfig
+from .memory import DEFAULT_CHANNELS, ChannelSpec, MemoryConfig
 from .polarization import STATE_LABELS
 from .tomography import DEFAULT_INPUT_LABELS
 
@@ -58,7 +60,6 @@ class ScenarioConfig:
 
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     detection: DetectionConfig = field(default_factory=DetectionConfig)
-    phase_match: PhaseMatchConfig = field(default_factory=PhaseMatchConfig)
     channels: tuple[ChannelSpec, ...] = DEFAULT_CHANNELS
     storage_times: tuple[float, ...] = DEFAULT_STORAGE_TIMES
     input_states: tuple[str, ...] = DEFAULT_INPUT_LABELS

@@ -23,12 +23,12 @@ import functools
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import ScenarioConfig, _time_key, effective_config
-from .detection import effective_detection_efficiency, expected_counts
+from .detection import effective_detection_efficiency, expected_counts, expected_rates
 from .errors import ConfigError, FitError
 from .fitting import (
     DecayDataset,
@@ -38,8 +38,8 @@ from .fitting import (
     fit_exponential,
     fit_sigma_gamma,
 )
-from .memory import retrieval_efficiency, walk_off_r0
-from .tomography import _input_set, _rates, _reconstruct, monte_carlo_error
+from .memory import dephase, dephasing_factor, retrieval_efficiency, walk_off_r0
+from .tomography import _input_set, _reconstruct, monte_carlo_error
 
 FORMAT_VERSION = 1
 
@@ -104,14 +104,17 @@ def tomography_points(
     """
     idx = np.array([cfg.channel_index(channel_id) for channel_id, _ in units], dtype=int)
     try:
-        _input_set(cfg.input_states)
+        stokes, _ = _input_set(cfg.input_states)
     except ValueError as exc:
         raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
     times = np.array([t for _, t in units], dtype=float)
-    specs = [(cfg.channels[i], t) for i, t in zip(idx.tolist(), times.tolist())]
-    rates = _rates(specs, cfg.memory, cfg.detection, cfg.input_states)
+    gamma, efficiency = np.empty((2, len(units), 1))
+    for k, (i, t) in enumerate(zip(idx.tolist(), times.tolist())):
+        gamma[k] = dephasing_factor(t, cfg.channels[i], cfg.memory)
+        efficiency[k] = retrieval_efficiency(cfg.channels[i].theta, t, cfg.memory)
+    rates = expected_rates(dephase(stokes, gamma), efficiency, cfg.detection)
     counts = expected_counts(rates, cfg.pulses_per_setting)
-    del specs, rates  # the kernel below holds the largest arrays of the pass
+    del rates  # the kernel below holds the largest arrays of the pass
     keys = [] if expected else [(i, _time_key(t)) for i, t in zip(idx.tolist(), times.tolist())]
     for k, key in enumerate(keys):  # each unit's means are replaced by its own draw
         counts[k] = derive_rng(cfg.seed, _DOMAIN_TOMOGRAPHY, *key).poisson(counts[k])
@@ -192,6 +195,27 @@ def run_fig3(cfg: ScenarioConfig) -> RunArtifact:
     )
 
 
+def _artifact(
+    name: str,
+    columns: tuple[str, ...],
+    rows: list[tuple],
+    cfg: ScenarioConfig,
+    expected_counts: bool,
+    **meta,
+) -> RunArtifact:
+    """Artifact of a count-based runner: its own meta plus the pulses, mode and config echo."""
+    meta.update(pulses=cfg.pulses_per_setting, mode="expected" if expected_counts else "sampled")
+    return RunArtifact(name, columns, rows, effective_config(cfg), meta)
+
+
+def _fit_or_error(fit: Callable[[], object]) -> dict:
+    """``asdict`` of the report ``fit()`` returns, or {"error": message} if it fails."""
+    try:
+        return asdict(fit())
+    except (FitError, ValueError) as exc:
+        return {"error": str(exc)}
+
+
 def run_fig4(
     cfg: ScenarioConfig,
     expected_counts: bool = False,
@@ -199,44 +223,23 @@ def run_fig4(
 ) -> RunArtifact:
     """Efficiency decay over the storage-time grid plus an exponential fit."""
     channel = cfg.channel(channel_id)
+    keys = ("efficiency_true", "counts", "efficiency_est", "sigma")
     rows = []
     for t in cfg.storage_times:
         point = efficiency_point(cfg, channel_id, t, expected_counts)
-        rows.append(
-            (
-                t,
-                point["efficiency_true"],
-                point["counts"],
-                point["efficiency_est"],
-                point["sigma"],
-            )
-        )
-    meta = {
-        "channel": channel_id,
-        "theta_deg": channel.theta,
-        "pulses": cfg.pulses_per_setting,
-        "mode": "expected" if expected_counts else "sampled",
-        "model": {
-            "r0": retrieval_efficiency(channel.theta, 0.0, cfg.memory),
-            "tau": cfg.memory.tau,
-        },
-        "acquisition_s_per_point": cfg.pulses_per_setting / cfg.rep_rate_hz,
-    }
-    try:
-        dataset = DecayDataset(
-            times=np.array([r[0] for r in rows]),
-            values=np.array([r[3] for r in rows]),
-            sigmas=np.array([r[4] for r in rows]),
-        )
-        meta["fit"] = asdict(fit_exponential(dataset))
-    except (FitError, ValueError) as exc:
-        meta["fit"] = {"error": str(exc)}
-    return RunArtifact(
-        name="fig4",
-        columns=("t_ms", "efficiency_model", "counts", "efficiency_est", "efficiency_sigma"),
-        rows=rows,
-        config=effective_config(cfg),
-        meta=meta,
+        rows.append((t, *(point[k] for k in keys)))
+    times, _, _, values, sigmas = map(np.array, zip(*rows))
+    return _artifact(
+        "fig4",
+        ("t_ms", "efficiency_model", "counts", "efficiency_est", "efficiency_sigma"),
+        rows,
+        cfg,
+        expected_counts,
+        channel=channel_id,
+        theta_deg=channel.theta,
+        model={"r0": retrieval_efficiency(channel.theta, 0.0, cfg.memory), "tau": cfg.memory.tau},
+        acquisition_s_per_point=cfg.pulses_per_setting / cfg.rep_rate_hz,
+        fit=_fit_or_error(lambda: fit_exponential(DecayDataset(times, values, sigmas))),
     )
 
 
@@ -256,34 +259,24 @@ def run_fig5(
     points = tomography_points(cfg, [(channel_id, t) for t in cfg.storage_times], expected_counts)
     columns = (points["fidelity"], points["sigma"], points["model"])
     rows = [(t, f, s, m, f - m) for t, f, s, m in zip(cfg.storage_times, *columns)]
-    times = np.array([r[0] for r in rows])
-    values = np.array([r[1] for r in rows])
-    sigmas = np.array([r[2] for r in rows])
-    meta = {
-        "channel": channel_id,
-        "theta_deg": channel.theta,
-        "pulses": cfg.pulses_per_setting,
-        "mc_resamples": cfg.mc_resamples,
-        "mode": "expected" if expected_counts else "sampled",
-        "model": {"sigma_gamma": cfg.memory.sigma_gamma},
-        "acquisition_s_per_setting": cfg.pulses_per_setting / cfg.rep_rate_hz,
-    }
-    try:
-        dataset = DecayDataset(
-            times=times,
-            values=values,
-            sigmas=sigmas if np.all(sigmas > 0) else None,
-        )
-        model = channel_model(channel, cfg.memory, cfg.detection)
-        meta["fit"] = asdict(fit_sigma_gamma(dataset, model))
-    except (FitError, ValueError) as exc:
-        meta["fit"] = {"error": str(exc)}
-    return RunArtifact(
-        name="fig5",
-        columns=("t_ms", "fidelity", "fidelity_sigma", "model_fidelity", "residual"),
-        rows=rows,
-        config=effective_config(cfg),
-        meta=meta,
+    times, values, sigmas = map(np.array, (cfg.storage_times, points["fidelity"], points["sigma"]))
+
+    def fit():
+        dataset = DecayDataset(times, values, sigmas if np.all(sigmas > 0) else None)
+        return fit_sigma_gamma(dataset, channel_model(channel, cfg.memory, cfg.detection))
+
+    return _artifact(
+        "fig5",
+        ("t_ms", "fidelity", "fidelity_sigma", "model_fidelity", "residual"),
+        rows,
+        cfg,
+        expected_counts,
+        channel=channel_id,
+        theta_deg=channel.theta,
+        mc_resamples=cfg.mc_resamples,
+        model={"sigma_gamma": cfg.memory.sigma_gamma},
+        acquisition_s_per_setting=cfg.pulses_per_setting / cfg.rep_rate_hz,
+        fit=_fit_or_error(fit),
     )
 
 
@@ -294,18 +287,15 @@ def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifac
     columns = (points["fidelity"], points["sigma"], points["model"])
     rows = [(ch.id, ch.theta, f, s, m) for ch, f, s, m in zip(cfg.channels, *columns)]
     settings = len(cfg.input_states) * 3
-    return RunArtifact(
-        name="table1",
-        columns=("channel", "theta_deg", "fidelity", "fidelity_sigma", "model_fidelity"),
-        rows=rows,
-        config=effective_config(cfg),
-        meta={
-            "time_ms": t,
-            "pulses": cfg.pulses_per_setting,
-            "mc_resamples": cfg.mc_resamples,
-            "mode": "expected" if expected_counts else "sampled",
-            "acquisition_s_per_channel": settings * cfg.pulses_per_setting / cfg.rep_rate_hz,
-        },
+    return _artifact(
+        "table1",
+        ("channel", "theta_deg", "fidelity", "fidelity_sigma", "model_fidelity"),
+        rows,
+        cfg,
+        expected_counts,
+        time_ms=t,
+        mc_resamples=cfg.mc_resamples,
+        acquisition_s_per_channel=settings * cfg.pulses_per_setting / cfg.rep_rate_hz,
     )
 
 
@@ -315,16 +305,13 @@ def run_simulate(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtif
     points = tomography_points(cfg, [(ch.id, t) for ch, t in grid], expected_counts)
     columns = (points["fidelity"], points["sigma"], points["model"])
     rows = [(ch.id, ch.theta, t, f, s, m) for (ch, t), f, s, m in zip(grid, *columns)]
-    return RunArtifact(
-        name="simulate",
-        columns=("channel", "theta_deg", "t_ms", "fidelity", "fidelity_sigma", "model_fidelity"),
-        rows=rows,
-        config=effective_config(cfg),
-        meta={
-            "pulses": cfg.pulses_per_setting,
-            "mc_resamples": cfg.mc_resamples,
-            "mode": "expected" if expected_counts else "sampled",
-        },
+    return _artifact(
+        "simulate",
+        ("channel", "theta_deg", "t_ms", "fidelity", "fidelity_sigma", "model_fidelity"),
+        rows,
+        cfg,
+        expected_counts,
+        mc_resamples=cfg.mc_resamples,
     )
 
 

@@ -40,8 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detection import DetectionConfig, MEASUREMENT_BASES, expected_rates
-from .memory import ChannelSpec, MemoryConfig, dephase, dephasing_factor, retrieval_efficiency
+from .detection import MEASUREMENT_BASES
 from .polarization import (
     PAULI_BASIS,
     check_density,
@@ -230,24 +229,6 @@ def _check_unit_trace(name: str, trace: np.ndarray) -> None:
     """Reject real traces (...) unless each is 1 to within 1e-6 (a NaN fails)."""
     if not abs(trace - 1.0).max(initial=0.0) <= 1e-6:
         raise ValueError(f"{name} is not trace-normalized")
-
-
-def _rates(
-    units: Sequence[tuple[ChannelSpec, float]],
-    memory: MemoryConfig,
-    det: DetectionConfig,
-    input_labels: Sequence[str],
-) -> np.ndarray:
-    """Per-pulse mean counts (units, n_inputs, 3, 2) of (channel, t) units.
-
-    One ``dephase`` and one ``expected_rates`` call cover all units.
-    """
-    stokes, _ = _input_set(tuple(input_labels))
-    gamma, efficiency = np.empty((2, len(units), 1))
-    for k, (channel, t) in enumerate(units):
-        gamma[k] = dephasing_factor(t, channel, memory)
-        efficiency[k] = retrieval_efficiency(channel.theta, t, memory)
-    return expected_rates(dephase(stokes, gamma), efficiency, det)
 
 
 def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResult:

@@ -280,8 +280,17 @@ class TestFit:
             ({"times": [0, 10**400], "values": [1, 2]}, ""),
             # "sigma" is a typo for "sigmas": it must not fit unweighted.
             ({"times": [1, 2], "values": [0.1, 0.05], "sigma": [0.01, 0.01]}, "unknown key sigma"),
+            # The columns follow the config's leaf rules: a bool or a string is no number.
+            (
+                {"times": [True, 2.0, 3.0], "values": [0.1, 0.05, 0.02]},
+                "times[0]: expected float, got bool",
+            ),
+            (
+                {"times": ["0", "2", "3"], "values": [0.1, 0.05, 0.02]},
+                "times[0]: expected number, got str",
+            ),
         ],
-        ids=["object-column", "int-too-large", "unknown-key"],
+        ids=["object-column", "int-too-large", "unknown-key", "bool-time", "string-time"],
     )
     def test_non_numeric_json_column_exits_2_naming_the_file(
         self, tmp_path, capsys, payload, detail

@@ -1,8 +1,10 @@
 import importlib
+import json
 import re
 from pathlib import Path
 
 import qmemsim
+from qmemsim.config import config_from_dict
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -34,3 +36,12 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(example, "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 7
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["table1.csv", "table1.json"]
+
+
+def test_readme_example_config_loads():
+    # The "Scenario config" example is a complete, valid document.
+    text = _section("Scenario config")
+    example = text[text.index("```json\n") + len("```json\n") :].split("```")[0]
+    cfg = config_from_dict(json.loads(example))
+    assert [ch.id for ch in cfg.channels] == ["S2"]
+    assert cfg.memory.r0_overrides == {0.8: 0.127}

@@ -24,7 +24,6 @@ from qmemsim.tomography import (
     DEFAULT_INPUT_LABELS,
     _input_set,
     _project_chi,
-    _rates,
     _reconstruct,
     identity_chi,
     monte_carlo_error,
@@ -54,7 +53,9 @@ def _dephase_state(rho, gamma):
 def _run_process_tomography(channel, t, cfg, det, pulses, rng=None):
     # One unit's process tomography: the counts drawn from (or, with no
     # rng, the means of) its rates, and their reconstruction.
-    rates = _rates([(channel, t)], cfg, det, DEFAULT_INPUT_LABELS)[0]
+    stokes, _ = _input_set(DEFAULT_INPUT_LABELS)
+    gamma = dephasing_factor(t, channel, cfg)
+    rates = expected_rates(dephase(stokes, gamma), retrieval_efficiency(channel.theta, t, cfg), det)
     counts = expected_counts(rates, pulses) if rng is None else sample_counts(rates, pulses, rng)
     return counts, _reconstruct(counts, DEFAULT_INPUT_LABELS)
 
