@@ -20,8 +20,6 @@ from .detection import (
     effective_detection_efficiency,
     expected_counts,
     expected_rates,
-    postselected_state,
-    sample_counts,
     total_detection_efficiency,
 )
 from .errors import ConfigError, FitError, QmemsimError

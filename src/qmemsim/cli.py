@@ -134,11 +134,14 @@ def _load_dataset(path: str) -> DecayDataset:
                     raise ConfigError(f"{path}: expected 2 or 3 columns, got {ncol}")
                 rows = []
                 for row in filter(None, reader):
+                    where = f"{path}: line {reader.line_num}"
                     if len(row) != ncol:
-                        raise ConfigError(
-                            f"{path}: line {reader.line_num}: expected {ncol} cells, got {len(row)}"
-                        )
-                    rows.append([float(cell) for cell in row])
+                        raise ConfigError(f"{where}: expected {ncol} cells, got {len(row)}")
+                    # Each cell is a JSON number under the config's leaf rules.
+                    try:
+                        rows.append([_build(float, json.loads(cell), where) for cell in row])
+                    except json.JSONDecodeError as exc:
+                        raise ConfigError(f"{where}: {exc.doc!r} is not a JSON number") from None
                 if not rows:
                     raise ConfigError(f"{path}: no data rows after the header")
                 columns = list(zip(*rows))

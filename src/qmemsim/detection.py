@@ -1,8 +1,9 @@
 """Detection chain: efficiencies, background, and photon-count statistics.
 
-Counts are aggregated Poisson draws over the pulse budget of a setting
-(per-pulse means are << 1, so this is indistinguishable from per-pulse
-Bernoulli sampling and much faster).  Post-selection on detected photons
+Sampled counts are Poisson draws of ``expected_counts``, aggregated over
+the pulse budget of a setting (per-pulse means are << 1, so this is
+indistinguishable from per-pulse Bernoulli sampling and much faster);
+the scenario runners draw them.  Post-selection on detected photons
 mixes the signal state with an isotropic background in proportion
 eta*R : 2N.
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polarization import check_density, check_stokes
+from .polarization import check_stokes
 
 MAX_PULSES = 1_000_000_000
 
@@ -99,39 +100,11 @@ def expected_rates(
     return rates
 
 
-def _check_rates(rates: np.ndarray, pulses: int) -> np.ndarray:
+def expected_counts(rates: np.ndarray, pulses: int) -> np.ndarray:
+    """Infinite-statistics counts: the exact means pulses * rates."""
     rates = np.asarray(rates, dtype=float)
     if np.any(rates < 0):
         raise ValueError("rates must be non-negative")
     if not 1 <= pulses <= MAX_PULSES:
         raise ValueError(f"pulses must be in [1, {MAX_PULSES}], got {pulses}")
-    return rates
-
-
-def sample_counts(rates: np.ndarray, pulses: int, rng: np.random.Generator) -> np.ndarray:
-    """Integer counts n ~ Poisson(pulses * rates), drawn in C order of ``rates``."""
-    return rng.poisson(pulses * _check_rates(rates, pulses))
-
-
-def expected_counts(rates: np.ndarray, pulses: int) -> np.ndarray:
-    """Infinite-statistics counts: the exact means pulses * rates."""
-    return pulses * _check_rates(rates, pulses)
-
-
-def postselected_state(
-    state_deph: np.ndarray, efficiency: float, cfg: DetectionConfig
-) -> np.ndarray:
-    """State conditioned on a detection event: signal mixed with background.
-
-    Returns p * state + (1 - p) * I/2 with
-    p = n_bar*eta*R / (n_bar*eta*R + 2N).
-    """
-    state_deph = check_density(state_deph)
-    if not 0.0 <= efficiency <= 1.0:
-        raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
-    signal = cfg.n_bar * effective_detection_efficiency(cfg) * efficiency
-    denom = signal + 2.0 * cfg.background_n
-    if denom == 0.0:
-        raise ValueError("post-selection undefined: zero signal and zero background")
-    p = signal / denom
-    return p * state_deph + (1.0 - p) * np.eye(2, dtype=complex) / 2.0
+    return pulses * rates

@@ -24,6 +24,21 @@ from .polarization import check_stokes
 #: measured points inside [0, 5] degrees.
 THETA_MAX_DEG = 5.0
 
+#: A storage time in ms or an array of them; a scalar time gives a float.
+Times = float | np.ndarray
+
+
+def _check_theta(theta: float, suffix: str = "") -> None:
+    if not 0.0 <= theta <= THETA_MAX_DEG:
+        raise ValueError(f"theta must be in [0, {THETA_MAX_DEG}] deg, got {theta}{suffix}")
+
+
+def _check_times(t: Times) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0):
+        raise ValueError(f"storage time must be >= 0, got {t[t < 0.0].flat[0]}")
+    return t
+
 
 @dataclass(frozen=True)
 class ChannelSpec:
@@ -33,11 +48,7 @@ class ChannelSpec:
     theta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= THETA_MAX_DEG:
-            raise ValueError(
-                f"theta must be in [0, {THETA_MAX_DEG}] deg, got {self.theta}"
-                f" (channel {self.id})"
-            )
+        _check_theta(self.theta, f" (channel {self.id})")
 
 
 DEFAULT_CHANNELS = (
@@ -105,8 +116,7 @@ class PhaseMatchConfig:
 
 def walk_off_r0(theta: float, cfg: MemoryConfig) -> float:
     """Zero-time efficiency from the Gaussian walk-off profile alone."""
-    if not 0.0 <= theta <= THETA_MAX_DEG:
-        raise ValueError(f"theta must be in [0, {THETA_MAX_DEG}] deg, got {theta}")
+    _check_theta(theta)
     return cfg.r0_axis * math.exp(-(theta * theta) / (cfg.theta_w * cfg.theta_w))
 
 
@@ -117,25 +127,22 @@ def _r0_at(theta: float, cfg: MemoryConfig) -> float:
     return walk_off_r0(theta, cfg)
 
 
-def retrieval_efficiency(theta: float, t: float, cfg: MemoryConfig) -> float:
+def retrieval_efficiency(theta: float, t: Times, cfg: MemoryConfig) -> Times:
     """R(theta, t) = R0(theta) exp(-t/tau); theta in degrees, t in ms.
 
     R0 comes from the walk-off profile unless the angle carries a
     measured override.
     """
-    if t < 0.0:
-        raise ValueError(f"storage time must be >= 0, got {t}")
-    if not 0.0 <= theta <= THETA_MAX_DEG:
-        raise ValueError(f"theta must be in [0, {THETA_MAX_DEG}] deg, got {theta}")
-    return _r0_at(theta, cfg) * math.exp(-t / cfg.tau)
+    t = _check_times(t)
+    _check_theta(theta)
+    return _r0_at(theta, cfg) * np.exp(-t / cfg.tau)
 
 
-def dephasing_factor(t: float, channel: ChannelSpec, cfg: MemoryConfig) -> float:
+def dephasing_factor(t: Times, channel: ChannelSpec, cfg: MemoryConfig) -> Times:
     """Coherence factor static_gamma * exp(-t^2/sigma_gamma^2) in [0, 1]."""
-    if t < 0.0:
-        raise ValueError(f"storage time must be >= 0, got {t}")
+    t = _check_times(t)
     sg = cfg.sigma_gamma
-    return cfg.channel_static_gamma(channel) * math.exp(-(t * t) / (sg * sg))
+    return cfg.channel_static_gamma(channel) * np.exp(-(t * t) / (sg * sg))
 
 
 def dephase(stokes: np.ndarray, gamma: float | np.ndarray) -> np.ndarray:
@@ -159,8 +166,7 @@ def theta_prime(theta: float, cfg: PhaseMatchConfig) -> float:
     theta' = arctan(sin(theta) / (delta + cos(theta))); equals theta
     exactly when the frequency offset delta vanishes.
     """
-    if not 0.0 <= theta <= THETA_MAX_DEG:
-        raise ValueError(f"theta must be in [0, {THETA_MAX_DEG}] deg, got {theta}")
+    _check_theta(theta)
     if cfg.delta == 0.0:
         return theta
     rad = math.radians(theta)

@@ -2,13 +2,13 @@
 
 Each scenario maps a configured measurement plan onto the simulation
 pipeline and packs the results into a RunArtifact.  A unit is one
-channel at one storage time, one row of a tomography table; a scenario
-runs all its units in one batched pass (``tomography_points``).  Every
-stochastic unit of work (a unit's counts, or one Monte Carlo resample)
-derives its own RNG stream from (seed, domain, unit key), and the pass
-scores each unit on its own, so a row depends neither on evaluation
-order nor on the batch size: a scenario restricted to a subset of its
-grid reproduces exactly the rows of the full run.
+channel at one storage time, one table row; a scenario runs all its
+units in one batched pass (``tomography_points``, ``efficiency_points``).
+Every stochastic unit of work (a unit's counts, or one Monte Carlo
+resample) derives its own RNG stream from (seed, domain, unit key), and
+the pass scores each unit on its own, so a row depends neither on
+evaluation order nor on the batch size: a scenario restricted to a
+subset of its grid reproduces exactly the rows of the full run.
 
 Unit keys use the channel's position in the configured channel list and
 the storage time in integer picoseconds; the domain constant separates
@@ -90,6 +90,26 @@ class RunArtifact:
     meta: dict
 
 
+def _unit_physics(cfg: ScenarioConfig, units: Sequence[tuple[str, float]]) -> tuple:
+    """Channel indices, times, coherence factors and efficiencies of units, per channel at once."""
+    idx = np.array([cfg.channel_index(channel_id) for channel_id, _ in units], dtype=int)
+    times = np.array([t for _, t in units], dtype=float)
+    gamma, efficiency = np.empty((2, len(units)))
+    for i in set(idx.tolist()):
+        at, channel = idx == i, cfg.channels[i]
+        gamma[at] = dephasing_factor(times[at], channel, cfg.memory)
+        efficiency[at] = retrieval_efficiency(channel.theta, times[at], cfg.memory)
+    return idx, times, gamma, efficiency
+
+
+def _unit_counts(cfg: ScenarioConfig, domain: int, idx, times, rates, expected: bool) -> np.ndarray:
+    """Counts of units' ``rates``: the means, or each a Poisson draw from its unit's stream."""
+    counts = expected_counts(rates, cfg.pulses_per_setting)
+    for k, (i, t) in enumerate([] if expected else zip(idx.tolist(), times.tolist())):
+        counts[k] = derive_rng(cfg.seed, domain, i, _time_key(t)).poisson(counts[k])
+    return counts
+
+
 def tomography_points(
     cfg: ScenarioConfig,
     units: Sequence[tuple[str, float]],
@@ -102,29 +122,21 @@ def tomography_points(
     and resamples from its own streams, so its values do not depend on
     the other units.  In expected-counts mode every sigma is exactly 0.
     """
-    idx = np.array([cfg.channel_index(channel_id) for channel_id, _ in units], dtype=int)
+    idx, times, gamma, efficiency = _unit_physics(cfg, units)
     try:
         stokes, _ = _input_set(cfg.input_states)
     except ValueError as exc:
         raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
-    times = np.array([t for _, t in units], dtype=float)
-    gamma, efficiency = np.empty((2, len(units), 1))
-    for k, (i, t) in enumerate(zip(idx.tolist(), times.tolist())):
-        gamma[k] = dephasing_factor(t, cfg.channels[i], cfg.memory)
-        efficiency[k] = retrieval_efficiency(cfg.channels[i].theta, t, cfg.memory)
-    rates = expected_rates(dephase(stokes, gamma), efficiency, cfg.detection)
-    counts = expected_counts(rates, cfg.pulses_per_setting)
+    rates = expected_rates(dephase(stokes, gamma[:, None]), efficiency[:, None], cfg.detection)
+    counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx, times, rates, expected)
     del rates  # the kernel below holds the largest arrays of the pass
-    keys = [] if expected else [(i, _time_key(t)) for i, t in zip(idx.tolist(), times.tolist())]
-    for k, key in enumerate(keys):  # each unit's means are replaced by its own draw
-        counts[k] = derive_rng(cfg.seed, _DOMAIN_TOMOGRAPHY, *key).poisson(counts[k])
     fidelity = _reconstruct(counts, cfg.input_states).process_fidelity
     model, sigma = np.empty(len(units)), np.zeros(len(units))
     for i in sorted(set(idx.tolist())):
         params = channel_model(cfg.channels[i], cfg.memory, cfg.detection)
         model[idx == i] = closed_form_fidelity(times[idx == i], **params)
-    for k, key in enumerate(keys):
-        stream_for = functools.partial(derive_rng, cfg.seed, _DOMAIN_RESAMPLE, *key)
+    for k, (i, t) in enumerate([] if expected else zip(idx.tolist(), times.tolist())):
+        stream_for = functools.partial(derive_rng, cfg.seed, _DOMAIN_RESAMPLE, i, _time_key(t))
         sigma[k] = monte_carlo_error(counts[k], cfg.mc_resamples, stream_for, cfg.input_states)
     return {"fidelity": fidelity.tolist(), "sigma": sigma.tolist(), "model": model.tolist()}
 
@@ -139,37 +151,25 @@ def tomography_point(
     return {k: v[0] for k, v in tomography_points(cfg, [(channel_id, t)], expected).items()}
 
 
-def efficiency_point(
+def efficiency_points(
     cfg: ScenarioConfig,
-    channel_id: str,
-    t: float,
+    units: Sequence[tuple[str, float]],
     expected: bool = False,
-) -> dict:
-    """One efficiency-decay unit: total counts over both detectors.
+) -> dict[str, list[float]]:
+    """Lists "efficiency_true", "counts", "efficiency_est" and "sigma" of units (channel_id, t).
 
-    The estimator inverts counts = M (n_bar eta R + 2 N); its one-sigma
-    error is the Poisson plug-in sqrt(counts) / (M n_bar eta).
+    Counts sum both detectors; the estimate inverts counts = M (n_bar eta R + 2 N),
+    and its one-sigma error is the Poisson plug-in sqrt(counts) / (M n_bar eta).
     """
-    idx = cfg.channel_index(channel_id)
-    channel = cfg.channels[idx]
-    det = cfg.detection
+    idx, times, _, efficiency = _unit_physics(cfg, units)
+    det, pulses = cfg.detection, cfg.pulses_per_setting
     eta = effective_detection_efficiency(det)
-    r_true = retrieval_efficiency(channel.theta, t, cfg.memory)
-    mu_total = det.n_bar * eta * r_true + 2.0 * det.background_n
-    pulses = cfg.pulses_per_setting
-    if expected:
-        counts = pulses * mu_total
-    else:
-        rng = derive_rng(cfg.seed, _DOMAIN_EFFICIENCY, idx, _time_key(t))
-        counts = float(rng.poisson(pulses * mu_total))
-    r_est = (counts / pulses - 2.0 * det.background_n) / (det.n_bar * eta)
-    sigma = np.sqrt(max(counts, 1.0)) / (pulses * det.n_bar * eta)
-    return {
-        "efficiency_true": r_true,
-        "counts": counts,
-        "efficiency_est": r_est,
-        "sigma": float(sigma),
-    }
+    rates = det.n_bar * eta * efficiency + 2.0 * det.background_n
+    counts = _unit_counts(cfg, _DOMAIN_EFFICIENCY, idx, times, rates, expected)
+    estimate = (counts / pulses - 2.0 * det.background_n) / (det.n_bar * eta)
+    sigma = np.sqrt(np.maximum(counts, 1.0)) / (pulses * det.n_bar * eta)
+    names = ("efficiency_true", "counts", "efficiency_est", "sigma")
+    return {k: c.tolist() for k, c in zip(names, (efficiency, counts, estimate, sigma))}
 
 
 def run_fig3(cfg: ScenarioConfig) -> RunArtifact:
@@ -223,12 +223,9 @@ def run_fig4(
 ) -> RunArtifact:
     """Efficiency decay over the storage-time grid plus an exponential fit."""
     channel = cfg.channel(channel_id)
-    keys = ("efficiency_true", "counts", "efficiency_est", "sigma")
-    rows = []
-    for t in cfg.storage_times:
-        point = efficiency_point(cfg, channel_id, t, expected_counts)
-        rows.append((t, *(point[k] for k in keys)))
-    times, _, _, values, sigmas = map(np.array, zip(*rows))
+    points = efficiency_points(cfg, [(channel_id, t) for t in cfg.storage_times], expected_counts)
+    rows = list(zip(cfg.storage_times, *points.values()))
+    data = (cfg.storage_times, points["efficiency_est"], points["sigma"])
     return _artifact(
         "fig4",
         ("t_ms", "efficiency_model", "counts", "efficiency_est", "efficiency_sigma"),
@@ -239,7 +236,7 @@ def run_fig4(
         theta_deg=channel.theta,
         model={"r0": retrieval_efficiency(channel.theta, 0.0, cfg.memory), "tau": cfg.memory.tau},
         acquisition_s_per_point=cfg.pulses_per_setting / cfg.rep_rate_hz,
-        fit=_fit_or_error(lambda: fit_exponential(DecayDataset(times, values, sigmas))),
+        fit=_fit_or_error(lambda: fit_exponential(DecayDataset(*data))),
     )
 
 
@@ -257,8 +254,7 @@ def run_fig5(
     """
     channel = cfg.channel(channel_id)
     points = tomography_points(cfg, [(channel_id, t) for t in cfg.storage_times], expected_counts)
-    columns = (points["fidelity"], points["sigma"], points["model"])
-    rows = [(t, f, s, m, f - m) for t, f, s, m in zip(cfg.storage_times, *columns)]
+    rows = [(t, f, s, m, f - m) for t, f, s, m in zip(cfg.storage_times, *points.values())]
     times, values, sigmas = map(np.array, (cfg.storage_times, points["fidelity"], points["sigma"]))
 
     def fit():
@@ -284,8 +280,7 @@ def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifac
     """Per-channel process fidelity at the table storage time."""
     t = TABLE_TIME_MS
     points = tomography_points(cfg, [(ch.id, t) for ch in cfg.channels], expected_counts)
-    columns = (points["fidelity"], points["sigma"], points["model"])
-    rows = [(ch.id, ch.theta, f, s, m) for ch, f, s, m in zip(cfg.channels, *columns)]
+    rows = [(ch.id, ch.theta, f, s, m) for ch, f, s, m in zip(cfg.channels, *points.values())]
     settings = len(cfg.input_states) * 3
     return _artifact(
         "table1",
@@ -303,8 +298,7 @@ def run_simulate(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtif
     """Custom scenario: full tomography over every channel and storage time."""
     grid = [(ch, t) for ch in cfg.channels for t in cfg.storage_times]
     points = tomography_points(cfg, [(ch.id, t) for ch, t in grid], expected_counts)
-    columns = (points["fidelity"], points["sigma"], points["model"])
-    rows = [(ch.id, ch.theta, t, f, s, m) for (ch, t), f, s, m in zip(grid, *columns)]
+    rows = [(ch.id, ch.theta, t, f, s, m) for (ch, t), f, s, m in zip(grid, *points.values())]
     return _artifact(
         "simulate",
         ("channel", "theta_deg", "t_ms", "fidelity", "fidelity_sigma", "model_fidelity"),

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qmemsim.detection import MEASUREMENT_BASES, effective_detection_efficiency
-from qmemsim.polarization import PAULI_BASIS, density_of, ket_from_named
+from qmemsim.detection import MEASUREMENT_BASES, effective_detection_efficiency, expected_counts
+from qmemsim.polarization import PAULI_BASIS, check_density, density_of, ket_from_named
 
 
 @pytest.fixture
@@ -72,3 +72,28 @@ def reference_rates(rho: np.ndarray, efficiency: float, det) -> np.ndarray:
             (signal * p_plus + det.background_n, signal * (1.0 - p_plus) + det.background_n)
         )
     return np.array(rates)
+
+
+def sample_counts(rates: np.ndarray, pulses: int, rng: np.random.Generator) -> np.ndarray:
+    """Integer counts n ~ Poisson(pulses * rates), drawn in C order of ``rates``.
+
+    The draw a scenario makes for one unit from that unit's stream.
+    """
+    return rng.poisson(expected_counts(rates, pulses))
+
+
+def postselected_state(state_deph: np.ndarray, efficiency: float, det) -> np.ndarray:
+    """State conditioned on a detection event: signal mixed with background.
+
+    Returns p * state + (1 - p) * I/2 with p = n_bar*eta*R / (n_bar*eta*R + 2N),
+    the density-matrix form of the map the count pipeline reconstructs.
+    """
+    state_deph = check_density(state_deph)
+    if not 0.0 <= efficiency <= 1.0:
+        raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
+    signal = det.n_bar * effective_detection_efficiency(det) * efficiency
+    denom = signal + 2.0 * det.background_n
+    if denom == 0.0:
+        raise ValueError("post-selection undefined: zero signal and zero background")
+    p = signal / denom
+    return p * state_deph + (1.0 - p) * np.eye(2, dtype=complex) / 2.0

@@ -309,6 +309,24 @@ class TestFit:
             f"config error: {path}: line 3: expected 2 cells, got 3\n"
         )
 
+    @pytest.mark.parametrize(
+        "cell, detail",
+        [
+            # float() would read "1_0" as 10 and fit it.
+            ("1_0", "'1_0' is not a JSON number"),
+            ("nan", "'nan' is not a JSON number"),
+            ("1e400", "expected a finite number"),
+            ("true", "expected float, got bool"),
+        ],
+    )
+    def test_csv_cell_that_is_no_json_number_exits_2_naming_the_line(
+        self, tmp_path, capsys, cell, detail
+    ):
+        path = tmp_path / "cells.csv"
+        path.write_text(f"t,v\n0,0.1\n{cell},0.05\n2,0.02\n")
+        assert main(["fit", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {path}: line 3: {detail}\n"
+
     def test_header_only_csv_exits_2(self, tmp_path, capsys):
         path = tmp_path / "header.csv"
         path.write_text("t,v\n")

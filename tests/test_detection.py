@@ -9,8 +9,6 @@ from qmemsim.detection import (
     effective_detection_efficiency,
     expected_counts,
     expected_rates,
-    postselected_state,
-    sample_counts,
     total_detection_efficiency,
 )
 from qmemsim.memory import dephase
@@ -21,6 +19,7 @@ from qmemsim.polarization import (
     stokes_of,
 )
 from conftest import (
+    postselected_state,
     random_density,
     random_ket,
     reference_dephase,
@@ -134,40 +133,6 @@ def test_stokes_forward_map_matches_matrix_reference(rho, gamma, efficiency, bac
     assert np.max(np.abs(got - want)) < 1e-15
 
 
-def test_sample_counts_deterministic_per_seed():
-    rates = expected_rates(H_STOKES, 0.127, DET)
-    a = sample_counts(rates, 10**5, np.random.default_rng(7))
-    b = sample_counts(rates, 10**5, np.random.default_rng(7))
-    assert a.shape == (3, 2)
-    assert np.array_equal(a, b)
-
-
-def test_sample_counts_zero_rates():
-    counts = sample_counts(np.zeros((3, 2)), 10**5, np.random.default_rng(0))
-    assert counts.shape == (3, 2)
-    assert np.all(counts == 0)
-
-
-def test_sample_counts_poisson_moments():
-    rates = (0.03, 7e-4)
-    pulses = 10**5
-    draws = np.array(
-        [sample_counts(rates, pulses, np.random.default_rng(seed)) for seed in range(1000)],
-        dtype=float,
-    )
-    means = draws.mean(axis=0)
-    # 3 sigma of the mean estimator over 1000 draws
-    for mean, mu in zip(means, rates):
-        assert abs(mean - pulses * mu) < 3.0 * np.sqrt(pulses * mu / 1000.0)
-    var_plus = draws[:, 0].var(ddof=1) / pulses**2
-    assert abs(var_plus - rates[0] / pulses) < 0.15 * rates[0] / pulses
-
-
-def test_sample_counts_rejects_overflow_scale():
-    with pytest.raises(ValueError):
-        sample_counts((0.01, 0.01), 10**9 + 1, np.random.default_rng(0))
-
-
 def test_expected_counts_hold_exact_means():
     assert expected_counts((0.03, 7e-4), 10**5).tolist() == [3000.0, 70.0]
     rates = expected_rates(H_STOKES, 0.127, DET)
@@ -178,15 +143,11 @@ def test_count_validation():
     rates = np.full((3, 2), 0.01)
     negative = rates.copy()
     negative[1, 0] = -1e-3
-    for make_counts in (
-        expected_counts,
-        lambda rates, pulses: sample_counts(rates, pulses, np.random.default_rng(0)),
-    ):
-        with pytest.raises(ValueError, match="non-negative"):
-            make_counts(negative, 100)
-        for pulses in (0, 10**9 + 1):
-            with pytest.raises(ValueError, match="pulses"):
-                make_counts(rates, pulses)
+    with pytest.raises(ValueError, match="non-negative"):
+        expected_counts(negative, 100)
+    for pulses in (0, 10**9 + 1):
+        with pytest.raises(ValueError, match="pulses"):
+            expected_counts(rates, pulses)
 
 
 def test_postselected_state_no_background_is_identity_map(rng):

@@ -70,6 +70,45 @@ def test_retrieval_efficiency_domain_checks():
         retrieval_efficiency(7.0, 0.0, MEM)
 
 
+def test_theta_range_message_is_shared():
+    for check in (
+        lambda th: walk_off_r0(th, MEM),
+        lambda th: retrieval_efficiency(th, 0.0, MEM),
+        lambda th: theta_prime(th, PhaseMatchConfig()),
+    ):
+        with pytest.raises(ValueError, match=r"^theta must be in \[0, 5.0\] deg, got 7.0$"):
+            check(7.0)
+    with pytest.raises(ValueError, match=r"got -1.0 \(channel X\)$"):
+        ChannelSpec("X", -1.0)
+
+
+def _time_laws():
+    s2 = DEFAULT_CHANNELS[2]
+    mem = MemoryConfig(static_gamma={"S2": 0.9})
+    return (
+        lambda t: retrieval_efficiency(0.8, t, mem),
+        lambda t: retrieval_efficiency(3.0, t, mem),
+        lambda t: dephasing_factor(t, s2, mem),
+    )
+
+
+def test_time_arrays_equal_per_element_scalar_calls(rng):
+    # Long enough for numpy's vector loops, with a short tail after them.
+    times = np.concatenate(([0.0, 0.005, 0.85, MEM.tau, 6.0], rng.uniform(0.0, 50.0, 1003)))
+    for law in _time_laws():
+        scalars = [law(t) for t in times.tolist()]
+        assert all(isinstance(value, float) for value in scalars)
+        assert np.array_equal(law(times), scalars)
+        assert np.array_equal(law(times.reshape(2, -1)), np.reshape(scalars, (2, -1)))
+
+
+def test_negative_time_in_an_array_is_named():
+    times = np.array([0.5, 1.0, -0.25, 2.0, -3.0])
+    for law in _time_laws():
+        with pytest.raises(ValueError, match=r"storage time must be >= 0, got -0.25$"):
+            law(times)
+
+
 def test_dephasing_factor_values():
     s2 = DEFAULT_CHANNELS[2]
     assert dephasing_factor(0.0, s2, MEM) == 1.0

@@ -12,7 +12,7 @@ from qmemsim.scenarios import (
     TABLE_TIME_MS,
     calibrate_table,
     derive_rng,
-    efficiency_point,
+    efficiency_points,
     emit,
     run_fig3,
     run_fig4,
@@ -90,7 +90,7 @@ class TestTomographyPoint:
 class TestEfficiencyPoint:
     def test_expected_mode_inverts_exactly(self):
         cfg = ScenarioConfig()
-        point = efficiency_point(cfg, "S2", 1.0, expected=True)
+        point = {k: v[0] for k, v in efficiency_points(cfg, [("S2", 1.0)], expected=True).items()}
         assert point["efficiency_est"] == pytest.approx(point["efficiency_true"], abs=1e-12)
         det = cfg.detection
         mu = det.n_bar * 0.23 * point["efficiency_true"] + 2 * det.background_n
@@ -98,10 +98,10 @@ class TestEfficiencyPoint:
 
     def test_sampled_mode_deterministic(self):
         cfg = small_cfg()
-        a = efficiency_point(cfg, "S2", 1.0)
-        b = efficiency_point(cfg, "S2", 1.0)
+        a = efficiency_points(cfg, [("S2", 1.0)])
+        b = efficiency_points(cfg, [("S2", 1.0)])
         assert a["counts"] == b["counts"]
-        assert a["counts"] == int(a["counts"])
+        assert a["counts"][0] == int(a["counts"][0])
 
 
 class TestFig3:
@@ -219,6 +219,15 @@ def test_batched_rows_equal_single_unit_points(expected):
     for t, fidelity, sigma, model, _ in fig5.rows:
         point = tomography_point(cfg, "S4", t, expected)
         assert (fidelity, sigma, model) == (point["fidelity"], point["sigma"], point["model"])
+    # The efficiency family shares the unit layer: its rows, over one
+    # channel (fig4) or many, equal each unit's own call.
+    for t, *row in run_fig4(cfg, expected_counts=expected, channel_id="S4").rows:
+        assert row == [v[0] for v in efficiency_points(cfg, [("S4", t)], expected).values()]
+    grid = [(channel, t) for channel, _, t, *_ in simulate.rows]
+    batch = efficiency_points(cfg, grid, expected)
+    for k, unit in enumerate(grid):
+        single = efficiency_points(cfg, [unit], expected)
+        assert [v[k] for v in batch.values()] == [v[0] for v in single.values()]
 
 
 class TestCalibration:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemsim.detection import DetectionConfig, expected_counts, expected_rates, sample_counts
+from qmemsim.detection import DetectionConfig, expected_counts, expected_rates
 from qmemsim.memory import (
     DEFAULT_CHANNELS,
     MemoryConfig,
@@ -18,7 +18,6 @@ from qmemsim.polarization import (
     ket_from_named,
     stokes_of,
 )
-from qmemsim.detection import postselected_state
 from qmemsim.tomography import (
     _PROJECT_EIG_TOL,
     DEFAULT_INPUT_LABELS,
@@ -37,10 +36,12 @@ from conftest import (
     apply_kraus,
     apply_process,
     chi_from_kraus,
+    postselected_state,
     random_cptp_kraus,
     random_density,
     reference_dephase,
     reference_rates,
+    sample_counts,
 )
 
 INPUT_STATES = {lbl: density_of(ket_from_named(lbl)) for lbl in DEFAULT_INPUT_LABELS}
