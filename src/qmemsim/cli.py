@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="run a packaged scenario")
     rep.add_argument("target", choices=("fig3", "fig4", "fig5", "table1"))
     add_scenario_flags(rep)
+    rep.add_argument("--channel", help="channel of fig4 and fig5 (default: S2)")
 
     sim = sub.add_parser("simulate", help="run the configured channel/time grid")
     add_scenario_flags(sim)
@@ -173,10 +174,13 @@ def _run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
     if args.command == "reproduce":
         cfg = _scenario_from_args(cfg, args)
+        if args.channel is not None and args.target not in ("fig4", "fig5"):
+            raise ConfigError(f"--channel applies to fig4 and fig5, not {args.target}")
+        channel = "S2" if args.channel is None else args.channel
         runner = {
             "fig3": lambda: run_fig3(cfg),
-            "fig4": lambda: run_fig4(cfg, args.expected_counts),
-            "fig5": lambda: run_fig5(cfg, args.expected_counts),
+            "fig4": lambda: run_fig4(cfg, args.expected_counts, channel),
+            "fig5": lambda: run_fig5(cfg, args.expected_counts, channel),
             "table1": lambda: run_table1(cfg, args.expected_counts),
         }[args.target]
         return _emit_and_report(runner(), cfg, args)

@@ -334,11 +334,23 @@ def calibrate_table(cfg: ScenarioConfig, targets: dict[str, float] | None = None
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
+    # isinstance, not type() is float: np.float64 subclasses float.
+    return f"{value:.9g}" if isinstance(value, float) else str(value)
+
+
+#: Encodes flat rows on json's C path (``indent`` would rule it out).  An
+#: encoded scalar holds no raw newline, so this item separator lays a row
+#: out as indent=2 does, and every "],\n      [" is a boundary between rows.
+_ROW_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
+
+
+def _rows_json(rows: list) -> str:
+    """The "rows" value of an artifact's JSON file, byte for byte as indent=2 writes it."""
+    if not rows:
+        return "[]"
+    body = _ROW_ENCODER.encode(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+    # An empty row comes out as "[\n      \n    ]"; indent=2 writes "[]".
+    return ("[\n    [\n      " + body + "\n    ]\n  ]").replace("[\n      \n    ]", "[]")
 
 
 @contextlib.contextmanager
@@ -395,20 +407,19 @@ def emit(
             with stage(f"{artifact.name}.csv", newline="") as fh:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(artifact.columns)
-                for row in artifact.rows:
-                    writer.writerow([_format_cell(v) for v in row])
+                writer.writerows(map(_format_cell, row) for row in artifact.rows)
         if "json" in formats:
-            payload = {
+            head = {
                 "format_version": FORMAT_VERSION,
                 "name": artifact.name,
                 "columns": list(artifact.columns),
-                "rows": [list(row) for row in artifact.rows],
                 "meta": artifact.meta,
                 "config": artifact.config,
             }
+            # "rows" sorts last: it goes in after the other keys, before the closing brace.
+            text = json.dumps(head, sort_keys=True, indent=2, allow_nan=False)[:-2]
             with stage(f"{artifact.name}.json") as fh:
-                json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-                fh.write("\n")
+                fh.write(f'{text},\n  "rows": {_rows_json(artifact.rows)}\n}}\n')
         else:
             # The JSON artifact embeds the scenario echo; a CSV-only run
             # still needs the echo on disk to be self-describing.

@@ -166,6 +166,42 @@ class TestReproduce:
         with pytest.raises(SystemExit):
             main(["reproduce", "fig9"])
 
+    @pytest.mark.parametrize("target", ["fig4", "fig5"])
+    def test_channel_flag_runs_a_config_without_s2(self, tmp_path, capsys, target):
+        cfg = write_json(tmp_path / "a.json", {"channels": [{"id": "A", "theta": 0.8}]})
+        argv = ["reproduce", target, "--config", cfg, "--out", str(tmp_path / "out")]
+        assert main([*argv, "--expected-counts"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: unknown channel 'S2' (configured: A)\n"
+        assert main([*argv, "--expected-counts", "--channel", "A"]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / f"{target}.json").read_text())["meta"]
+        assert (meta["channel"], meta["theta_deg"]) == ("A", 0.8)
+
+    @pytest.mark.parametrize("target", ["fig4", "fig5"])
+    def test_channel_flag_default_is_s2(self, tmp_path, target):
+        out = tmp_path / "out"
+        runs = []
+        argv = ["reproduce", target, "--expected-counts", "--out", str(out)]
+        for extra in ([], ["--channel", "S2"]):
+            assert main([*argv, *extra]) == EXIT_OK
+            runs.append([(out / f"{target}.{ext}").read_bytes() for ext in ("csv", "json")])
+        assert runs[0] == runs[1]
+
+    def test_unknown_channel_flag_exits_2_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["reproduce", "fig5", "--channel", "S9", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: unknown channel 'S9' (configured: S0, S1, S2, S3, S4, S5, S6)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["fig3", "table1"])
+    def test_channel_flag_exits_2_for_per_channel_tables(self, tmp_path, capsys, target):
+        out = tmp_path / "out"
+        assert main(["reproduce", target, "--channel", "S2", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: --channel applies to fig4 and fig5, not {target}\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_grid_artifact(self, tmp_path):

@@ -18,7 +18,7 @@ from qmemsim.polarization import (
     ket_from_named,
     stokes_of,
 )
-from conftest import (
+from reference_impl import (
     postselected_state,
     random_density,
     random_ket,

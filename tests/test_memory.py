@@ -15,7 +15,7 @@ from qmemsim.memory import (
     walk_off_r0,
 )
 from qmemsim.polarization import density_from_stokes, stokes_of
-from conftest import random_density
+from reference_impl import random_density
 
 MEM = MemoryConfig()
 

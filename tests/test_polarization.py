@@ -16,7 +16,7 @@ from qmemsim.polarization import (
     ket_from_named,
     stokes_of,
 )
-from conftest import random_density
+from reference_impl import random_density
 
 FAMILIES = (("H", "V"), ("D", "A"), ("R", "L"))
 

@@ -3,8 +3,12 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 import qmemsim
-from qmemsim.config import config_from_dict
+from qmemsim.config import ScenarioConfig, config_from_dict
+from qmemsim.fitting import channel_model, closed_form_fidelity
+from qmemsim.scenarios import calibrate_table
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -45,3 +49,26 @@ def test_readme_example_config_loads():
     cfg = config_from_dict(json.loads(example))
     assert [ch.id for ch in cfg.channels] == ["S2"]
     assert cfg.memory.r0_overrides == {0.8: 0.127}
+
+
+HEADLINE_FIDELITY = {
+    "default": ["0.966", "0.955", "0.792"],
+    "calibrated": ["0.914", "0.904", "0.753"],
+}
+
+
+def test_readme_headline_numbers_match_the_model():
+    # The table states S2's model fidelity at 5 us, 0.85 ms and 6 ms to 3
+    # decimals; the text says every channel's curve peaks at t = 0.
+    text = _section("The paper's headline numbers")
+    rows = re.findall(r"^\| (\w+)\b.*\| ([\d.]+) \| ([\d.]+) \| ([\d.]+) \|$", text, re.M)
+    assert {name: cells for name, *cells in rows} == HEADLINE_FIDELITY
+    configs = {"default": ScenarioConfig()}
+    configs["calibrated"] = config_from_dict(calibrate_table(configs["default"]))
+    for name, cfg in configs.items():
+        model = channel_model(cfg.channel("S2"), cfg.memory, cfg.detection)
+        values = closed_form_fidelity(np.array([0.005, 0.85, 6.0]), **model)
+        assert [f"{v:.3f}" for v in values] == HEADLINE_FIDELITY[name]
+        for channel in cfg.channels:
+            model = channel_model(channel, cfg.memory, cfg.detection)
+            assert np.all(np.diff(closed_form_fidelity(np.linspace(0.0, 6.0, 601), **model)) < 0)

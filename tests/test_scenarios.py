@@ -1,15 +1,19 @@
 import dataclasses
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmemsim.config import ScenarioConfig, config_from_dict, effective_config
 from qmemsim.errors import ConfigError
 from qmemsim.scenarios import (
     DEFAULT_CALIBRATION_TARGETS,
     TABLE_TIME_MS,
+    RunArtifact,
     calibrate_table,
     derive_rng,
     efficiency_points,
@@ -256,6 +260,35 @@ class TestCalibration:
             calibrate_table(ScenarioConfig(), targets={"S9": 0.9})
 
 
+# Cells of the generated artifacts: strings that an encoder could confuse
+# with the layout (quotes, newlines, a row boundary), non-ASCII text and
+# floats at the edges of the double range.
+_cells = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=12),
+    st.sampled_from(
+        ['"', "\\", "\n", "\u2028", "Φ≈0.94 µs", "],\n      [", "[\n      \n    ]"]
+    ),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+)
+
+
+def _reference_json(artifact: RunArtifact) -> str:
+    """The JSON artifact as ``json.dumps`` with indent=2 writes it."""
+    payload = {
+        "format_version": 1,
+        "name": artifact.name,
+        "columns": list(artifact.columns),
+        "rows": [list(row) for row in artifact.rows],
+        "meta": artifact.meta,
+        "config": artifact.config,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
 class TestEmit:
     def test_reruns_are_byte_identical(self, tmp_path):
         art1 = run_fig3(ScenarioConfig())
@@ -293,16 +326,46 @@ class TestEmit:
         emit(run_fig3(ScenarioConfig()), str(existing))
         before = {p.name: p.read_bytes() for p in existing.iterdir()}
 
-        def failing_dump(*args, **kwargs):
+        def failing_dumps(*args, **kwargs):
             raise ValueError("dump failed")
 
-        monkeypatch.setattr(json, "dump", failing_dump)
+        monkeypatch.setattr(json, "dumps", failing_dumps)
         stale = run_fig3(config_from_dict({"memory": {"tau": 1.0}}))
         for out in (fresh, existing):
             with pytest.raises(ValueError, match="dump failed"):
                 emit(stale, str(out))
         assert os.listdir(fresh) == []
         assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cell_raises_and_leaves_no_file(self, tmp_path, cell):
+        artifact = RunArtifact("bad", ("a", "b"), [(1.0, 2.0), ("x", cell)], {}, {})
+        with pytest.raises(ValueError, match="JSON compliant"):
+            emit(artifact, str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("runner", [run_fig3, run_fig4, run_fig5, run_table1, run_simulate])
+    def test_every_runner_json_equals_indent2_reference(self, tmp_path, runner):
+        cfg = config_from_dict({"mc_resamples": 5, "storage_times": [0.005, 1.0, 6.0]})
+        artifact = runner(cfg)
+        emit(artifact, str(tmp_path), formats=("json",))
+        text = (tmp_path / f"{artifact.name}.json").read_text(encoding="utf-8")
+        assert text == _reference_json(artifact)
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        name=st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
+        rows=st.lists(st.lists(_cells, max_size=6).map(tuple), max_size=8),
+        meta=st.dictionaries(st.text(max_size=5), _cells, max_size=4),
+        config=st.dictionaries(st.text(max_size=5), _cells, max_size=4),
+    )
+    def test_json_equals_indent2_reference_on_generated_payloads(self, name, rows, meta, config):
+        columns = tuple(f"c{i}" for i in range(max(map(len, rows), default=0)))
+        artifact = RunArtifact(name, columns, rows, config, meta)
+        with tempfile.TemporaryDirectory() as tmp:
+            emit(artifact, tmp, formats=("json",))
+            with open(os.path.join(tmp, f"{name}.json"), "rb") as fh:
+                assert fh.read() == _reference_json(artifact).encode("utf-8")
 
     def test_rerun_replaces_existing_set_byte_identically(self, tmp_path):
         first, rerun = tmp_path / "first", tmp_path / "rerun"

@@ -32,7 +32,7 @@ from qmemsim.tomography import (
     state_estimate,
     stokes_from_counts,
 )
-from conftest import (
+from reference_impl import (
     apply_kraus,
     apply_process,
     chi_from_kraus,
