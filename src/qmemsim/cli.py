@@ -50,9 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_scenario_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="JSON scenario config")
         p.add_argument("--seed", type=int, metavar="U64", help="override the RNG seed")
-        p.add_argument(
-            "--pulses", type=int, metavar="M", help="override pulses per setting"
-        )
+        p.add_argument("--pulses", type=int, metavar="M", help="override pulses per setting")
         p.add_argument("--out", metavar="DIR", help="override the output directory")
         p.add_argument(
             "--expected-counts",

@@ -32,7 +32,7 @@ from .tomography import DEFAULT_INPUT_LABELS
 DEFAULT_SEED = 12345
 DEFAULT_PULSES = 100_000
 DEFAULT_RESAMPLES = 500
-#: Largest accepted mc_resamples: a run holds one float per resample.
+#: Largest accepted mc_resamples: a run holds one float per unit per resample.
 MAX_RESAMPLES = 1_000_000
 #: Storage-time grid (ms): dense enough for decay fits, includes the
 #: 5 us table point and the 6 ms endpoint.
@@ -89,9 +89,7 @@ class ScenarioConfig:
             raise ValueError("input_states must not be empty")
         unknown = [s for s in self.input_states if s not in STATE_LABELS]
         if unknown:
-            raise ValueError(
-                f"unknown input_states {unknown}; choose from {list(STATE_LABELS)}"
-            )
+            raise ValueError(f"unknown input_states {unknown}; choose from {list(STATE_LABELS)}")
         if len(set(self.input_states)) != len(self.input_states):
             raise ValueError("input_states must be unique")
         if not 1 <= self.pulses_per_setting <= MAX_PULSES:

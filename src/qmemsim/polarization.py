@@ -113,9 +113,7 @@ def stokes_of(rho: np.ndarray) -> np.ndarray:
     Axis order matches PAULI_BASIS: S[0] is +1 for H, S[1] for D, S[2] for R.
     """
     rho = check_density(rho)
-    return np.array(
-        [np.trace(rho @ s).real for s in (SIGMA_1, SIGMA_2, SIGMA_3)]
-    )
+    return np.array([np.trace(rho @ s).real for s in (SIGMA_1, SIGMA_2, SIGMA_3)])
 
 
 def density_from_stokes(stokes: np.ndarray) -> np.ndarray:

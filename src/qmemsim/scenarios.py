@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -92,7 +91,9 @@ class RunArtifact:
 
 def _unit_physics(cfg: ScenarioConfig, units: Sequence[tuple[str, float]]) -> tuple:
     """Channel indices, times, coherence factors and efficiencies of units, per channel at once."""
-    idx = np.array([cfg.channel_index(channel_id) for channel_id, _ in units], dtype=int)
+    index = {ch.id: i for i, ch in enumerate(cfg.channels)}
+    # An unknown id falls through to channel_index, which raises its ConfigError.
+    idx = np.array([index[c] if c in index else cfg.channel_index(c) for c, _ in units], dtype=int)
     times = np.array([t for _, t in units], dtype=float)
     gamma, efficiency = np.empty((2, len(units)))
     for i in set(idx.tolist()):
@@ -118,7 +119,8 @@ def tomography_points(
     """Lists "fidelity", its Monte Carlo error "sigma" and "model" of units (channel_id, t).
 
     The forward model and the reconstruction run once over the stack of
-    all units, the model once per channel.  Each unit draws its counts
+    all units, the model once per channel, and each bootstrap resample is
+    one more reconstruction over the stack.  Each unit draws its counts
     and resamples from its own streams, so its values do not depend on
     the other units.  In expected-counts mode every sigma is exactly 0.
     """
@@ -135,9 +137,13 @@ def tomography_points(
     for i in sorted(set(idx.tolist())):
         params = channel_model(cfg.channels[i], cfg.memory, cfg.detection)
         model[idx == i] = closed_form_fidelity(times[idx == i], **params)
-    for k, (i, t) in enumerate([] if expected else zip(idx.tolist(), times.tolist())):
-        stream_for = functools.partial(derive_rng, cfg.seed, _DOMAIN_RESAMPLE, i, _time_key(t))
-        sigma[k] = monte_carlo_error(counts[k], cfg.mc_resamples, stream_for, cfg.input_states)
+    if not expected:
+        keys = [(i, _time_key(t)) for i, t in zip(idx.tolist(), times.tolist())]
+
+        def stream_for(k: int, j: int) -> np.random.Generator:
+            return derive_rng(cfg.seed, _DOMAIN_RESAMPLE, *keys[k], j)
+
+        sigma = monte_carlo_error(counts, cfg.mc_resamples, stream_for, cfg.input_states)
     return {"fidelity": fidelity.tolist(), "sigma": sigma.tolist(), "model": model.tolist()}
 
 

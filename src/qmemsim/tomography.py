@@ -25,7 +25,7 @@ start from, and ``process_matrix`` builds the map of the states it is given.
 projection and ``_solve_chi`` (one batched eigh for the chi projection),
 then the projected chi[0, 0] (the fidelity to the identity process), in
 one pass over a (..., n_inputs, 3, 2) count stack.  A scenario scores all
-its units in one call; a bootstrap resample is a call on one unit.  The
+its units in one call, and so does each bootstrap resample.  The
 map is applied as a stacked real (32, 16) matrix-vector product per
 unit, not as one matrix product over all units, whose BLAS blocking (and
 so the last bits of a row) depends on the unit count: like eigh's
@@ -253,33 +253,32 @@ def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResu
 def reconstruct_from_records(
     counts: np.ndarray,
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
-) -> float:
-    """Process fidelity of the reconstruction from one unit's (n_inputs, 3, 2) counts."""
-    if np.ndim(counts) != 3:
-        shape = np.shape(counts)
-        raise ValueError(f"counts must have shape ({len(input_labels)}, 3, 2), got {shape}")
-    return float(_reconstruct(counts, input_labels).process_fidelity)
+) -> np.ndarray:
+    """Process fidelities (...) of a (..., n_inputs, 3, 2) count stack; one unit's is a float."""
+    return _reconstruct(counts, input_labels).process_fidelity
 
 
 def monte_carlo_error(
     counts: np.ndarray,
     resamples: int,
-    stream_for: Callable[[int], np.random.Generator],
+    stream_for: Callable[[int, int], np.random.Generator],
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
-) -> float:
-    """Std deviation of the process fidelity under Poisson count resampling.
+) -> np.ndarray:
+    """Std deviations (U,) of the process fidelities of a (U, n_inputs, 3, 2) count stack.
 
-    Each resample redraws every count as Poisson(observed), in one draw
-    over the (n_inputs, 3, 2) ``counts``, reruns the full reconstruction
-    and rescores; ``stream_for(j)`` must return an independent
-    deterministic stream for resample j, which makes the estimate
-    independent of evaluation order.  At least 100 resamples recommended
-    for a stable estimate.
+    Resample j redraws unit k's counts as Poisson(observed) from its own
+    deterministic stream ``stream_for(k, j)``, so no sigma depends on the
+    other units, and one reconstruction call rescores the whole stack.
     """
+    lam = np.asarray(counts, dtype=float)
+    if lam.ndim != 4:
+        raise ValueError(f"counts must be a (units, n_inputs, 3, 2) stack, got {lam.shape}")
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
-    lam = np.asarray(counts, dtype=float)
-    fidelities = np.empty(resamples)
+    draws = np.empty(lam.shape, dtype=np.int64)
+    fidelities = np.empty((len(lam), resamples))
     for j in range(resamples):
-        fidelities[j] = reconstruct_from_records(stream_for(j).poisson(lam), input_labels)
-    return float(np.std(fidelities, ddof=1))
+        for k, unit in enumerate(lam):
+            draws[k] = stream_for(k, j).poisson(unit)
+        fidelities[:, j] = reconstruct_from_records(draws, input_labels)
+    return np.std(fidelities, axis=1, ddof=1)

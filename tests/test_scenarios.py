@@ -24,6 +24,7 @@ from qmemsim.scenarios import (
     run_simulate,
     run_table1,
     tomography_point,
+    tomography_points,
 )
 
 # Frozen reference values for the default scenario, computed from the
@@ -89,6 +90,13 @@ class TestTomographyPoint:
     def test_unknown_channel_rejected(self):
         with pytest.raises(ConfigError, match="unknown channel"):
             tomography_point(ScenarioConfig(), "S9", 0.005)
+
+    @pytest.mark.parametrize("points", [tomography_points, efficiency_points])
+    def test_unknown_channel_in_a_multi_unit_call_rejected(self, points):
+        units = [("S0", 0.005), ("S6", 1.0), ("S9", 0.5), ("S2", 2.0)]
+        known = r"\(configured: S0, S1, S2, S3, S4, S5, S6\)"
+        with pytest.raises(ConfigError, match=rf"^unknown channel 'S9' {known}$"):
+            points(ScenarioConfig(), units, expected=True)
 
 
 class TestEfficiencyPoint:

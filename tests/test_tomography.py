@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmemsim import tomography
 from qmemsim.detection import DetectionConfig, expected_counts, expected_rates
 from qmemsim.memory import (
     DEFAULT_CHANNELS,
@@ -72,8 +73,14 @@ def test_stokes_from_counts_missing_basis():
         stokes_from_counts(np.array([(750, 250), (500, 500)]))
     with pytest.raises(ValueError, match="need counts for 4 inputs, got 3"):
         reconstruct_from_records(np.full((3, 3, 2), 5))
-    with pytest.raises(ValueError, match=r"shape \(4, 3, 2\), got \(4, 4, 3, 2\)"):
-        reconstruct_from_records(np.full((4, 4, 3, 2), 5))
+    # A (4, 4, 3, 2) stack is four units, each scored as on its own.
+    stack = np.arange(1, 97).reshape(4, 4, 3, 2)
+    fidelities = reconstruct_from_records(stack)
+    assert fidelities.shape == (4,)
+    for k in range(4):
+        one = reconstruct_from_records(stack[k])
+        assert isinstance(one, float)
+        assert fidelities[k] == one
 
 
 def test_stokes_from_counts_zero_total():
@@ -462,19 +469,26 @@ def test_monte_carlo_error_deterministic_and_positive():
     cfg = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
-    counts, _ = _run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9))
+    counts = np.array(
+        [
+            _run_process_tomography(s2, t, cfg, det, 10**4, np.random.default_rng(9))[0]
+            for t in (1.0, 4.0)
+        ]
+    )
 
-    def stream_for(j):
-        return np.random.default_rng((123, j))
+    def stream_for(k, j):
+        return np.random.default_rng((123, k, j))
 
     a = monte_carlo_error(counts, 50, stream_for)
     b = monte_carlo_error(counts, 50, stream_for)
-    assert a == b
-    assert a > 0
+    assert a.shape == (2,)
+    assert np.array_equal(a, b)
+    assert (a > 0).all()
 
 
 def _scalar_draw_monte_carlo_error(counts, resamples, stream_for):
-    # Reference: one scalar Poisson draw per count, input x basis x (+, -).
+    # Reference for one unit: one scalar Poisson draw per count,
+    # input x basis x (+, -), from stream_for(j) for resample j.
     fidelities = []
     for j in range(resamples):
         rng = stream_for(j)
@@ -486,35 +500,91 @@ def _scalar_draw_monte_carlo_error(counts, resamples, stream_for):
     return float(np.std(fidelities, ddof=1))
 
 
+# Rows HV, DA, RL of inputs H, V, D, R, with counts below 10: numpy
+# draws them with its other Poisson algorithm.
+LOW_COUNTS = np.array(
+    [
+        [(40, 3), (25, 20), (22, 24)],
+        [(2, 38), (20, 23), (26, 19)],
+        [(21, 22), (41, 1), (18, 25)],
+        [(19, 24), (23, 20), (39, 9)],
+    ]
+)
+
+
 def test_monte_carlo_error_matches_scalar_draws():
-    # Counts below 10 take numpy's other Poisson algorithm; the batched
-    # draw must give the same integers there too.
-    # Rows HV, DA, RL of inputs H, V, D, R.
-    low_counts = np.array(
-        [
-            [(40, 3), (25, 20), (22, 24)],
-            [(2, 38), (20, 23), (26, 19)],
-            [(21, 22), (41, 1), (18, 25)],
-            [(19, 24), (23, 20), (39, 9)],
-        ]
-    )
+    # The batched draw must give the same integers as scalar draws, for
+    # low and high counts alike.
     cfg = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
     high_counts, _ = _run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9))
+    stack = np.array([LOW_COUNTS, high_counts])
 
-    def stream_for(j):
-        return np.random.default_rng((77, j))
+    def stream_for(k, j):
+        return np.random.default_rng((77, k, j))
 
-    for counts in (low_counts, high_counts):
-        want = _scalar_draw_monte_carlo_error(counts, 40, stream_for)
-        assert monte_carlo_error(counts, 40, stream_for) == want
+    sigma = monte_carlo_error(stack, 40, stream_for)
+    for k, counts in enumerate(stack):
+        assert sigma[k] == _scalar_draw_monte_carlo_error(counts, 40, lambda j: stream_for(k, j))
+
+
+def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
+    # One stack mixes low counts, M = 3000 units (the chi projection
+    # fires in most resamples) and M = 1e5 units (it fires in few), so
+    # resamples take the kernel's mixed-projection path.  Each unit's
+    # sigma equals the scalar-draw reference of that unit alone, and
+    # stays the same when the unit moves in the stack: its streams
+    # follow its key.
+    cfg, det = MemoryConfig(), DetectionConfig()
+    s2, s6 = DEFAULT_CHANNELS[2], DEFAULT_CHANNELS[6]
+    stack = np.array(
+        [
+            LOW_COUNTS,
+            _run_process_tomography(s2, 3.0, cfg, det, 3000, np.random.default_rng(1))[0],
+            _run_process_tomography(s2, 6.0, cfg, det, 10**5, np.random.default_rng(2))[0],
+            LOW_COUNTS[:, :, ::-1],
+            _run_process_tomography(s6, 1.0, cfg, det, 3000, np.random.default_rng(3))[0],
+            _run_process_tomography(s6, 6.0, cfg, det, 10**5, np.random.default_rng(4))[0],
+        ]
+    )
+    keys = [11, 12, 13, 14, 15, 16]
+    resamples = 30
+    applied = []
+    real_reconstruct = tomography.reconstruct_from_records
+
+    def recording(draws, input_labels):
+        applied.append(_reconstruct(draws, input_labels).projection_applied)
+        return real_reconstruct(draws, input_labels)
+
+    monkeypatch.setattr(tomography, "reconstruct_from_records", recording)
+    sigma = monte_carlo_error(stack, resamples, lambda k, j: np.random.default_rng((keys[k], j)))
+    assert len(applied) == resamples
+    fired = np.array(applied)
+    assert fired[:, 1].sum() > resamples / 2 and fired[:, 4].sum() > resamples / 2
+    assert fired[:, 2].sum() < resamples / 2 and fired[:, 5].sum() < resamples / 2
+    for k, counts in enumerate(stack):
+        want = _scalar_draw_monte_carlo_error(
+            counts, resamples, lambda j: np.random.default_rng((keys[k], j))
+        )
+        assert sigma[k] == want
+    order = [4, 0, 5, 2, 1, 3]
+    moved = monte_carlo_error(
+        stack[order], resamples, lambda k, j: np.random.default_rng((keys[order[k]], j))
+    )
+    assert np.array_equal(moved, sigma[order])
 
 
 def test_monte_carlo_error_needs_two_resamples():
+    counts = np.tile([(700, 300), (500, 500), (400, 600)], (2, 4, 1, 1))
+    with pytest.raises(ValueError, match="need at least 2 resamples, got 1"):
+        monte_carlo_error(counts, 1, lambda k, j: np.random.default_rng((k, j)))
+
+
+def test_monte_carlo_error_rejects_a_single_unit_without_its_stack_axis():
     counts = np.tile([(700, 300), (500, 500), (400, 600)], (4, 1, 1))
-    with pytest.raises(ValueError):
-        monte_carlo_error(counts, 1, lambda j: np.random.default_rng(j))
+    with pytest.raises(ValueError, match=r"a \(units, n_inputs, 3, 2\) stack, got \(4, 3, 2\)"):
+        monte_carlo_error(counts, 10, lambda k, j: np.random.default_rng((k, j)))
 
 
 def _reference_reconstruct(counts):
