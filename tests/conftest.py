@@ -1,7 +1,14 @@
+import os
 import sys
 
 import numpy as np
 import pytest
+
+# The package from a bare checkout: in-process imports read sys.path, and
+# the `python -m qmemsim` subprocesses of the tests inherit PYTHONPATH.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, _SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 # tests/test_acceptance.py, which stays as written, imports these four
 # references from the module named conftest; every other test module

@@ -220,6 +220,27 @@ class TestSimulate:
         assert payload["rows"][0][0] == "X"
 
 
+class TestImportCost:
+    # numpy loads numpy.random on first use, at ~6 MB of RSS: a run that
+    # never samples must not load it.
+    def test_importing_the_cli_leaves_numpy_random_unloaded(self):
+        code = "import sys, qmemsim.cli; sys.exit('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_expected_counts_simulate_never_imports_numpy_random(self, tmp_path):
+        # -X importtime logs every module the run imports to stderr.
+        command = ["simulate", "--expected-counts", "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "qmemsim", *command],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "qmemsim.scenarios" in proc.stderr
+        assert "numpy.random" not in proc.stderr
+
+
 class TestFit:
     def test_exponential_csv(self, tmp_path, capsys):
         times = np.linspace(0.5, 5.0, 8)

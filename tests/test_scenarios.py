@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemsim.config import ScenarioConfig, config_from_dict, effective_config
+from qmemsim import scenarios
+from qmemsim.config import (
+    MAX_RESAMPLES,
+    ScenarioConfig,
+    _time_key,
+    config_from_dict,
+    effective_config,
+)
 from qmemsim.errors import ConfigError
 from qmemsim.scenarios import (
     DEFAULT_CALIBRATION_TARGETS,
@@ -25,7 +32,13 @@ from qmemsim.scenarios import (
     run_table1,
     tomography_point,
     tomography_points,
+    _DOMAIN_RESAMPLE,
+    _preseeded,
+    _resample_streams,
+    _seed_words,
+    _uint32_words,
 )
+from qmemsim.tomography import monte_carlo_error
 
 # Frozen reference values for the default scenario, computed from the
 # closed-form fidelity and efficiency expressions outside this package.
@@ -69,6 +82,83 @@ class TestDeriveRng:
         reference = np.random.default_rng(np.random.SeedSequence(entropy=key))
         want = reference.poisson(lam, size=(3, 2, 2))
         assert np.array_equal(derive_rng(*key).poisson(lam, size=(3, 2, 2)), want)
+
+
+# Bootstrap stream keys (seed, domain, channel, time in ps, resample) at
+# the edges of SeedSequence's 32-bit word split.
+EDGE_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+EDGE_TIME_KEYS = (0, 2**32 - 1, 2**32, 6 * 10**9)
+EDGE_KEYS = [
+    (seed, _DOMAIN_RESAMPLE, channel, t_ps, j)
+    for seed in EDGE_SEEDS
+    for channel in (0, 6)
+    for t_ps in EDGE_TIME_KEYS
+    for j in (0, MAX_RESAMPLES - 1)
+]
+
+
+def seed_sequence_words(key):
+    return np.random.SeedSequence(entropy=key).generate_state(4, np.uint64)
+
+
+class TestBootstrapSeedWords:
+    def test_edge_keys_equal_seed_sequence_one_call_per_length(self):
+        by_length = {}
+        for key in EDGE_KEYS:
+            by_length.setdefault(len(_uint32_words(*key)), []).append(key)
+        assert sorted(by_length) == [5, 6, 7]
+        for keys in by_length.values():
+            got = _seed_words(np.array([_uint32_words(*key) for key in keys]))
+            assert got.dtype == np.uint64
+            assert np.array_equal(got, [seed_sequence_words(key) for key in keys])
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_any_key_equals_seed_sequence(self, key):
+        got = _seed_words(np.array([_uint32_words(*key)]))
+        assert np.array_equal(got[0], seed_sequence_words(tuple(key)))
+
+    @pytest.mark.parametrize("block", [4096, 7, 1])
+    def test_streams_equal_derive_rng_in_any_call_order(self, monkeypatch, block):
+        monkeypatch.setattr(scenarios, "_SEED_BLOCK", block)
+        seed = 2**64 - 1
+        keys = [(0, 0), (6, 2**32 - 1), (3, 2**32), (6, 6 * 10**9)]
+        stream_for = _resample_streams(seed, keys)
+        calls = [(k, j) for j in (0, 5, 1, 12, 2, 999_999, 3) for k in (3, 0, 2, 1)]
+        for k, j in calls:
+            want = derive_rng(seed, _DOMAIN_RESAMPLE, *keys[k], j).poisson(30.0, size=4)
+            assert np.array_equal(stream_for(k, j).poisson(30.0, size=4), want)
+
+    def test_preseeded_words_serve_only_pcg64_seeding(self):
+        seeded = _preseeded()(seed_sequence_words((1, 2, 3, 4, 5)))
+        with pytest.raises(ValueError, match="generate_state"):
+            seeded.generate_state(4)
+        with pytest.raises(ValueError, match="generate_state"):
+            seeded.generate_state(2, np.uint64)
+
+
+@pytest.mark.parametrize("block", [4096, 35, 1])
+def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
+    # 35 // 5 units = 7 resamples a block: 20 resamples cross three blocks.
+    monkeypatch.setattr(scenarios, "_SEED_BLOCK", block)
+    times = (0.0, 4.294967295, 4.294967296, 6.0)
+    cfg = small_cfg(seed=2**40 + 7, storage_times=times, mc_resamples=20)
+    units = [("S2", t) for t in times] + [("S5", 1.0)]
+    got = tomography_points(cfg, units)["sigma"]
+
+    channels = [cfg.channel_index(c) for c, _ in units]
+
+    def derive_rng_path(counts, resamples, stream_for, input_labels):
+        def old_stream_for(k, j):
+            t_ps = _time_key(units[k][1])
+            return derive_rng(cfg.seed, _DOMAIN_RESAMPLE, channels[k], t_ps, j)
+
+        return monte_carlo_error(counts, resamples, old_stream_for, input_labels)
+
+    monkeypatch.setattr(scenarios, "monte_carlo_error", derive_rng_path)
+    want = tomography_points(cfg, units)["sigma"]
+    assert got == want
+    assert all(s > 0.0 for s in got)
 
 
 class TestTomographyPoint:
