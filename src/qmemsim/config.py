@@ -32,7 +32,7 @@ from .tomography import DEFAULT_INPUT_LABELS
 DEFAULT_SEED = 12345
 DEFAULT_PULSES = 100_000
 DEFAULT_RESAMPLES = 500
-#: Largest accepted mc_resamples: a run holds one float per unit per resample.
+#: Largest mc_resamples: one float per unit and resample; streams live a block (4096) at a time.
 MAX_RESAMPLES = 1_000_000
 #: Storage-time grid (ms): dense enough for decay fits, includes the
 #: 5 us table point and the 6 ms endpoint.

@@ -4,11 +4,11 @@ Each scenario maps a configured measurement plan onto the simulation
 pipeline and packs the results into a RunArtifact.  A unit is one
 channel at one storage time, one table row; a scenario runs all its
 units in one batched pass (``tomography_points``, ``efficiency_points``).
-Every stochastic unit of work (a unit's counts, or one Monte Carlo
-resample) derives its own RNG stream from (seed, domain, unit key), and
-the pass scores each unit on its own, so a row depends neither on
-evaluation order nor on the batch size: a scenario restricted to a
-subset of its grid reproduces exactly the rows of the full run.
+Every stochastic unit of work (a unit's counts, or one Monte Carlo resample)
+draws from its own RNG stream, numpy.random's PCG64 stream of the key (seed,
+domain, unit key) (``derive_rng``), and the pass scores each unit on its own,
+so a row depends neither on evaluation order nor on the batch size: a scenario
+restricted to a subset of its grid reproduces exactly the rows of the full run.
 
 Unit keys use the channel's position in the configured channel list and
 the storage time in integer picoseconds; the domain constant separates
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -39,6 +38,7 @@ from .fitting import (
     fit_sigma_gamma,
 )
 from .memory import dephase, dephasing_factor, retrieval_efficiency, walk_off_r0
+from .streams import Streams
 from .tomography import _input_set, _reconstruct, monte_carlo_error
 
 FORMAT_VERSION = 1
@@ -73,125 +73,19 @@ _DOMAIN_RESAMPLE = 2
 _DOMAIN_EFFICIENCY = 3
 
 
-#: Streams of one block of bootstrap seed words: a block holds
-#: max(1, _SEED_BLOCK // U) resamples of a scenario's U units.
+#: Streams of one block of the bootstrap: max(1, _SEED_BLOCK // U) resamples of U units.
 _SEED_BLOCK = 4096
 
-# numpy's SeedSequence constants (O'Neill's seed_seq_fe, pool of 4 words).
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R, _XSHIFT, _MASK32 = 0xCA01F9DD, 0x4973F715, 16, 0xFFFFFFFF
 
-
-def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Independent deterministic stream for one unit of work."""
-    # The stream default_rng(SeedSequence(...)) gives, without its dispatch.
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, *key))))
-
-
-def _uint32_words(*key: int) -> list[int]:
-    """The little-endian 32-bit words SeedSequence splits a key of ints into (0 is one word)."""
-    words = []
-    for n in key:
-        words.append(n & _MASK32)
-        while n > _MASK32:
-            n >>= 32
-            words.append(n & _MASK32)
-    return words
-
-
-def _seed_words(entropy: np.ndarray) -> np.ndarray:
-    """PCG64 seed words (N, 4) of ``SeedSequence(entropy=row)`` for each row of uint32 words (N, L).
-
-    A transcription of numpy's SeedSequence hash over the rows at once:
-    the row equals ``SeedSequence(entropy=row).generate_state(4, np.uint64)``.
-    Constants evolve as Python ints masked to 32 bits; the words wrap as
-    uint32 arrays, which never warn on overflow.
-    """
-    entropy = np.asarray(entropy, dtype=np.uint32)
-    const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ value >> _XSHIFT
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> _XSHIFT
-
-    columns = [entropy[:, i] for i in range(entropy.shape[1])]
-    zero = np.zeros(len(entropy), dtype=np.uint32)
-    pool = [hashmix(columns[i] if i < len(columns) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in columns[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, np.uint64) reads its 8 words as little-endian pairs.
-    out = np.empty((len(entropy), 8), dtype="<u4")
-    const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        out[:, i] = value ^ value >> _XSHIFT
-    return out.view("<u8").astype(np.uint64, copy=False)
-
-
-@functools.cache
-def _preseeded() -> type:
-    """The ISeedSequence that hands PCG64 precomputed seed words.
-
-    Built on first use: importing numpy.random costs ~6 MB of RSS, which
-    a run that never samples should not pay.
-    """
-
-    class PreSeeded(np.random.bit_generator.ISeedSequence):
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or np.dtype(dtype) != np.uint64:
-                raise ValueError("precomputed seed words serve only generate_state(4, np.uint64)")
-            return self.words
-
-    return PreSeeded
-
-
-def _resample_streams(seed: int, keys: Sequence[tuple[int, int]]) -> Callable:
-    """``stream_for(k, j)``: unit k's resample-j stream, ``derive_rng(seed, 2, *keys[k], j)``.
-
-    The seed words of a block of resamples, over every unit, come from
-    one ``_seed_words`` pass per entropy length (a seed or a time key at
-    or above 2**32 takes two words); the block is dropped for the next.
-    """
-    heads = [_uint32_words(seed, _DOMAIN_RESAMPLE, *key) for key in keys]
-    groups = {}
-    for k, head in enumerate(heads):
-        groups.setdefault(len(head), []).append(k)
-    rows = max(1, _SEED_BLOCK // len(keys))
-    start, words = 0, None
-    preseeded, pcg64, generator = _preseeded(), np.random.PCG64, np.random.Generator
-
-    def stream_for(k: int, j: int) -> np.random.Generator:
-        nonlocal start, words
-        if words is None or not start <= j < start + rows:
-            start = j - j % rows
-            # j < MAX_RESAMPLES < 2**32 is one entropy word.
-            js = np.arange(start, start + rows, dtype=np.uint32)
-            words = np.empty((len(keys), rows, 4), dtype=np.uint64)
-            for length, units in groups.items():
-                head = np.array([heads[u] for u in units], dtype=np.uint32)
-                entropy = np.empty((len(units), rows, length + 1), dtype=np.uint32)
-                entropy[..., :length], entropy[..., length] = head[:, None], js
-                words[units] = _seed_words(entropy.reshape(-1, length + 1)).reshape(-1, rows, 4)
-        return generator(pcg64(preseeded(words[k, j - start])))
-
-    return stream_for
+def derive_rng(seed: int, *key) -> Streams:
+    """Independent deterministic streams, one per key (seed, *key) of broadcast int or array parts:
+    numpy.random's ``Generator(PCG64(SeedSequence(entropy=key)))``, bit for bit (``Streams``)."""
+    parts = [np.asarray(part) for part in (seed, *key)]
+    try:
+        parts = [part.astype(np.uint64) for part in parts]
+    except OverflowError:  # a part of 2**64 or more: SeedSequence words of Python ints
+        parts = [part.astype(object) for part in parts]
+    return Streams(np.stack(np.broadcast_arrays(*parts), axis=-1))
 
 
 @dataclass
@@ -222,9 +116,14 @@ def _unit_physics(cfg: ScenarioConfig, units: Sequence[tuple[str, float]]) -> tu
 def _unit_counts(cfg: ScenarioConfig, domain: int, idx, times, rates, expected: bool) -> np.ndarray:
     """Counts of units' ``rates``: the means, or each a Poisson draw from its unit's stream."""
     counts = expected_counts(rates, cfg.pulses_per_setting)
-    for k, (i, t) in enumerate([] if expected else zip(idx.tolist(), times.tolist())):
-        counts[k] = derive_rng(cfg.seed, domain, i, _time_key(t)).poisson(counts[k])
+    if not expected:
+        counts[...] = derive_rng(cfg.seed, domain, idx, _time_keys(times)).poisson(counts)
     return counts
+
+
+def _time_keys(times: np.ndarray) -> np.ndarray:
+    """Stream keys of storage times: integer picoseconds, as Python ints of any size."""
+    return np.array([_time_key(t) for t in times.tolist()], dtype=object)
 
 
 def tomography_points(
@@ -254,9 +153,11 @@ def tomography_points(
         params = channel_model(cfg.channels[i], cfg.memory, cfg.detection)
         model[idx == i] = closed_form_fidelity(times[idx == i], **params)
     if not expected:
-        keys = [(i, _time_key(t)) for i, t in zip(idx.tolist(), times.tolist())]
-        stream_for = _resample_streams(cfg.seed, keys)
-        sigma = monte_carlo_error(counts, cfg.mc_resamples, stream_for, cfg.input_states)
+        # Unit k's resample j is keyed (seed, 2, channel, t_ps, j); blocks never stack all R.
+        keys = (cfg.seed, _DOMAIN_RESAMPLE, idx[:, None], _time_keys(times)[:, None])
+        step, R = max(1, _SEED_BLOCK // len(units)), cfg.mc_resamples
+        blocks = (derive_rng(*keys, np.arange(j, min(j + step, R))) for j in range(0, R, step))
+        sigma = monte_carlo_error(counts, R, blocks, cfg.input_states)
     return {"fidelity": fidelity.tolist(), "sigma": sigma.tolist(), "model": model.tolist()}
 
 

@@ -1,0 +1,207 @@
+"""numpy.random's streams ``Generator(PCG64(SeedSequence(entropy=key)))``, many at once.
+
+Bit for bit: SeedSequence's hash, PCG64 (O'Neill, HMC-CS-2014-0905: the 128-bit LCG in
+uint64 halves, XSL-RR output, next_double) and Generator.poisson (Hörmann's PTRS for means
+>= 10, Insurance: Math. Econ. 12, 39 (1993); the multiplication method below).  Float
+operations are the C code's, in its order; every log and exp is math.log or math.exp, the
+libm calls of the C code (numpy's SIMD np.log and np.exp differ from libm in the last bit).
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+_MASK32 = 0xFFFFFFFF
+# numpy's SeedSequence constants (O'Neill's seed_seq_fe, pool of 4 words).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+# PCG64's LCG multiplier M in 64-bit halves; two steps multiply by M**2 and add (M + 1) inc.
+_MUL = 0x2360ED051FC65DA44385DF649FCCF645
+_MUL_HALVES = divmod(_MUL, 2**64)
+_TWO_STEPS = divmod(_MUL * _MUL % 2**128, 2**64), divmod(_MUL + 1, 2**64)
+#: The largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX).
+_LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
+# random_loggam's series coefficients a[9], ..., a[0] (Horner order), and log(2 pi) / 2.
+_LOGGAM_A = (-1.39243221690590e00, 1.796443723688307e-01, -2.955065359477124e-02,
+             6.410256410256410e-03, -1.917526917526918e-03, 8.417508417508418e-04,
+             -5.952380952380952e-04, 7.936507936507937e-04, -2.777777777777778e-03,
+             8.333333333333333e-02)  # fmt: skip
+_HALF_LG2PI = 0.5 * 1.8378770664093453
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of uint32 words at ``const``, and the constant after it."""
+    following = const * mult & _MASK32
+    value = (value ^ const) * following
+    return value ^ value >> _XSHIFT, following
+
+
+def _mix(x: np.ndarray, y: np.ndarray, const: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's mix(x, hashmix(y)) at ``const``, and the constant after it."""
+    y, const = _hashmix(y, const, _MULT_A)
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> _XSHIFT, const
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy=row).generate_state(4, np.uint64)`` of each row of uint64 keys (N, L).
+
+    Keys (an object array of ints, if any is 2**64 or more) split into SeedSequence's uint32
+    words; rows of one word count hash at once, words wrapping as arrays, constants as ints.
+    """
+    bits = 64 if entropy.dtype != object else max(int(n).bit_length() for n in entropy.flat)
+    shifts = range(0, max(bits, 1), 32)
+    words = np.stack([entropy >> i & _MASK32 for i in shifts], -1).reshape(len(entropy), -1)
+    kept = np.stack([entropy >> i > 0 if i else entropy >= 0 for i in shifts], -1)
+    words, kept = words.astype(np.uint32), kept.reshape(words.shape)
+    lengths = kept.sum(axis=1)
+    seeded = np.empty((len(entropy), 4), dtype=np.uint64)
+    for length in set(lengths.tolist()):
+        rows = lengths == length
+        columns = list(words[rows][kept[rows]].reshape(-1, length).T)
+        columns += [np.zeros_like(columns[0])] * (4 - length)
+        pool, const = columns[:4], _INIT_A
+        for i in range(4):
+            pool[i], const = _hashmix(pool[i], const, _MULT_A)
+        for src, dst in itertools.permutations(range(4), 2):
+            pool[dst], const = _mix(pool[dst], pool[src], const)
+        for word in columns[4:]:
+            for dst in range(4):
+                pool[dst], const = _mix(pool[dst], word, const)
+        # generate_state(4, np.uint64) reads its 8 words as little-endian pairs.
+        out, const = np.empty((len(pool[0]), 8), dtype="<u4"), _INIT_B
+        for i in range(8):
+            out[:, i], const = _hashmix(pool[i % 4], const, _MULT_B)
+        seeded[rows] = out.view("<u8")
+    return seeded
+
+
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi, inc_lo, mul_hi, mul_lo) -> tuple:
+    """128-bit (hi, lo) * (mul_hi, mul_lo) + (inc_hi, inc_lo) mod 2**128, in uint64 halves."""
+    a0, a1 = lo & _MASK32, lo >> 32
+    m0, m1 = mul_lo & _MASK32, mul_lo >> 32
+    mid = a1 * m0 + (a0 * m0 >> 32)
+    carry = a1 * m1 + (mid >> 32) + ((mid & _MASK32) + a0 * m1 >> 32)
+    new_lo = lo * mul_lo + inc_lo
+    return hi * mul_lo + lo * mul_hi + carry + inc_hi + (new_lo < inc_lo), new_lo
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """libm's log of each element of x >= 0, through ``math.log``; log 0 is -inf, as in C."""
+    try:
+        return np.fromiter(map(math.log, x.tolist()), float, x.size)
+    except ValueError:  # math.log(0.0)
+        return np.array([math.log(v) if v else -math.inf for v in x.tolist()])
+
+
+def _loggam(x: np.ndarray) -> np.ndarray:
+    """numpy's ``random_loggam`` of integer-valued x >= 1: Stirling's series at max(x, 7)."""
+    x0 = np.maximum(x, 7.0)  # x + (int64_t)(7 - x) below 7
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = np.full(x.shape, _LOGGAM_A[0])
+    for coef in _LOGGAM_A[1:]:
+        gl0 = gl0 * x2 + coef
+    gl = gl0 / x0 + _HALF_LG2PI + (x0 - 0.5) * _log(x0) - x0
+    if (x < 7.0).any():  # below 7, log(6), log(5), ... down to log(x) come off in turn
+        for step in range(1, 7):
+            gl[x0 - x >= step] -= math.log(7.0 - step)
+        gl[x <= 2.0] = 0.0
+    return gl
+
+
+def _poisson_constants(lam: np.ndarray) -> np.ndarray:
+    """Columns 2a, vr, exp(-lam), lam, b, a, log(invalpha), log(lam) of flat means: PTRS's
+    for means >= 10, exp(-lam) below (+inf for PTRS, so prod > exp(-lam) never holds)."""
+    table, ptrs = np.zeros((lam.size, 8)), lam >= 10.0
+    table[~ptrs, 2:4] = np.array([(math.exp(-v), v) for v in lam[~ptrs].tolist()]).reshape(-1, 2)
+    lam = lam[ptrs]
+    b = 0.931 + 2.53 * np.sqrt(lam)
+    a = -0.059 + 0.02483 * b
+    invalpha = 1.1239 + 1.1328 / (b - 3.4)
+    vr = 0.9277 - 3.6224 / (b - 2)
+    inf = np.full(lam.size, np.inf)
+    table[ptrs] = np.column_stack((2 * a, vr, inf, lam, b, a, _log(invalpha), _log(lam)))
+    return table
+
+
+class Streams:
+    """numpy.random's stream ``Generator(PCG64(SeedSequence(entropy=key)))`` of each key of
+    ``entropy`` (..., L) (see ``_seed_words``); ``shape`` is the keys' leading shape."""
+
+    def __init__(self, entropy: np.ndarray):
+        self.shape = entropy.shape[:-1]
+        w0, w1, w2, w3 = _seed_words(entropy.reshape(-1, entropy.shape[-1])).T
+        # pcg64_set_seed: inc = (w2:w3) << 1 | 1, state = step(step(0) + (w0:w1)), step(0) = inc.
+        inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+        self._state = _step(*_step(w0, w1, *inc, 0, 1), *inc, *_MUL_HALVES)
+        # Rows 0 and 1 step once and twice: multipliers M and M**2, increments inc and (M + 1) inc.
+        self._inc = tuple(map(np.stack, zip(inc, _step(*inc, 0, 0, *_TWO_STEPS[1]))))
+
+    def poisson(self, lam: np.ndarray) -> np.ndarray:
+        """int64 ``Generator.poisson(lam[u])`` of each stream [u, ...]: ``shape + lam.shape[1:]``.
+
+        Each stream draws its row of means in C order.  In lockstep, each round
+        every stream not done makes one PTRS attempt or takes up to two factors
+        of the multiplication method; a mean of 0 takes none.
+        """
+        lam = np.asarray(lam, dtype=float)
+        if not np.all(lam <= _LAM_MAX):
+            raise ValueError("lam value too large")
+        if not np.all(lam >= 0.0):
+            raise ValueError("lam < 0 or lam contains NaNs")
+        if lam.shape[:1] != self.shape[:1]:
+            raise ValueError(f"need means for {self.shape[0]} rows of streams, got {lam.shape}")
+        means = lam.reshape(len(lam), -1)
+        size, per_row = means.shape[1], math.prod(self.shape[1:])
+        table = _poisson_constants(means.ravel())
+        # later[u, i]: the flat index of row u's first mean at or after i that is not 0, or -1.
+        later = np.full((len(means), size + 1), -1)
+        for i in range(size - 1, -1, -1):
+            later[:, i] = np.where(means[:, i] != 0, np.arange(i, lam.size, size), later[:, i + 1])
+        after, (state_hi, state_lo) = later[:, 1:].ravel(), (half.copy() for half in self._state)
+        out = np.zeros(state_hi.size * size, dtype=np.int64)
+        sid = np.flatnonzero(later[:, 0].repeat(per_row) >= 0)
+        mean, hi, lo = later[sid // per_row, 0], state_hi[sid], state_lo[sid]
+        inc_hi, inc_lo = self._inc[0][:, sid], self._inc[1][:, sid]
+        mul_hi, mul_lo = np.array([_MUL_HALVES, _TWO_STEPS[0]], dtype=np.uint64).T[..., None]
+        count, prod = np.zeros(sid.size, dtype=np.int64), np.ones(sid.size)
+        # As in C: us = 0 divides to inf; (int64_t) of x beyond int64 is INT64_MIN (rejected).
+        with np.errstate(all="ignore"):
+            while sid.size:
+                two_a, vr, exp_lam, lam_, b = table.take(mean, axis=0)[:, :5].T
+                ptrs = lam_ >= 10.0
+                steps = _step(hi, lo, inc_hi, inc_lo, mul_hi, mul_lo)
+                xored, rot = steps[0] ^ steps[1], steps[0] >> 58  # next_double of XSL-RR output
+                first, v = ((xored >> rot | xored << (64 - rot & 63)) >> 11) * (1.0 / 2**53)
+                u = first - 0.5
+                us = 0.5 - np.abs(u)
+                k = np.floor((two_a / us + b) * u + lam_ + 0.43).astype(np.int64)
+                done = (us >= 0.07) & (v <= vr)
+                slow = np.flatnonzero(ptrs & ~done & (k >= 0) & ((us >= 0.013) | (v <= us)))
+                if slow.size:
+                    lam_s, b_s, a, log_invalpha, log_lam = table.take(mean[slow], axis=0)[:, 3:].T
+                    us_s, k_s = us[slow], k[slow]
+                    log_v, log_w = _log(np.append(v[slow], a / (us_s * us_s) + b_s)).reshape(2, -1)
+                    rhs = -lam_s + k_s * log_lam - _loggam((k_s + 1).astype(float))
+                    done[slow] = log_v + log_invalpha - log_w <= rhs
+                # The multiplication method takes a second factor if the first
+                # leaves the product above exp(-lam).
+                prod, second = prod * first, prod * first * v
+                two = ptrs | (prod > exp_lam)
+                hi, lo = (np.where(two, half[1], half[0]) for half in steps)
+                more = second > exp_lam
+                done, value = np.where(ptrs, done, ~more), np.where(ptrs, k, count + two)
+                count, prod = np.where(more, count + 2, 0), np.where(more, second, 1.0)
+                fin = np.flatnonzero(done)
+                out[sid[fin] * size + mean[fin] % size] = value[fin]
+                mean[fin] = after[mean[fin]]
+                if mean.min() < 0:
+                    gone, keep = mean < 0, np.flatnonzero(mean >= 0)
+                    state_hi[sid[gone]], state_lo[sid[gone]] = hi[gone], lo[gone]
+                    live = (sid, mean, hi, lo, inc_hi, inc_lo, count, prod)
+                    sid, mean, hi, lo, inc_hi, inc_lo, count, prod = (x[..., keep] for x in live)
+        self._state = state_hi, state_lo
+        return out.reshape(self.shape + lam.shape[1:])

@@ -25,18 +25,18 @@ start from, and ``process_matrix`` builds the map of the states it is given.
 projection and ``_solve_chi`` (one batched eigh for the chi projection),
 then the projected chi[0, 0] (the fidelity to the identity process), in
 one pass over a (..., n_inputs, 3, 2) count stack.  A scenario scores all
-its units in one call, and so does each bootstrap resample.  The
-map is applied as a stacked real (32, 16) matrix-vector product per
-unit, not as one matrix product over all units, whose BLAS blocking (and
-so the last bits of a row) depends on the unit count: like eigh's
-per-matrix LAPACK calls, it makes every row independent of the batch.
+its units in one call, and so does each bootstrap resample, whose counts come
+from a block of ``streams.Streams``.  The map is applied as a stacked real
+(32, 16) matrix-vector product per unit, not as one matrix product over all
+units, whose BLAS blocking (and so the last bits of a row) depends on the unit
+count: like eigh's per-matrix LAPACK calls, it makes every row batch-independent.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -261,24 +261,26 @@ def reconstruct_from_records(
 def monte_carlo_error(
     counts: np.ndarray,
     resamples: int,
-    stream_for: Callable[[int, int], np.random.Generator],
+    blocks: Iterable,
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
 ) -> np.ndarray:
     """Std deviations (U,) of the process fidelities of a (U, n_inputs, 3, 2) count stack.
 
-    Resample j redraws unit k's counts as Poisson(observed) from its own
-    deterministic stream ``stream_for(k, j)``, so no sigma depends on the
-    other units, and one reconstruction call rescores the whole stack.
+    ``blocks`` yields (U, b) ``Streams`` stacks of successive resamples, ``resamples`` in
+    all.  Resample j redraws unit k's counts as Poisson(observed) from its stream [k, j],
+    so no sigma depends on the other units; one reconstruction rescores the stack.
     """
     lam = np.asarray(counts, dtype=float)
     if lam.ndim != 4:
         raise ValueError(f"counts must be a (units, n_inputs, 3, 2) stack, got {lam.shape}")
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
-    draws = np.empty(lam.shape, dtype=np.int64)
     fidelities = np.empty((len(lam), resamples))
-    for j in range(resamples):
-        for k, unit in enumerate(lam):
-            draws[k] = stream_for(k, j).poisson(unit)
-        fidelities[:, j] = reconstruct_from_records(draws, input_labels)
+    j = 0
+    for block in blocks:
+        for draws in np.moveaxis(block.poisson(lam), 1, 0):
+            fidelities[:, j] = reconstruct_from_records(draws, input_labels)
+            j += 1
+    if j != resamples:
+        raise ValueError(f"the streams hold {j} resamples, need {resamples}")
     return np.std(fidelities, axis=1, ddof=1)

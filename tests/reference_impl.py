@@ -75,6 +75,11 @@ def reference_rates(rho: np.ndarray, efficiency: float, det) -> np.ndarray:
     return np.array(rates)
 
 
+def numpy_stream(seed: int, *key: int) -> np.random.Generator:
+    """numpy.random's own stream of the key (seed, *key), the reference for ``derive_rng``."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=(seed, *key))))
+
+
 def sample_counts(rates: np.ndarray, pulses: int, rng: np.random.Generator) -> np.ndarray:
     """Integer counts n ~ Poisson(pulses * rates), drawn in C order of ``rates``.
 

@@ -112,6 +112,16 @@ class TestReproduce:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_mean_past_numpys_poisson_limit_exits_3_writing_nothing(self, tmp_path, capsys):
+        # numpy's Generator.poisson refuses a mean above POISSON_LAM_MAX, and
+        # so does the transcription the runs draw with.
+        out = tmp_path / "out"
+        cfg = write_json(tmp_path / "huge.json", {"detection": {"n_bar": 1e30}})
+        code = main(["reproduce", "table1", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_FIT
+        assert capsys.readouterr().err == "numerical error: lam value too large\n"
+        assert not out.exists()
+
     def test_too_many_resamples_exit_2_without_traceback(self, tmp_path):
         # The resample array is allocated before any resample runs, so an
         # unbounded count would fail there with a memory error.
@@ -221,24 +231,40 @@ class TestSimulate:
 
 
 class TestImportCost:
-    # numpy loads numpy.random on first use, at ~6 MB of RSS: a run that
-    # never samples must not load it.
+    # numpy loads numpy.random on first use, at ~6 MB of RSS and 13-15 ms:
+    # no run loads it, because streams.Streams draws every sample.
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):
         code = "import sys, qmemsim.cli; sys.exit('numpy.random' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_expected_counts_simulate_never_imports_numpy_random(self, tmp_path):
+    @staticmethod
+    def imported_packages(tmp_path, *command):
         # -X importtime logs every module the run imports to stderr.
-        command = ["simulate", "--expected-counts", "--out", str(tmp_path / "out")]
+        cfg = write_json(tmp_path / "few.json", {"mc_resamples": 5, "pulses_per_setting": 10**4})
         proc = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "qmemsim", *command],
+            [sys.executable, "-X", "importtime", "-m", "qmemsim", *command, "--config", cfg]
+            + ["--out", str(tmp_path / "out")],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
-        assert "qmemsim.scenarios" in proc.stderr
-        assert "numpy.random" not in proc.stderr
+        modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        packages = {".".join(name.split(".")[:2]) for name in modules}
+        assert "qmemsim.scenarios" in packages
+        return packages
+
+    def test_expected_counts_simulate_never_imports_numpy_random(self, tmp_path):
+        packages = self.imported_packages(tmp_path, "simulate", "--expected-counts")
+        assert "numpy.random" not in packages
+
+    @pytest.mark.parametrize(
+        "command", ["simulate", "reproduce fig4", "reproduce fig5", "reproduce table1"]
+    )
+    def test_sampled_runs_never_import_numpy_random(self, tmp_path, command):
+        packages = self.imported_packages(tmp_path, *command.split())
+        # numpy.ma (~15 ms) comes in with np.unique, which no run calls either.
+        assert "numpy.random" not in packages and "numpy.ma" not in packages
 
 
 class TestFit:

@@ -32,13 +32,12 @@ from qmemsim.scenarios import (
     run_table1,
     tomography_point,
     tomography_points,
+    _DOMAIN_EFFICIENCY,
     _DOMAIN_RESAMPLE,
-    _preseeded,
-    _resample_streams,
-    _seed_words,
-    _uint32_words,
 )
-from qmemsim.tomography import monte_carlo_error
+from qmemsim.streams import _seed_words
+from qmemsim.tomography import reconstruct_from_records
+from reference_impl import numpy_stream
 
 # Frozen reference values for the default scenario, computed from the
 # closed-form fidelity and efficiency expressions outside this package.
@@ -63,25 +62,37 @@ def small_cfg(**overrides):
 
 
 class TestDeriveRng:
+    LAM = np.array([[0.5, 3.0], [40.0, 2.0e4]])
+
     def test_same_key_same_stream(self):
-        a = derive_rng(7, 1, 2, 3).random(5)
-        b = derive_rng(7, 1, 2, 3).random(5)
+        a = derive_rng(7, 1, 2, [3]).poisson(self.LAM[None])
+        b = derive_rng(7, 1, 2, [3]).poisson(self.LAM[None])
         assert np.array_equal(a, b)
 
     def test_disjoint_keys_disjoint_streams(self):
-        a = derive_rng(7, 1, 2, 3).random(5)
-        b = derive_rng(7, 1, 2, 4).random(5)
-        c = derive_rng(8, 1, 2, 3).random(5)
+        a, b, c = derive_rng([7, 7, 8], 1, 2, [3, 4, 3]).poisson(np.tile(self.LAM, (3, 4, 1, 1)))
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("key", [(12345, 1, 2, 5000), (777, 2, 0, 0, 499), (0,), (2**63, 7)])
+    @pytest.mark.parametrize(
+        "key", [(12345, 1, 2, 5000), (777, 2, 0, 0, 499), (0,), (2**63, 7), (5, 2**64, 2**70 + 3)]
+    )
     def test_stream_is_default_rng_of_the_seed_sequence(self, key):
-        # Means below and above 10 take numpy's two Poisson algorithms.
-        lam = np.array([[0.5, 3.0], [40.0, 2.0e4]])
-        reference = np.random.default_rng(np.random.SeedSequence(entropy=key))
-        want = reference.poisson(lam, size=(3, 2, 2))
-        assert np.array_equal(derive_rng(*key).poisson(lam, size=(3, 2, 2)), want)
+        # Means below and above 10 take numpy's two Poisson algorithms; a key
+        # part of 2**64 or more takes more than two SeedSequence words.
+        want = numpy_stream(*key).poisson(self.LAM, size=(3, 2, 2))
+        lam = np.broadcast_to(self.LAM, (3, 2, 2))[None]
+        assert np.array_equal(derive_rng(*key[:-1], [key[-1]]).poisson(lam)[0], want)
+
+    def test_key_parts_broadcast_to_the_stack(self):
+        streams = derive_rng(9, _DOMAIN_RESAMPLE, [[0], [6]], [[0], [2**32]], [0, 5, 999_999])
+        assert streams.shape == (2, 3)
+        lam = np.array([[30.0, 2.5], [7.0, 0.0]])
+        draws = streams.poisson(lam)
+        for k, (channel, t_ps) in enumerate([(0, 0), (6, 2**32)]):
+            for i, j in enumerate([0, 5, 999_999]):
+                want = numpy_stream(9, _DOMAIN_RESAMPLE, channel, t_ps, j).poisson(lam[k])
+                assert np.array_equal(draws[k, i], want)
 
 
 # Bootstrap stream keys (seed, domain, channel, time in ps, resample) at
@@ -105,36 +116,39 @@ class TestBootstrapSeedWords:
     def test_edge_keys_equal_seed_sequence_one_call_per_length(self):
         by_length = {}
         for key in EDGE_KEYS:
-            by_length.setdefault(len(_uint32_words(*key)), []).append(key)
+            by_length.setdefault(sum(1 + (part > 2**32 - 1) for part in key), []).append(key)
         assert sorted(by_length) == [5, 6, 7]
-        for keys in by_length.values():
-            got = _seed_words(np.array([_uint32_words(*key) for key in keys]))
+        for keys in [*by_length.values(), EDGE_KEYS]:  # each length, then all in one call
+            got = _seed_words(np.array(keys, dtype=np.uint64))
             assert got.dtype == np.uint64
             assert np.array_equal(got, [seed_sequence_words(key) for key in keys])
 
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
     def test_any_key_equals_seed_sequence(self, key):
-        got = _seed_words(np.array([_uint32_words(*key)]))
+        got = _seed_words(np.array([key], dtype=np.uint64))
         assert np.array_equal(got[0], seed_sequence_words(tuple(key)))
 
     @pytest.mark.parametrize("block", [4096, 7, 1])
-    def test_streams_equal_derive_rng_in_any_call_order(self, monkeypatch, block):
-        monkeypatch.setattr(scenarios, "_SEED_BLOCK", block)
-        seed = 2**64 - 1
-        keys = [(0, 0), (6, 2**32 - 1), (3, 2**32), (6, 6 * 10**9)]
-        stream_for = _resample_streams(seed, keys)
-        calls = [(k, j) for j in (0, 5, 1, 12, 2, 999_999, 3) for k in (3, 0, 2, 1)]
-        for k, j in calls:
-            want = derive_rng(seed, _DOMAIN_RESAMPLE, *keys[k], j).poisson(30.0, size=4)
-            assert np.array_equal(stream_for(k, j).poisson(30.0, size=4), want)
+    def test_streams_equal_derive_rng_in_any_call_order(self, block):
+        # Unit keys at the word edges, resamples out of order, split in blocks.
+        seed, lam = 2**64 - 1, np.full((4, 4), 30.0)
+        channels, t_ps = np.array([0, 6, 3, 6]), np.array([0, 2**32 - 1, 2**32, 6 * 10**9])
+        js = np.array([0, 5, 1, 12, 2, 999_999, 3])
+        for start in range(0, len(js), block):
+            part = js[start : start + block]
+            stack = derive_rng(seed, _DOMAIN_RESAMPLE, channels[:, None], t_ps[:, None], part)
+            draws = stack.poisson(lam)
+            for k in range(4):
+                for i, j in enumerate(part):
+                    rng = numpy_stream(seed, _DOMAIN_RESAMPLE, channels[k], t_ps[k], j)
+                    assert np.array_equal(draws[k, i], rng.poisson(lam[k]))
 
-    def test_preseeded_words_serve_only_pcg64_seeding(self):
-        seeded = _preseeded()(seed_sequence_words((1, 2, 3, 4, 5)))
-        with pytest.raises(ValueError, match="generate_state"):
-            seeded.generate_state(4)
-        with pytest.raises(ValueError, match="generate_state"):
-            seeded.generate_state(2, np.uint64)
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 2**100), min_size=1, max_size=6))
+    def test_keys_past_64_bits_equal_seed_sequence(self, key):
+        got = _seed_words(np.array([key + [2**64]], dtype=object))
+        assert np.array_equal(got[0], seed_sequence_words((*key, 2**64)))
 
 
 @pytest.mark.parametrize("block", [4096, 35, 1])
@@ -148,17 +162,34 @@ def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
 
     channels = [cfg.channel_index(c) for c, _ in units]
 
-    def derive_rng_path(counts, resamples, stream_for, input_labels):
-        def old_stream_for(k, j):
-            t_ps = _time_key(units[k][1])
-            return derive_rng(cfg.seed, _DOMAIN_RESAMPLE, channels[k], t_ps, j)
+    def numpy_bootstrap(counts, resamples, blocks, input_labels):
+        # Every (unit, resample) from numpy's own stream, one rescoring per resample.
+        fidelities = np.empty((len(counts), resamples))
+        for j in range(resamples):
+            draws = [
+                numpy_stream(cfg.seed, _DOMAIN_RESAMPLE, i, _time_key(t), j).poisson(unit)
+                for i, (_, t), unit in zip(channels, units, counts)
+            ]
+            fidelities[:, j] = reconstruct_from_records(np.array(draws), input_labels)
+        return np.std(fidelities, axis=1, ddof=1)
 
-        return monte_carlo_error(counts, resamples, old_stream_for, input_labels)
-
-    monkeypatch.setattr(scenarios, "monte_carlo_error", derive_rng_path)
+    monkeypatch.setattr(scenarios, "monte_carlo_error", numpy_bootstrap)
     want = tomography_points(cfg, units)["sigma"]
     assert got == want
     assert all(s > 0.0 for s in got)
+
+
+@pytest.mark.parametrize("times", [(0.5, 1e10), (0.5, 1e11)])
+def test_unit_counts_are_numpys_draws_past_64_bit_time_keys(times):
+    # 1e10 ms is 1e19 ps, between 2**63 and 2**64; 1e11 ms is past 2**64, where
+    # the key takes three SeedSequence words.
+    cfg = small_cfg(storage_times=times, pulses_per_setting=10**5)
+    units = [("S2", t) for t in cfg.storage_times]
+    means = efficiency_points(cfg, units, expected=True)["counts"]
+    channel = cfg.channel_index("S2")
+    for t, got, mean in zip(cfg.storage_times, efficiency_points(cfg, units)["counts"], means):
+        rng = numpy_stream(cfg.seed, _DOMAIN_EFFICIENCY, channel, _time_key(t))
+        assert got == rng.poisson(mean)
 
 
 class TestTomographyPoint:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,10 +35,12 @@ from qmemsim.tomography import (
     state_estimate,
     stokes_from_counts,
 )
+from qmemsim.streams import Streams
 from reference_impl import (
     apply_kraus,
     apply_process,
     chi_from_kraus,
+    numpy_stream,
     postselected_state,
     random_cptp_kraus,
     random_density,
@@ -465,6 +469,15 @@ def test_reconstruct_stack_names_the_zero_total_basis_of_its_bad_unit():
         _reconstruct(stack[:, :, :2], DEFAULT_INPUT_LABELS)
 
 
+def _blocks(keys, resamples, block):
+    """Streams of unit k's resample j keyed (*keys[k], j), ``block`` resamples at a time."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    for js in np.array_split(np.arange(resamples), range(block, resamples, block)):
+        entropy = np.empty((len(keys), len(js), keys.shape[1] + 1), dtype=np.uint64)
+        entropy[..., :-1], entropy[..., -1] = keys[:, None], js
+        yield Streams(entropy)
+
+
 def test_monte_carlo_error_deterministic_and_positive():
     cfg = MemoryConfig()
     det = DetectionConfig()
@@ -475,12 +488,9 @@ def test_monte_carlo_error_deterministic_and_positive():
             for t in (1.0, 4.0)
         ]
     )
-
-    def stream_for(k, j):
-        return np.random.default_rng((123, k, j))
-
-    a = monte_carlo_error(counts, 50, stream_for)
-    b = monte_carlo_error(counts, 50, stream_for)
+    keys = [(123, 0), (123, 1)]
+    a = monte_carlo_error(counts, 50, _blocks(keys, 50, 50))
+    b = monte_carlo_error(counts, 50, _blocks(keys, 50, 7))
     assert a.shape == (2,)
     assert np.array_equal(a, b)
     assert (a > 0).all()
@@ -488,7 +498,7 @@ def test_monte_carlo_error_deterministic_and_positive():
 
 def _scalar_draw_monte_carlo_error(counts, resamples, stream_for):
     # Reference for one unit: one scalar Poisson draw per count,
-    # input x basis x (+, -), from stream_for(j) for resample j.
+    # input x basis x (+, -), from numpy's stream stream_for(j) for resample j.
     fidelities = []
     for j in range(resamples):
         rng = stream_for(j)
@@ -512,21 +522,19 @@ LOW_COUNTS = np.array(
 )
 
 
-def test_monte_carlo_error_matches_scalar_draws():
-    # The batched draw must give the same integers as scalar draws, for
-    # low and high counts alike.
+@pytest.mark.parametrize("block", [40, 9, 1])
+def test_monte_carlo_error_matches_scalar_draws(block):
+    # The batched draw must give the same integers as numpy's scalar draws,
+    # for low and high counts alike, whatever the block of resamples.
     cfg = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
     high_counts, _ = _run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9))
     stack = np.array([LOW_COUNTS, high_counts])
-
-    def stream_for(k, j):
-        return np.random.default_rng((77, k, j))
-
-    sigma = monte_carlo_error(stack, 40, stream_for)
+    sigma = monte_carlo_error(stack, 40, _blocks([(77, 0), (77, 1)], 40, block))
     for k, counts in enumerate(stack):
-        assert sigma[k] == _scalar_draw_monte_carlo_error(counts, 40, lambda j: stream_for(k, j))
+        streams = functools.partial(numpy_stream, 77, k)
+        assert sigma[k] == _scalar_draw_monte_carlo_error(counts, 40, streams)
 
 
 def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
@@ -548,7 +556,7 @@ def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
             _run_process_tomography(s6, 6.0, cfg, det, 10**5, np.random.default_rng(4))[0],
         ]
     )
-    keys = [11, 12, 13, 14, 15, 16]
+    keys = [(11,), (12,), (13,), (14,), (15,), (16,)]
     resamples = 30
     applied = []
     real_reconstruct = tomography.reconstruct_from_records
@@ -558,33 +566,36 @@ def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
         return real_reconstruct(draws, input_labels)
 
     monkeypatch.setattr(tomography, "reconstruct_from_records", recording)
-    sigma = monte_carlo_error(stack, resamples, lambda k, j: np.random.default_rng((keys[k], j)))
+    sigma = monte_carlo_error(stack, resamples, _blocks(keys, resamples, 8))
     assert len(applied) == resamples
     fired = np.array(applied)
     assert fired[:, 1].sum() > resamples / 2 and fired[:, 4].sum() > resamples / 2
     assert fired[:, 2].sum() < resamples / 2 and fired[:, 5].sum() < resamples / 2
     for k, counts in enumerate(stack):
-        want = _scalar_draw_monte_carlo_error(
-            counts, resamples, lambda j: np.random.default_rng((keys[k], j))
-        )
-        assert sigma[k] == want
+        streams = functools.partial(numpy_stream, *keys[k])
+        assert sigma[k] == _scalar_draw_monte_carlo_error(counts, resamples, streams)
     order = [4, 0, 5, 2, 1, 3]
-    moved = monte_carlo_error(
-        stack[order], resamples, lambda k, j: np.random.default_rng((keys[order[k]], j))
-    )
+    moved_keys = [keys[k] for k in order]
+    moved = monte_carlo_error(stack[order], resamples, _blocks(moved_keys, resamples, 30))
     assert np.array_equal(moved, sigma[order])
 
 
 def test_monte_carlo_error_needs_two_resamples():
     counts = np.tile([(700, 300), (500, 500), (400, 600)], (2, 4, 1, 1))
     with pytest.raises(ValueError, match="need at least 2 resamples, got 1"):
-        monte_carlo_error(counts, 1, lambda k, j: np.random.default_rng((k, j)))
+        monte_carlo_error(counts, 1, _blocks([(0,), (1,)], 1, 1))
+
+
+def test_monte_carlo_error_needs_streams_for_every_resample():
+    counts = np.tile([(700, 300), (500, 500), (400, 600)], (2, 4, 1, 1))
+    with pytest.raises(ValueError, match="the streams hold 6 resamples, need 8"):
+        monte_carlo_error(counts, 8, _blocks([(0,), (1,)], 6, 4))
 
 
 def test_monte_carlo_error_rejects_a_single_unit_without_its_stack_axis():
     counts = np.tile([(700, 300), (500, 500), (400, 600)], (4, 1, 1))
     with pytest.raises(ValueError, match=r"a \(units, n_inputs, 3, 2\) stack, got \(4, 3, 2\)"):
-        monte_carlo_error(counts, 10, lambda k, j: np.random.default_rng((k, j)))
+        monte_carlo_error(counts, 10, _blocks([(0,)], 10, 10))
 
 
 def _reference_reconstruct(counts):
