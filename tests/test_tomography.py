@@ -522,8 +522,7 @@ LOW_COUNTS = np.array(
 )
 
 
-@pytest.mark.parametrize("block", [40, 9, 1])
-def test_monte_carlo_error_matches_scalar_draws(block):
+def test_monte_carlo_error_matches_scalar_draws():
     # The batched draw must give the same integers as numpy's scalar draws,
     # for low and high counts alike, whatever the block of resamples.
     cfg = MemoryConfig()
@@ -531,10 +530,13 @@ def test_monte_carlo_error_matches_scalar_draws(block):
     s2 = DEFAULT_CHANNELS[2]
     high_counts, _ = _run_process_tomography(s2, 1.0, cfg, det, 10**4, np.random.default_rng(9))
     stack = np.array([LOW_COUNTS, high_counts])
-    sigma = monte_carlo_error(stack, 40, _blocks([(77, 0), (77, 1)], 40, block))
-    for k, counts in enumerate(stack):
-        streams = functools.partial(numpy_stream, 77, k)
-        assert sigma[k] == _scalar_draw_monte_carlo_error(counts, 40, streams)
+    want = [
+        _scalar_draw_monte_carlo_error(counts, 40, functools.partial(numpy_stream, 77, k))
+        for k, counts in enumerate(stack)
+    ]
+    for block in (40, 9, 1):
+        sigma = monte_carlo_error(stack, 40, _blocks([(77, 0), (77, 1)], 40, block))
+        assert sigma.tolist() == want, block
 
 
 def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
