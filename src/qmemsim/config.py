@@ -23,6 +23,8 @@ import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .detection import MAX_PULSES, DetectionConfig
 from .errors import ConfigError
 from .memory import DEFAULT_CHANNELS, ChannelSpec, MemoryConfig
@@ -43,10 +45,17 @@ DEFAULT_STORAGE_TIMES = (
 _PS_PER_MS = 1e9
 
 
-def _time_key(t_ms: float) -> int:
-    # RNG stream key of a storage time: integer picoseconds, so the same
-    # physical time yields the same stream regardless of grid layout.
-    return int(round(t_ms * _PS_PER_MS))
+def _time_key(t_ms) -> np.ndarray:
+    """uint64 RNG stream keys of storage times (ms): integer picoseconds, so the same
+    physical time yields the same stream regardless of grid layout.  A time is valid
+    only if it is >= 0 and its key is below 2**64 (t < ~1.84e10 ms), else ValueError."""
+    t = np.asarray(t_ms, dtype=float)
+    with np.errstate(over="ignore"):  # past ~1.8e299 ms the key is inf, refused below
+        ps = np.rint(t * _PS_PER_MS)
+    bad = ~((t >= 0.0) & (ps < 2.0**64))
+    if bad.any():
+        raise ValueError(f"storage_times must be in [0, 2**64) picoseconds, got {t[bad][0]} ms")
+    return ps.astype(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -77,13 +86,8 @@ class ScenarioConfig:
             raise ValueError("channel ids must be unique")
         if not self.storage_times:
             raise ValueError("storage_times must not be empty")
-        for t in self.storage_times:
-            if not (t >= 0.0 and math.isfinite(t * _PS_PER_MS)):
-                raise ValueError(
-                    f"storage_times entries must be >= 0 and finite in picoseconds, got {t}"
-                )
-        keys = [_time_key(t) for t in self.storage_times]
-        if len(set(keys)) != len(keys):
+        keys = _time_key(self.storage_times)
+        if len(set(keys.tolist())) != len(keys):
             raise ValueError("storage_times must be unique to the picosecond")
         if not self.input_states:
             raise ValueError("input_states must not be empty")

@@ -11,8 +11,9 @@ so a row depends neither on evaluation order nor on the batch size: a scenario
 restricted to a subset of its grid reproduces exactly the rows of the full run.
 
 Unit keys use the channel's position in the configured channel list and
-the storage time in integer picoseconds; the domain constant separates
-count sampling, Monte Carlo resampling and efficiency sampling.
+the storage time in integer picoseconds below 2**64 (``config._time_key``);
+the domain constant separates count sampling, Monte Carlo resampling and
+efficiency sampling.
 """
 
 from __future__ import annotations
@@ -78,13 +79,14 @@ _SEED_BLOCK = 4096
 
 
 def derive_rng(seed: int, *key) -> Streams:
-    """Independent deterministic streams, one per key (seed, *key) of broadcast int or array parts:
-    numpy.random's ``Generator(PCG64(SeedSequence(entropy=key)))``, bit for bit (``Streams``)."""
-    parts = [np.asarray(part) for part in (seed, *key)]
-    try:
-        parts = [part.astype(np.uint64) for part in parts]
-    except OverflowError:  # a part of 2**64 or more: SeedSequence words of Python ints
-        parts = [part.astype(object) for part in parts]
+    """Independent deterministic streams, one per key (seed, *key) of broadcast integer or integer
+    array parts in [0, 2**64) (others raise a ValueError): numpy.random's
+    ``Generator(PCG64(SeedSequence(entropy=key)))``, bit for bit (``Streams``)."""
+    parts = []
+    for part in map(np.asarray, (seed, *key)):
+        if part.dtype.kind not in "iu" or (part < 0).any():
+            raise ValueError(f"stream key parts must be integers in [0, 2**64), got {part}")
+        parts.append(part.astype(np.uint64))
     return Streams(np.stack(np.broadcast_arrays(*parts), axis=-1))
 
 
@@ -117,13 +119,8 @@ def _unit_counts(cfg: ScenarioConfig, domain: int, idx, times, rates, expected: 
     """Counts of units' ``rates``: the means, or each a Poisson draw from its unit's stream."""
     counts = expected_counts(rates, cfg.pulses_per_setting)
     if not expected:
-        counts[...] = derive_rng(cfg.seed, domain, idx, _time_keys(times)).poisson(counts)
+        counts[...] = derive_rng(cfg.seed, domain, idx, _time_key(times)).poisson(counts)
     return counts
-
-
-def _time_keys(times: np.ndarray) -> np.ndarray:
-    """Stream keys of storage times: integer picoseconds, as Python ints of any size."""
-    return np.array([_time_key(t) for t in times.tolist()], dtype=object)
 
 
 def tomography_points(
@@ -154,7 +151,7 @@ def tomography_points(
         model[idx == i] = closed_form_fidelity(times[idx == i], **params)
     if not expected:
         # Unit k's resample j is keyed (seed, 2, channel, t_ps, j); blocks never stack all R.
-        keys = (cfg.seed, _DOMAIN_RESAMPLE, idx[:, None], _time_keys(times)[:, None])
+        keys = (cfg.seed, _DOMAIN_RESAMPLE, idx[:, None], _time_key(times)[:, None])
         step, R = max(1, _SEED_BLOCK // len(units)), cfg.mc_resamples
         blocks = (derive_rng(*keys, np.arange(j, min(j + step, R))) for j in range(0, R, step))
         sigma = monte_carlo_error(counts, R, blocks, cfg.input_states)

@@ -49,14 +49,12 @@ def _mix(x: np.ndarray, y: np.ndarray, const: int) -> tuple[np.ndarray, int]:
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy=row).generate_state(4, np.uint64)`` of each row of uint64 keys (N, L).
 
-    Keys (an object array of ints, if any is 2**64 or more) split into SeedSequence's uint32
-    words; rows of one word count hash at once, words wrapping as arrays, constants as ints.
+    Each key splits into SeedSequence's uint32 words, its high word kept only if not 0; rows
+    of one word count hash at once, words wrapping as arrays, constants as ints.
     """
-    bits = 64 if entropy.dtype != object else max(int(n).bit_length() for n in entropy.flat)
-    shifts = range(0, max(bits, 1), 32)
-    words = np.stack([entropy >> i & _MASK32 for i in shifts], -1).reshape(len(entropy), -1)
-    kept = np.stack([entropy >> i > 0 if i else entropy >= 0 for i in shifts], -1)
-    words, kept = words.astype(np.uint32), kept.reshape(words.shape)
+    high = entropy >> 32
+    words = np.stack([entropy & _MASK32, high], -1).astype(np.uint32).reshape(len(entropy), -1)
+    kept = np.stack([np.ones(high.shape, bool), high > 0], -1).reshape(words.shape)
     lengths = kept.sum(axis=1)
     seeded = np.empty((len(entropy), 4), dtype=np.uint64)
     for length in set(lengths.tolist()):
@@ -128,7 +126,7 @@ def _poisson_constants(lam: np.ndarray) -> np.ndarray:
 
 
 class Streams:
-    """numpy.random's stream ``Generator(PCG64(SeedSequence(entropy=key)))`` of each key of
+    """numpy.random's stream ``Generator(PCG64(SeedSequence(entropy=key)))`` of each uint64 key of
     ``entropy`` (..., L) (see ``_seed_words``); ``shape`` is the keys' leading shape."""
 
     def __init__(self, entropy: np.ndarray):
@@ -152,8 +150,8 @@ class Streams:
             raise ValueError("lam value too large")
         if not np.all(lam >= 0.0):
             raise ValueError("lam < 0 or lam contains NaNs")
-        if lam.shape[:1] != self.shape[:1]:
-            raise ValueError(f"need means for {self.shape[0]} rows of streams, got {lam.shape}")
+        if not lam.shape or lam.shape[:1] != self.shape[:1]:
+            raise ValueError(f"means {lam.shape} need one row per row of streams {self.shape}")
         means = lam.reshape(len(lam), -1)
         size, per_row = means.shape[1], math.prod(self.shape[1:])
         table = _poisson_constants(means.ravel())

@@ -138,6 +138,23 @@ class TestReproduce:
         assert "mc_resamples must be in [2, 1000000]" in proc.stderr
         assert not out.exists()
 
+    def test_storage_time_keyed_past_2_to_the_64_picoseconds_exits_2(self, tmp_path):
+        # The next float above the largest accepted time, 18446744073.70955 ms.
+        cfg = write_json(tmp_path / "far.json", {"storage_times": [0.005, 18446744073.709553]})
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmemsim", "simulate", "--config", cfg, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr == (
+            "config error: storage_times must be in [0, 2**64) picoseconds, "
+            "got 18446744073.709553 ms\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command", [["reproduce", "fig5"], ["reproduce", "table1"], ["simulate"]]
     )

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import fields, is_dataclass
 
 import pytest
@@ -158,6 +159,14 @@ def test_storage_times_validation():
     # Distinct floats that key one RNG stream (integer picoseconds).
     with pytest.raises(ConfigError, match="storage_times must be unique"):
         config_from_dict({"storage_times": [1.0, 1.0000000004]})
+
+
+def test_storage_times_key_below_2_to_the_64_picoseconds():
+    # Each time keys a uint64 RNG stream: its key, t * 1e9 rounded, must be below 2**64.
+    largest = 18446744073.70955
+    assert config_from_dict({"storage_times": [0.0, largest]}).storage_times == (0.0, largest)
+    with pytest.raises(ConfigError, match=r"^storage_times must be in \[0, 2\*\*64\) picoseconds"):
+        config_from_dict({"storage_times": [0.5, math.nextafter(largest, math.inf)]})
 
 
 def test_input_states_validation():

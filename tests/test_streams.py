@@ -1,6 +1,7 @@
 """Streams against numpy.random itself: every draw equal, bit for bit."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,5 +106,8 @@ def test_a_row_of_means_for_every_row_of_streams():
     stack = Streams(np.zeros((3, 2, 1), dtype=np.uint64))
     assert stack.shape == (3, 2)
     assert stack.poisson(np.zeros((3, 4))).shape == (3, 2, 4)
-    with pytest.raises(ValueError, match="need means for 3 rows of streams"):
-        stack.poisson(np.zeros((2, 4)))
+    # A 0-d stack has no rows, and 0-d means make no row.
+    for shape, lam in [((3, 2), (2, 4)), ((), (1,)), ((), ()), ((3,), ())]:
+        message = f"means {lam} need one row per row of streams {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Streams(np.zeros((*shape, 1), dtype=np.uint64)).poisson(np.full(lam, 30.0))
