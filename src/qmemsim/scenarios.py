@@ -83,7 +83,12 @@ def derive_rng(seed: int, *key) -> Streams:
     array parts in [0, 2**64) (others raise a ValueError): numpy.random's
     ``Generator(PCG64(SeedSequence(entropy=key)))``, bit for bit (``Streams``)."""
     parts = []
-    for part in map(np.asarray, (seed, *key)):
+    for given in (seed, *key):
+        part = np.asarray(given)
+        if part.dtype.kind in "fO":  # numpy reads [0, 2**63] as float64: read it exactly
+            exact = np.array(given, dtype=object)
+            if all(isinstance(v, (int, np.integer)) and 0 <= v < 2**64 for v in exact.flat):
+                part = exact.astype(np.uint64)
         if part.dtype.kind not in "iu" or (part < 0).any():
             raise ValueError(f"stream key parts must be integers in [0, 2**64), got {part}")
         parts.append(part.astype(np.uint64))
@@ -115,11 +120,12 @@ def _unit_physics(cfg: ScenarioConfig, units: Sequence[tuple[str, float]]) -> tu
     return idx, times, gamma, efficiency
 
 
-def _unit_counts(cfg: ScenarioConfig, domain: int, idx, times, rates, expected: bool) -> np.ndarray:
-    """Counts of units' ``rates``: the means, or each a Poisson draw from its unit's stream."""
+def _unit_counts(cfg: ScenarioConfig, domain: int, idx, keys, rates) -> np.ndarray:
+    """Counts of units' ``rates``: the means if ``keys`` is None, else each a Poisson draw
+    from its unit's stream, keyed by the unit's channel index and time key."""
     counts = expected_counts(rates, cfg.pulses_per_setting)
-    if not expected:
-        counts[...] = derive_rng(cfg.seed, domain, idx, _time_key(times)).poisson(counts)
+    if keys is not None:
+        counts[...] = derive_rng(cfg.seed, domain, idx, keys).poisson(counts)
     return counts
 
 
@@ -137,23 +143,24 @@ def tomography_points(
     the other units.  In expected-counts mode every sigma is exactly 0.
     """
     idx, times, gamma, efficiency = _unit_physics(cfg, units)
+    keys = None if expected else _time_key(times)
     try:
         stokes, _ = _input_set(cfg.input_states)
     except ValueError as exc:
         raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
     rates = expected_rates(dephase(stokes, gamma[:, None]), efficiency[:, None], cfg.detection)
-    counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx, times, rates, expected)
+    counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx, keys, rates)
     del rates  # the kernel below holds the largest arrays of the pass
     fidelity = _reconstruct(counts, cfg.input_states).process_fidelity
     model, sigma = np.empty(len(units)), np.zeros(len(units))
     for i in sorted(set(idx.tolist())):
         params = channel_model(cfg.channels[i], cfg.memory, cfg.detection)
         model[idx == i] = closed_form_fidelity(times[idx == i], **params)
-    if not expected:
+    if keys is not None:
         # Unit k's resample j is keyed (seed, 2, channel, t_ps, j); blocks never stack all R.
-        keys = (cfg.seed, _DOMAIN_RESAMPLE, idx[:, None], _time_key(times)[:, None])
+        unit = (cfg.seed, _DOMAIN_RESAMPLE, idx[:, None], keys[:, None])
         step, R = max(1, _SEED_BLOCK // len(units)), cfg.mc_resamples
-        blocks = (derive_rng(*keys, np.arange(j, min(j + step, R))) for j in range(0, R, step))
+        blocks = (derive_rng(*unit, np.arange(j, min(j + step, R))) for j in range(0, R, step))
         sigma = monte_carlo_error(counts, R, blocks, cfg.input_states)
     return {"fidelity": fidelity.tolist(), "sigma": sigma.tolist(), "model": model.tolist()}
 
@@ -179,10 +186,11 @@ def efficiency_points(
     and its one-sigma error is the Poisson plug-in sqrt(counts) / (M n_bar eta).
     """
     idx, times, _, efficiency = _unit_physics(cfg, units)
+    keys = None if expected else _time_key(times)
     det, pulses = cfg.detection, cfg.pulses_per_setting
     eta = effective_detection_efficiency(det)
     rates = det.n_bar * eta * efficiency + 2.0 * det.background_n
-    counts = _unit_counts(cfg, _DOMAIN_EFFICIENCY, idx, times, rates, expected)
+    counts = _unit_counts(cfg, _DOMAIN_EFFICIENCY, idx, keys, rates)
     estimate = (counts / pulses - 2.0 * det.background_n) / (det.n_bar * eta)
     sigma = np.sqrt(np.maximum(counts, 1.0)) / (pulses * det.n_bar * eta)
     names = ("efficiency_true", "counts", "efficiency_est", "sigma")

@@ -3,8 +3,11 @@
 Bit for bit: SeedSequence's hash, PCG64 (O'Neill, HMC-CS-2014-0905: the 128-bit LCG in
 uint64 halves, XSL-RR output, next_double) and Generator.poisson (Hörmann's PTRS for means
 >= 10, Insurance: Math. Econ. 12, 39 (1993); the multiplication method below).  Float
-operations are the C code's, in its order; every log and exp is math.log or math.exp, the
-libm calls of the C code (numpy's SIMD np.log and np.exp differ from libm in the last bit).
+operations are the C code's, in its order, and every value and decision is libm's: each exp
+and each per-mean log is math.exp or math.log, the libm calls of the C code (numpy's SIMD
+np.log and np.exp differ from libm in the last bit).  PTRS's log-acceptance test is decided
+with np.log wherever a forward-error bound of 2**-40 times the summed magnitudes of its terms
+proves the sign (``_accepts``), and with libm's logs on the rest.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ _LOGGAM_A = (-1.39243221690590e00, 1.796443723688307e-01, -2.955065359477124e-02
              -5.952380952380952e-04, 7.936507936507937e-04, -2.777777777777778e-03,
              8.333333333333333e-02)  # fmt: skip
 _HALF_LG2PI = 0.5 * 1.8378770664093453
+#: The log the acceptance filter evaluates with, and its slack relative to the terms (``_accepts``).
+_fast_log, _SLACK = np.log, 2.0**-40
 
 
 def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -95,19 +100,48 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.array([math.log(v) if v else -math.inf for v in x.tolist()])
 
 
-def _loggam(x: np.ndarray) -> np.ndarray:
-    """numpy's ``random_loggam`` of integer-valued x >= 1: Stirling's series at max(x, 7)."""
+def _loggam(x: np.ndarray, log=_log) -> np.ndarray:
+    """numpy's ``random_loggam`` of integer-valued x >= 1: Stirling's series at max(x, 7), with
+    ``log`` (libm's by default) of max(x, 7)."""
     x0 = np.maximum(x, 7.0)  # x + (int64_t)(7 - x) below 7
     x2 = (1.0 / x0) * (1.0 / x0)
     gl0 = np.full(x.shape, _LOGGAM_A[0])
     for coef in _LOGGAM_A[1:]:
         gl0 = gl0 * x2 + coef
-    gl = gl0 / x0 + _HALF_LG2PI + (x0 - 0.5) * _log(x0) - x0
+    gl = gl0 / x0 + _HALF_LG2PI + (x0 - 0.5) * log(x0) - x0
     if (x < 7.0).any():  # below 7, log(6), log(5), ... down to log(x) come off in turn
         for step in range(1, 7):
             gl[x0 - x >= step] -= math.log(7.0 - step)
         gl[x <= 2.0] = 0.0
     return gl
+
+
+def _accepts(v, w, log_invalpha, lam, log_lam, k) -> np.ndarray:
+    """libm's decision of PTRS's log-acceptance test, log(V) + log(invalpha) - log(w) <= -lam +
+    k log(lam) - loggam(k + 1), of each attempt, with w = a / us**2 + b.
+
+    A filtered predicate (Shewchuk, Discrete Comput. Geom. 18, 305 (1997)): both sides are
+    evaluated with ``_fast_log``, and the sign of lhs - rhs decides wherever |lhs - rhs| exceeds
+    slack = 2**-40 S, S the sum of the terms' magnitudes below; the rest (near-ties, and V = 0,
+    whose log -inf makes S inf) are evaluated again with libm's logs.  Why the slack suffices:
+    both evaluations make the same float operations in the same order, and differ only in the
+    logs of V, w and x0 = max(k + 1, 7).  With u = 2**-53 and each log within 4 ULP of the
+    true one (numpy 2.4's AVX-512 np.log is within 1 ULP of libm on 4 M arguments), two logs
+    of one argument differ by <= 10 u |log|, which makes <= 10 u S in all; each of the <= 11
+    roundings after them adds <= 2 u of a partial sum, which is <= 2 S (the constants of
+    loggam, below 8, are smaller than lam >= 10).  So the two values of lhs - rhs differ by
+    < 54 u S < 2**-47 S, and 2**-40 leaves a factor 128.
+    """
+    x, k_log_lam = (k + 1).astype(float), k * log_lam
+    x0, log_v, log_w, gl = np.maximum(x, 7.0), _fast_log(v), _fast_log(w), _loggam(x, _fast_log)
+    lhs, rhs = log_v + log_invalpha - log_w, -lam + k_log_lam - gl
+    terms = np.abs(log_v) + np.abs(log_w) + np.abs(log_invalpha) + lam + np.abs(k_log_lam)
+    terms += (x0 - 0.5) * _fast_log(x0) + x0 + np.abs(gl)
+    accept, near = lhs <= rhs, np.flatnonzero(~(np.abs(lhs - rhs) > _SLACK * terms))
+    if near.size:
+        v, w, log_i, lam, k_log_lam, x = (a[near] for a in (v, w, log_invalpha, lam, k_log_lam, x))
+        accept[near] = _log(v) + log_i - _log(w) <= -lam + k_log_lam - _loggam(x)
+    return accept
 
 
 def _poisson_constants(lam: np.ndarray) -> np.ndarray:
@@ -181,10 +215,9 @@ class Streams:
                 slow = np.flatnonzero(ptrs & ~done & (k >= 0) & ((us >= 0.013) | (v <= us)))
                 if slow.size:
                     lam_s, b_s, a, log_invalpha, log_lam = table.take(mean[slow], axis=0)[:, 3:].T
-                    us_s, k_s = us[slow], k[slow]
-                    log_v, log_w = _log(np.append(v[slow], a / (us_s * us_s) + b_s)).reshape(2, -1)
-                    rhs = -lam_s + k_s * log_lam - _loggam((k_s + 1).astype(float))
-                    done[slow] = log_v + log_invalpha - log_w <= rhs
+                    us_s = us[slow]
+                    w = a / (us_s * us_s) + b_s
+                    done[slow] = _accepts(v[slow], w, log_invalpha, lam_s, log_lam, k[slow])
                 # The multiplication method takes a second factor if the first
                 # leaves the product above exp(-lam).
                 prod, second = prod * first, prod * first * v

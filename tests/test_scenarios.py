@@ -85,11 +85,23 @@ class TestDeriveRng:
         lam = np.broadcast_to(self.LAM, (3, 2, 2))[None]
         assert np.array_equal(derive_rng(*key[:-1], [key[-1]]).poisson(lam)[0], want)
 
-    @pytest.mark.parametrize("key", [(-1, [1]), (7, 2**64), (7, [3, -2]), (7, 1.0), (7, [0.5])])
+    @pytest.mark.parametrize(
+        "key",
+        [(-1, [1]), (7, 2**64), (7, [3, -2]), (7, 1.0), (7, [0.5]), (7, [1.5]), (7, [-1]),
+         (7, [2**64]), (7, [0, 2**64]), (7, [0.5, 2**63])],
+    )  # fmt: skip
     def test_key_parts_outside_uint64_are_refused(self, key):
         # numpy's SeedSequence refuses a negative part; none may wrap or grow past 64 bits.
         with pytest.raises(ValueError, match=r"key parts must be integers in \[0, 2\*\*64\)"):
             derive_rng(*key)
+
+    def test_a_list_mixing_parts_below_and_from_2_to_the_63_is_read_exactly(self):
+        # numpy reads the list [0, 2**63] as float64; its parts are still integers in range.
+        parts, lam = [0, 2**63, 2**64 - 1], np.full((3, 2), 30.0)
+        got = derive_rng(7, parts).poisson(lam)
+        assert np.array_equal(got, derive_rng(7, np.array(parts, dtype=np.uint64)).poisson(lam))
+        for part, row in zip(parts, got):
+            assert np.array_equal(row, numpy_stream(7, part).poisson([30.0, 30.0]))
 
     def test_key_parts_broadcast_to_the_stack(self):
         streams = derive_rng(9, _DOMAIN_RESAMPLE, [[0], [6]], [[0], [2**32]], [0, 5, 999_999])
@@ -194,8 +206,9 @@ def test_unit_counts_are_numpys_draws_past_64_bit_time_keys(times):
 
 
 @pytest.mark.parametrize("points", [efficiency_points, tomography_points])
-@pytest.mark.parametrize("t", [np.inf, np.nextafter(LARGEST_TIME_MS, np.inf)])
+@pytest.mark.parametrize("t", [np.inf, np.nextafter(LARGEST_TIME_MS, np.inf), np.nan])
 def test_sampled_unit_past_the_key_range_names_its_time(points, t):
+    # NaN is named too: tomography_points keys its units before dephasing them.
     with pytest.raises(ValueError, match=rf"picoseconds, got {t} ms$"):
         points(small_cfg(), [("S2", 0.5), ("S2", t)])
 

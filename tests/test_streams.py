@@ -30,21 +30,95 @@ def numpy_draws(keys, lam):
     return np.array([numpy_stream(*key).poisson(row) for key, row in zip(keys, lam)])
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.lists(st.sampled_from(EDGE_PARTS), min_size=3, max_size=3), min_size=n),
-            st.lists(st.lists(MEANS, min_size=6, max_size=6), min_size=n, max_size=n),
-        )
+# One to four streams of three key parts, each drawing a row of six means.
+CASES = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.sampled_from(EDGE_PARTS), min_size=3, max_size=3), min_size=n),
+        st.lists(st.lists(MEANS, min_size=6, max_size=6), min_size=n, max_size=n),
     )
 )
-def test_poisson_equals_numpy_for_every_kind_of_mean(case):
+
+
+def assert_poisson_equals_numpy(case):
     keys, lam = case
     keys, lam = keys[: len(lam)], np.array(lam)
     got = Streams(np.array(keys, dtype=np.uint64)).poisson(lam)
     assert got.dtype == np.int64
     assert np.array_equal(got, numpy_draws(keys, lam))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(CASES)
+def test_poisson_equals_numpy_for_every_kind_of_mean(case):
+    assert_poisson_equals_numpy(case)
+
+
+def ulp_off(log, direction):
+    """``log`` moved one ULP towards ``direction``, but for log 0 = -inf."""
+
+    def moved(x):
+        y = log(x)
+        return np.where(np.isinf(y), y, np.nextafter(y, direction))
+
+    return moved
+
+
+@pytest.mark.parametrize(
+    "fast_log, slack",
+    [(ulp_off(np.log, math.inf), streams._SLACK), (ulp_off(np.log, -math.inf), streams._SLACK),
+     (np.log, math.inf)],
+    ids=["log-ulp-up", "log-ulp-down", "slack-inf"],
+)  # fmt: skip
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(case=CASES)
+def test_poisson_equals_numpy_with_the_fast_log_off_or_never_deciding(fast_log, slack, case):
+    # Every attempt's decision is libm's whether np.log is a ULP off (the filter's
+    # slack covers it) or the slack is inf (every attempt takes libm's logs).
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "_fast_log", fast_log)
+        patch.setattr(streams, "_SLACK", slack)
+        assert_poisson_equals_numpy(case)
+
+
+def libm_accepts(v, w, log_invalpha, lam, log_lam, k):
+    """PTRS's log-acceptance test as numpy's C code makes it, every log libm's."""
+    rhs = -lam + k * log_lam - _loggam((k + 1).astype(float))
+    return _log(v) + log_invalpha - _log(w) <= rhs
+
+
+@pytest.mark.parametrize("direction", [None, math.inf, -math.inf])
+def test_near_ties_and_log_of_zero_are_decided_with_libms_logs(monkeypatch, direction):
+    # Ties of log V: at w = 1, log(invalpha) = 0 and k = 0 the test is log V <= -lam.
+    # Ties of loggam's log: at V = w = 1 it is log(invalpha) <= -lam + k log(lam) - loggam(k + 1).
+    # Each comes as a tie and with lhs one ULP above and below rhs.  A fast log one ULP up
+    # decides the ties wrongly, one ULP down the ULP-above cases, so only libm's logs decide
+    # them all.  V = 0 has log -inf; the last attempt is far from a tie.
+    real_log, seen = streams._log, []
+    if direction is not None:
+        monkeypatch.setattr(streams, "_fast_log", ulp_off(real_log, direction))
+    monkeypatch.setattr(streams, "_log", lambda x: seen.append(x.copy()) or real_log(x))
+    v_ties, k_ties = np.array([0.3, 0.7, 1e-5, 0.9999]), np.array([20, 150, 10**6])
+    log_v, lam_k = real_log(v_ties), k_ties.astype(float)
+    rhs_k = -lam_k + k_ties * real_log(lam_k) - _loggam(lam_k + 1.0)
+
+    def ulp(y, way):  # y, or its neighbour up (way 1) or down (way -1)
+        return np.nextafter(y, way * math.inf) if way else y
+
+    v, log_invalpha, lam, k = [], [], [], []
+    for sign in (0, 1, -1):  # lhs at rhs, one ULP above it, one below
+        v += [*v_ties, 1.0, 1.0, 1.0]
+        log_invalpha += [0.0] * 4 + ulp(rhs_k, sign).tolist()  # lhs = log(invalpha) moves
+        lam += (-ulp(log_v, -sign)).tolist() + lam_k.tolist()  # rhs = -lam moves
+        k += [0] * 4 + k_ties.tolist()
+    v, log_invalpha = np.array(v + [0.0, 0.5]), np.array(log_invalpha + [0.0, 0.0])
+    lam, k = np.array(lam + [30.0, 30.0]), np.array(k + [0, 0])
+    w, log_lam = np.ones(v.size), real_log(lam)
+    with np.errstate(divide="ignore"):  # np.log(0), as inside Streams.poisson
+        got = streams._accepts(v, w, log_invalpha, lam, log_lam, k)
+    want = libm_accepts(v, w, log_invalpha, lam, log_lam, k)
+    assert want.tolist() == [True] * 7 + [False] * 7 + [True] * 7 + [True, False]
+    assert got.tolist() == want.tolist()
+    assert seen[0].tolist() == v[:-1].tolist()  # every attempt but the last took libm's logs
 
 
 def test_slow_path_and_the_small_loggam_loop_run_and_match_numpy(monkeypatch):
@@ -53,9 +127,9 @@ def test_slow_path_and_the_small_loggam_loop_run_and_match_numpy(monkeypatch):
     seen = []
     real = streams._loggam
 
-    def recording(x):
+    def recording(x, *log):
         seen.append(x.copy())
-        return real(x)
+        return real(x, *log)
 
     monkeypatch.setattr(streams, "_loggam", recording)
     keys = [(2024, j) for j in range(2000)]
@@ -71,6 +145,7 @@ def test_loggam_is_log_gamma():
     want = [math.lgamma(v) for v in x]
     assert np.allclose(_loggam(x), want, rtol=1e-14, atol=1e-14)
     assert _loggam(np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+    assert np.allclose(_loggam(x, np.log), want, rtol=1e-14, atol=1e-14)
 
 
 def test_log_of_zero_is_minus_infinity_as_in_c():
