@@ -68,7 +68,6 @@ from .scenarios import (
     tomography_point,
 )
 from .tomography import (
-    ProcessResult,
     TomographyResult,
     identity_chi,
     monte_carlo_error,

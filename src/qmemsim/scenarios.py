@@ -80,16 +80,15 @@ _SEED_BLOCK = 4096
 
 def derive_rng(seed: int, *key) -> Streams:
     """Independent deterministic streams, one per key (seed, *key) of broadcast integer or integer
-    array parts in [0, 2**64) (others raise a ValueError): numpy.random's
+    array parts in [0, 2**64) (others, bools too, raise a ValueError): numpy.random's
     ``Generator(PCG64(SeedSequence(entropy=key)))``, bit for bit (``Streams``)."""
     parts = []
     for given in (seed, *key):
-        part = np.asarray(given)
-        if part.dtype.kind in "fO":  # numpy reads [0, 2**63] as float64: read it exactly
-            exact = np.array(given, dtype=object)
-            if all(isinstance(v, (int, np.integer)) and 0 <= v < 2**64 for v in exact.flat):
-                part = exact.astype(np.uint64)
-        if part.dtype.kind not in "iu" or (part < 0).any():
+        part = np.array(given, dtype=object)  # exact: numpy would read [0, 2**63] as float64
+        if not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < 2**64
+            for v in part.flat
+        ):
             raise ValueError(f"stream key parts must be integers in [0, 2**64), got {part}")
         parts.append(part.astype(np.uint64))
     return Streams(np.stack(np.broadcast_arrays(*parts), axis=-1))
@@ -107,17 +106,19 @@ class RunArtifact:
 
 
 def _unit_physics(cfg: ScenarioConfig, units: Sequence[tuple[str, float]]) -> tuple:
-    """Channel indices, times, coherence factors and efficiencies of units, per channel at once."""
+    """Channel indices, times, time keys, coherence factors and efficiencies of units; every
+    time is keyed (so checked) first, in both count modes, then the physics runs per channel."""
     index = {ch.id: i for i, ch in enumerate(cfg.channels)}
     # An unknown id falls through to channel_index, which raises its ConfigError.
     idx = np.array([index[c] if c in index else cfg.channel_index(c) for c, _ in units], dtype=int)
     times = np.array([t for _, t in units], dtype=float)
+    keys = _time_key(times)
     gamma, efficiency = np.empty((2, len(units)))
     for i in set(idx.tolist()):
         at, channel = idx == i, cfg.channels[i]
         gamma[at] = dephasing_factor(times[at], channel, cfg.memory)
         efficiency[at] = retrieval_efficiency(channel.theta, times[at], cfg.memory)
-    return idx, times, gamma, efficiency
+    return idx, times, keys, gamma, efficiency
 
 
 def _unit_counts(cfg: ScenarioConfig, domain: int, idx, keys, rates) -> np.ndarray:
@@ -142,21 +143,20 @@ def tomography_points(
     and resamples from its own streams, so its values do not depend on
     the other units.  In expected-counts mode every sigma is exactly 0.
     """
-    idx, times, gamma, efficiency = _unit_physics(cfg, units)
-    keys = None if expected else _time_key(times)
+    idx, times, keys, gamma, efficiency = _unit_physics(cfg, units)
     try:
         stokes, _ = _input_set(cfg.input_states)
     except ValueError as exc:
         raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
     rates = expected_rates(dephase(stokes, gamma[:, None]), efficiency[:, None], cfg.detection)
-    counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx, keys, rates)
+    counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx, None if expected else keys, rates)
     del rates  # the kernel below holds the largest arrays of the pass
     fidelity = _reconstruct(counts, cfg.input_states).process_fidelity
     model, sigma = np.empty(len(units)), np.zeros(len(units))
     for i in sorted(set(idx.tolist())):
         params = channel_model(cfg.channels[i], cfg.memory, cfg.detection)
         model[idx == i] = closed_form_fidelity(times[idx == i], **params)
-    if keys is not None:
+    if not expected:
         # Unit k's resample j is keyed (seed, 2, channel, t_ps, j); blocks never stack all R.
         unit = (cfg.seed, _DOMAIN_RESAMPLE, idx[:, None], keys[:, None])
         step, R = max(1, _SEED_BLOCK // len(units)), cfg.mc_resamples
@@ -185,12 +185,11 @@ def efficiency_points(
     Counts sum both detectors; the estimate inverts counts = M (n_bar eta R + 2 N),
     and its one-sigma error is the Poisson plug-in sqrt(counts) / (M n_bar eta).
     """
-    idx, times, _, efficiency = _unit_physics(cfg, units)
-    keys = None if expected else _time_key(times)
+    idx, _, keys, _, efficiency = _unit_physics(cfg, units)
     det, pulses = cfg.detection, cfg.pulses_per_setting
     eta = effective_detection_efficiency(det)
     rates = det.n_bar * eta * efficiency + 2.0 * det.background_n
-    counts = _unit_counts(cfg, _DOMAIN_EFFICIENCY, idx, keys, rates)
+    counts = _unit_counts(cfg, _DOMAIN_EFFICIENCY, idx, None if expected else keys, rates)
     estimate = (counts / pulses - 2.0 * det.background_n) / (det.n_bar * eta)
     sigma = np.sqrt(np.maximum(counts, 1.0)) / (pulses * det.n_bar * eta)
     names = ("efficiency_true", "counts", "efficiency_est", "sigma")

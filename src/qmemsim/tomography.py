@@ -22,9 +22,9 @@ S that the simulated rates expected_rates(dephase(S, gamma), R, detection)
 start from, and ``process_matrix`` builds the map of the states it is given.
 
 ``_reconstruct`` is the kernel for counts: Stokes rows, their
-projection and ``_solve_chi`` (one batched eigh for the chi projection),
-then the projected chi[0, 0] (the fidelity to the identity process), in
-one pass over a (..., n_inputs, 3, 2) count stack.  A scenario scores all
+projection, ``_solve_chi``, ``_project_chi`` (one batched eigh), then the
+projected chi[0, 0] (the fidelity to the identity process), in one pass
+over a (..., n_inputs, 3, 2) count stack.  A scenario scores all
 its units in one call, and so does each bootstrap resample, whose counts come
 from a block of ``streams.Streams``.  The map is applied as a stacked real
 (32, 16) matrix-vector product per unit, not as one matrix product over all
@@ -60,22 +60,19 @@ _PAULIS = np.array(PAULI_BASIS)
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """A reconstructed qubit state plus reconstruction diagnostics."""
+    """A reconstructed qubit state and whether it was projected to the physical set."""
 
     rho: np.ndarray
     physical_projection_applied: bool
-    projection_distance: float
 
 
 @dataclass(frozen=True)
 class ProcessResult:
-    """Reconstructed process matrices, fidelities and diagnostics of a (...) stack of units."""
+    """Process fidelities, raw chi[0, 0] and chi projection masks of a (...) stack of units."""
 
-    chi: np.ndarray
     process_fidelity: np.ndarray
     raw_chi00: np.ndarray
     projection_applied: np.ndarray
-    projection_distance: np.ndarray
 
 
 def stokes_from_counts(counts: np.ndarray) -> np.ndarray:
@@ -104,12 +101,10 @@ def state_estimate(stokes: np.ndarray) -> TomographyResult:
     (1 +- |S|)/2.  If the smaller one is below -_PROJECT_EIG_TOL (raw
     Stokes estimates may leave the unit ball under shot noise), clamping
     it to zero and renormalizing the trace leaves the pure state
-    (I + S/|S| . sigma)/2, which is returned with the projection flag set
-    and its Frobenius distance (|S| - 1)/sqrt(2) from the linear estimate.
+    (I + S/|S| . sigma)/2, which is returned with the projection flag set.
     """
     projected, fired = _project_stokes(np.asarray(stokes, dtype=float))
-    rho, rho_lin = density_from_stokes(projected), density_from_stokes(stokes)
-    return TomographyResult(rho, bool(fired), float(np.linalg.norm(rho - rho_lin)))
+    return TomographyResult(density_from_stokes(projected), bool(fired))
 
 
 def _project_stokes(stokes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,39 +155,33 @@ def _input_set(input_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     return stokes, chi_map
 
 
-def _solve_chi(chi_map: np.ndarray, stokes: np.ndarray) -> tuple:
-    """Chi (..., 4, 4) of output Stokes vectors (..., 4, 3) through a ``_chi_map``.
+def _solve_chi(chi_map: np.ndarray, stokes: np.ndarray) -> np.ndarray:
+    """Raw chi (..., 4, 4) of output Stokes vectors (..., 4, 3) through a ``_chi_map``.
 
-    Returns the ``_project_chi`` result (chi, mask, distance) and the raw chi.
+    No projection: ``_project_chi`` takes the result to the physical cone.
     """
     lead = stokes.shape[:-2]
     rows = np.ones(stokes.shape[:-1] + (4,))
     rows[..., 1:] = stokes
     vec_chi = np.matmul(chi_map, rows.reshape(lead + (16, 1)))
-    del rows  # free it before the eigendecomposition
-    chi_raw = vec_chi.reshape(lead + (32,)).view(complex).reshape(lead + (4, 4))
-    return (*_project_chi(chi_raw), chi_raw)
+    return vec_chi.reshape(lead + (32,)).view(complex).reshape(lead + (4, 4))
 
 
-def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp the negative eigenvalues of unit-trace Hermitian chi (..., 4, 4) and renormalize.
 
     Only units with an eigenvalue below -_PROJECT_EIG_TOL change.  Returns
-    the projected chi, their mask (...) and their Frobenius distance from chi.
+    the projected chi and the mask (...) of the changed units.
     """
     vals, vecs = np.linalg.eigh(chi)
     _check_unit_trace("chi", vals.sum(axis=-1))
     applied = vals[..., 0] < -_PROJECT_EIG_TOL
-    fired = np.count_nonzero(applied)
-    if not fired:
-        return chi, applied, np.zeros(applied.shape)
+    if not applied.any():
+        return chi, applied
     clamped = np.maximum(vals, 0.0)
     lam = clamped / clamped.sum(axis=-1, keepdims=True)
     projected = (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    if fired < applied.size:
-        lam = np.where(applied[..., None], lam, vals)
-        projected = np.where(applied[..., None, None], projected, chi)
-    return projected, applied, np.sqrt(np.square(lam - vals).sum(axis=-1))
+    return np.where(applied[..., None, None], projected, chi), applied
 
 
 def process_matrix(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -201,7 +190,7 @@ def process_matrix(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray
         raise ValueError(f"need exactly 4 input/output pairs, got {len(pairs)}")
     inputs = np.array([check_density(rho_in) for rho_in, _ in pairs])
     stokes = np.array([stokes_of(rho_out) for _, rho_out in pairs])
-    return _solve_chi(_chi_map(inputs), stokes)[0]
+    return _project_chi(_solve_chi(_chi_map(inputs), stokes))[0]
 
 
 def identity_chi() -> np.ndarray:
@@ -245,9 +234,10 @@ def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResu
             raise ValueError(f"need counts for {n} inputs, got {counts.shape[-3]}")
         raise ValueError(f"counts must have shape (..., {n}, 3, 2), got {counts.shape}")
     stokes, _ = _project_stokes(stokes_from_counts(counts))
-    chi, applied, distance, chi_raw = _solve_chi(chi_map, stokes)
+    chi_raw = _solve_chi(chi_map, stokes)
+    chi, applied = _project_chi(chi_raw)
     fidelity = np.minimum(np.maximum(chi[..., 0, 0].real, 0.0), 1.0)
-    return ProcessResult(chi, fidelity, chi_raw[..., 0, 0].real, applied, distance)
+    return ProcessResult(fidelity, chi_raw[..., 0, 0].real, applied)
 
 
 def reconstruct_from_records(

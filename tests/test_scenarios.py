@@ -88,7 +88,7 @@ class TestDeriveRng:
     @pytest.mark.parametrize(
         "key",
         [(-1, [1]), (7, 2**64), (7, [3, -2]), (7, 1.0), (7, [0.5]), (7, [1.5]), (7, [-1]),
-         (7, [2**64]), (7, [0, 2**64]), (7, [0.5, 2**63])],
+         (7, [2**64]), (7, [0, 2**64]), (7, [0.5, 2**63]), (7, [True, 5]), (7, [np.True_, 3])],
     )  # fmt: skip
     def test_key_parts_outside_uint64_are_refused(self, key):
         # numpy's SeedSequence refuses a negative part; none may wrap or grow past 64 bits.
@@ -211,6 +211,14 @@ def test_sampled_unit_past_the_key_range_names_its_time(points, t):
     # NaN is named too: tomography_points keys its units before dephasing them.
     with pytest.raises(ValueError, match=rf"picoseconds, got {t} ms$"):
         points(small_cfg(), [("S2", 0.5), ("S2", t)])
+
+
+@pytest.mark.parametrize("points", [efficiency_points, tomography_points])
+@pytest.mark.parametrize("t", [np.inf, np.nextafter(LARGEST_TIME_MS, np.inf), np.nan, -1.0])
+def test_expected_unit_past_the_key_range_names_its_time(points, t):
+    # Expected counts draw nothing, but a unit's time is checked as in sampled mode.
+    with pytest.raises(ValueError, match=rf"picoseconds, got {t} ms$"):
+        points(small_cfg(), [("S2", 0.5), ("S2", t)], expected=True)
 
 
 class TestTomographyPoint:

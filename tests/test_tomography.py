@@ -159,17 +159,19 @@ def test_cached_chi_map_matches_the_linear_solve(rng, labels):
 
 
 def test_state_estimate_interior_point_untouched():
-    est = state_estimate(np.array([0.3, -0.2, 0.1]))
+    stokes = np.array([0.3, -0.2, 0.1])
+    est = state_estimate(stokes)
     assert not est.physical_projection_applied
-    assert est.projection_distance == 0.0
+    assert np.array_equal(est.rho, density_from_stokes(stokes))
     assert np.allclose(np.trace(est.rho).real, 1.0, atol=1e-15)
 
 
 def test_state_estimate_projects_exterior_point():
     # Shot noise can push |S| above 1; the estimate must still be a state.
-    est = state_estimate(np.array([0.9, 0.6, 0.4]))
+    stokes = np.array([0.9, 0.6, 0.4])
+    est = state_estimate(stokes)
     assert est.physical_projection_applied
-    assert est.projection_distance > 0.0
+    assert np.max(np.abs(est.rho - _eigen_clamp(density_from_stokes(stokes))[0])) < 1e-14
     vals = np.linalg.eigvalsh(est.rho)
     assert vals[0] >= -1e-15
     assert abs(np.trace(est.rho).real - 1.0) < 1e-12
@@ -186,10 +188,9 @@ def _eigen_clamp(mat):
     # Reference projection: clamp negative eigenvalues, renormalize the trace.
     vals, vecs = np.linalg.eigh(mat)
     if vals[0] >= -_PROJECT_EIG_TOL:
-        return mat, False, 0.0
+        return mat, False
     clamped = np.clip(vals, 0.0, None)
-    projected = (vecs * (clamped / clamped.sum())) @ vecs.conj().T
-    return projected, True, float(np.linalg.norm(projected - mat))
+    return (vecs * (clamped / clamped.sum())) @ vecs.conj().T, True
 
 
 def test_state_estimate_closed_form_matches_eigen_clamp(rng):
@@ -202,10 +203,11 @@ def test_state_estimate_closed_form_matches_eigen_clamp(rng):
     cases = [d * rng.uniform(0.0, 1.6) for d in directions] + edges
     for stokes in cases:
         est = state_estimate(stokes)
-        rho, applied, distance = _eigen_clamp(density_from_stokes(stokes))
+        rho, applied = _eigen_clamp(density_from_stokes(stokes))
         assert est.physical_projection_applied == applied
         assert np.max(np.abs(est.rho - rho)) < 1e-14
-        assert abs(est.projection_distance - distance) < 1e-14
+        # An unprojected estimate is the linear one, bit for bit.
+        assert applied or np.array_equal(est.rho, rho)
     assert [state_estimate(s).physical_projection_applied for s in edges] == [False, False, True]
 
 
@@ -290,8 +292,9 @@ def test_process_matrix_on_another_input_set_recovers_random_channels(rng):
 
 def test_project_process_matrix_clamps():
     chi = np.diag([1.02, 0.0, 0.0, -0.02]).astype(complex)
-    projected, applied, distance = _project_chi(chi)
-    assert applied and distance > 0
+    projected, applied = _project_chi(chi)
+    assert applied
+    assert np.max(np.abs(projected - identity_chi())) < 1e-15
     assert np.linalg.eigvalsh(projected)[0] >= -1e-15
     assert abs(np.trace(projected).real - 1.0) < 1e-12
 
@@ -425,14 +428,16 @@ def test_reconstruct_from_records_round_trip():
 
 def _assert_rows_equal_single_unit_calls(stack):
     res = _reconstruct(stack, DEFAULT_INPUT_LABELS)
-    assert res.chi.shape == stack.shape[:-3] + (4, 4)
+    assert res.process_fidelity.shape == stack.shape[:-3]
     for k, counts in enumerate(stack):
         one = _reconstruct(counts, DEFAULT_INPUT_LABELS)
-        assert np.array_equal(res.chi[k], one.chi)
         assert res.process_fidelity[k] == one.process_fidelity
         assert res.raw_chi00[k] == one.raw_chi00
         assert res.projection_applied[k] == one.projection_applied
-        assert res.projection_distance[k] == one.projection_distance
+        # A unit the chi projection leaves alone keeps its raw chi, bit for bit,
+        # even when other units of the stack are projected.
+        if not res.projection_applied[k]:
+            assert res.process_fidelity[k] == min(max(res.raw_chi00[k], 0.0), 1.0)
     return res
 
 
@@ -609,8 +614,8 @@ def _reference_reconstruct(counts):
         stokes = np.array([(p - m) / (p + m) for p, m in counts[k].tolist()])
         outputs.append(_eigen_clamp(density_from_stokes(stokes))[0])
     chi_raw = _reference_chi(list(INPUT_STATES.values()), outputs)
-    chi, applied, distance = _eigen_clamp(chi_raw)
-    return process_fidelity(chi, identity_chi()), float(chi_raw[0, 0].real), applied, distance
+    chi, applied = _eigen_clamp(chi_raw)
+    return process_fidelity(chi, identity_chi()), float(chi_raw[0, 0].real), applied
 
 
 @st.composite
@@ -635,13 +640,14 @@ def _count_arrays(draw):
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
 @given(_count_arrays())
 def test_reconstruct_matches_reference_chain(counts):
-    fidelity, raw_chi00, applied, distance = _reference_reconstruct(counts)
+    fidelity, raw_chi00, applied = _reference_reconstruct(counts)
     res = _reconstruct(counts, DEFAULT_INPUT_LABELS)
     assert res.projection_applied == applied
     assert abs(res.process_fidelity - fidelity) < 1e-12
     assert abs(res.raw_chi00 - raw_chi00) < 1e-12
-    assert abs(res.projection_distance - distance) < 1e-12
+    assert applied or res.process_fidelity == min(max(res.raw_chi00, 0.0), 1.0)
     # Expected-counts mode carries the same counts as floats.
     as_float = _reconstruct(counts.astype(float), DEFAULT_INPUT_LABELS)
     assert as_float.process_fidelity == res.process_fidelity
-    assert np.array_equal(as_float.chi, res.chi)
+    assert as_float.raw_chi00 == res.raw_chi00
+    assert as_float.projection_applied == res.projection_applied
