@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .config import ScenarioConfig, _build, load_config
+from .config import ScenarioConfig, _build, _read_json, load_config
 from .errors import ConfigError, FitError
 from .fitting import DecayDataset, channel_model, fit_exponential, fit_sigma_gamma
 from .scenarios import (
@@ -205,14 +205,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "calibrate":
         targets = None
         if args.targets:
-            try:
-                with open(args.targets, "r", encoding="utf-8") as fh:
-                    raw = json.load(fh)
-            except OSError as exc:
-                raise IOError(f"cannot read targets {args.targets}: {exc}") from None
-            except ValueError as exc:  # malformed JSON or text that is not UTF-8
-                raise ConfigError(f"invalid JSON in {args.targets}: {exc}") from None
-            targets = _build(dict[str, float], raw, args.targets)
+            targets = _build(dict[str, float], _read_json(args.targets, "targets"), args.targets)
             if not targets:
                 raise ConfigError(f"{args.targets}: expected a non-empty channel->fidelity object")
             for key, value in targets.items():

@@ -34,7 +34,7 @@ from .tomography import DEFAULT_INPUT_LABELS
 DEFAULT_SEED = 12345
 DEFAULT_PULSES = 100_000
 DEFAULT_RESAMPLES = 500
-#: Largest mc_resamples: one float per unit and resample; streams live a block (4096) at a time.
+#: Largest mc_resamples: a float per unit and resample; keys live a block (tomography._SEED_BLOCK).
 MAX_RESAMPLES = 1_000_000
 #: Storage-time grid (ms): dense enough for decay fits, includes the
 #: 5 us table point and the 6 ms endpoint.
@@ -200,16 +200,21 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     return _build(ScenarioConfig, data, "")
 
 
-def load_config(path: str) -> ScenarioConfig:
-    """Load and validate a JSON scenario config file."""
+def _read_json(path: str, what: str):
+    """The JSON value in the file at ``path``, the ``what`` of a run: an unreadable file raises
+    IOError (exit 4), malformed JSON or text that is not UTF-8 a ConfigError (exit 2)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except ValueError as exc:  # malformed JSON or text that is not UTF-8
+        raise IOError(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return config_from_dict(data)
+
+
+def load_config(path: str) -> ScenarioConfig:
+    """Load and validate a JSON scenario config file."""
+    return config_from_dict(_read_json(path, "config"))
 
 
 def _echo(value):

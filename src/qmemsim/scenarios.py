@@ -5,9 +5,10 @@ pipeline and packs the results into a RunArtifact.  A unit is one
 channel at one storage time, one table row; a scenario runs all its
 units in one batched pass (``tomography_points``, ``efficiency_points``).
 Every stochastic unit of work (a unit's counts, or one Monte Carlo resample)
-draws from its own RNG stream, numpy.random's PCG64 stream of the key (seed,
-domain, unit key) (``derive_rng``), and the pass scores each unit on its own,
-so a row depends neither on evaluation order nor on the batch size: a scenario
+draws from its own fresh RNG stream, numpy.random's PCG64 stream of the key
+(seed, domain, unit key[, resample]) (``derive_rng`` checks the key parts,
+``streams.poisson`` draws), and the pass scores each unit on its own, so a row
+depends neither on evaluation order nor on the batch size: a scenario
 restricted to a subset of its grid reproduces exactly the rows of the full run.
 
 Unit keys use the channel's position in the configured channel list and
@@ -39,7 +40,7 @@ from .fitting import (
     fit_sigma_gamma,
 )
 from .memory import dephase, dephasing_factor, retrieval_efficiency, walk_off_r0
-from .streams import Streams
+from .streams import poisson
 from .tomography import _input_set, _reconstruct, monte_carlo_error
 
 FORMAT_VERSION = 1
@@ -74,14 +75,10 @@ _DOMAIN_RESAMPLE = 2
 _DOMAIN_EFFICIENCY = 3
 
 
-#: Streams of one block of the bootstrap: max(1, _SEED_BLOCK // U) resamples of U units.
-_SEED_BLOCK = 4096
-
-
-def derive_rng(seed: int, *key) -> Streams:
-    """Independent deterministic streams, one per key (seed, *key) of broadcast integer or integer
-    array parts in [0, 2**64) (others, bools too, raise a ValueError): numpy.random's
-    ``Generator(PCG64(SeedSequence(entropy=key)))``, bit for bit (``Streams``)."""
+def derive_rng(seed: int, *key) -> np.ndarray:
+    """The uint64 stream keys (..., L) (seed, *key) of broadcast integer or integer array parts
+    in [0, 2**64); others, bools too, raise a ValueError.  ``streams.poisson`` draws from the
+    fresh stream of each key."""
     parts = []
     for given in (seed, *key):
         part = np.array(given, dtype=object)  # exact: numpy would read [0, 2**63] as float64
@@ -91,7 +88,7 @@ def derive_rng(seed: int, *key) -> Streams:
         ):
             raise ValueError(f"stream key parts must be integers in [0, 2**64), got {part}")
         parts.append(part.astype(np.uint64))
-    return Streams(np.stack(np.broadcast_arrays(*parts), axis=-1))
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 @dataclass
@@ -106,19 +103,17 @@ class RunArtifact:
 
 
 def _unit_physics(cfg: ScenarioConfig, units: Sequence[tuple[str, float]]) -> tuple:
-    """Channel indices, times, time keys, coherence factors and efficiencies of units; every
-    time is keyed (so checked) first, in both count modes, then the physics runs per channel."""
+    """Channel indices, times, time keys and efficiencies of units; every time is keyed (so
+    checked) first, in both count modes, then the efficiency runs per channel."""
     index = {ch.id: i for i, ch in enumerate(cfg.channels)}
     # An unknown id falls through to channel_index, which raises its ConfigError.
     idx = np.array([index[c] if c in index else cfg.channel_index(c) for c, _ in units], dtype=int)
     times = np.array([t for _, t in units], dtype=float)
-    keys = _time_key(times)
-    gamma, efficiency = np.empty((2, len(units)))
+    keys, efficiency = _time_key(times), np.empty(len(units))
     for i in set(idx.tolist()):
-        at, channel = idx == i, cfg.channels[i]
-        gamma[at] = dephasing_factor(times[at], channel, cfg.memory)
-        efficiency[at] = retrieval_efficiency(channel.theta, times[at], cfg.memory)
-    return idx, times, keys, gamma, efficiency
+        at = idx == i
+        efficiency[at] = retrieval_efficiency(cfg.channels[i].theta, times[at], cfg.memory)
+    return idx, times, keys, efficiency
 
 
 def _unit_counts(cfg: ScenarioConfig, domain: int, idx, keys, rates) -> np.ndarray:
@@ -126,7 +121,7 @@ def _unit_counts(cfg: ScenarioConfig, domain: int, idx, keys, rates) -> np.ndarr
     from its unit's stream, keyed by the unit's channel index and time key."""
     counts = expected_counts(rates, cfg.pulses_per_setting)
     if keys is not None:
-        counts[...] = derive_rng(cfg.seed, domain, idx, keys).poisson(counts)
+        counts[...] = poisson(derive_rng(cfg.seed, domain, idx, keys), counts)
     return counts
 
 
@@ -138,30 +133,31 @@ def tomography_points(
     """Lists "fidelity", its Monte Carlo error "sigma" and "model" of units (channel_id, t).
 
     The forward model and the reconstruction run once over the stack of
-    all units, the model once per channel, and each bootstrap resample is
-    one more reconstruction over the stack.  Each unit draws its counts
-    and resamples from its own streams, so its values do not depend on
-    the other units.  In expected-counts mode every sigma is exactly 0.
+    all units, the coherence factor and the model once per channel, and
+    each bootstrap resample is one more reconstruction over the stack.
+    Each unit draws its counts and resamples from its own streams, so its
+    values do not depend on the other units.  In expected-counts mode
+    every sigma is exactly 0.
     """
-    idx, times, keys, gamma, efficiency = _unit_physics(cfg, units)
+    idx, times, keys, efficiency = _unit_physics(cfg, units)
     try:
         stokes, _ = _input_set(cfg.input_states)
     except ValueError as exc:
         raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
+    gamma, model, sigma = np.empty(len(units)), np.empty(len(units)), np.zeros(len(units))
+    for i in sorted(set(idx.tolist())):
+        at, channel = idx == i, cfg.channels[i]
+        gamma[at] = dephasing_factor(times[at], channel, cfg.memory)
+        params = channel_model(channel, cfg.memory, cfg.detection)
+        model[at] = closed_form_fidelity(times[at], **params)
     rates = expected_rates(dephase(stokes, gamma[:, None]), efficiency[:, None], cfg.detection)
     counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx, None if expected else keys, rates)
     del rates  # the kernel below holds the largest arrays of the pass
     fidelity = _reconstruct(counts, cfg.input_states).process_fidelity
-    model, sigma = np.empty(len(units)), np.zeros(len(units))
-    for i in sorted(set(idx.tolist())):
-        params = channel_model(cfg.channels[i], cfg.memory, cfg.detection)
-        model[idx == i] = closed_form_fidelity(times[idx == i], **params)
     if not expected:
-        # Unit k's resample j is keyed (seed, 2, channel, t_ps, j); blocks never stack all R.
-        unit = (cfg.seed, _DOMAIN_RESAMPLE, idx[:, None], keys[:, None])
-        step, R = max(1, _SEED_BLOCK // len(units)), cfg.mc_resamples
-        blocks = (derive_rng(*unit, np.arange(j, min(j + step, R))) for j in range(0, R, step))
-        sigma = monte_carlo_error(counts, R, blocks, cfg.input_states)
+        # Unit k's resample j is keyed (seed, 2, channel, t_ps, j).
+        resample_keys = derive_rng(cfg.seed, _DOMAIN_RESAMPLE, idx, keys)
+        sigma = monte_carlo_error(counts, cfg.mc_resamples, resample_keys, cfg.input_states)
     return {"fidelity": fidelity.tolist(), "sigma": sigma.tolist(), "model": model.tolist()}
 
 
@@ -185,7 +181,7 @@ def efficiency_points(
     Counts sum both detectors; the estimate inverts counts = M (n_bar eta R + 2 N),
     and its one-sigma error is the Poisson plug-in sqrt(counts) / (M n_bar eta).
     """
-    idx, _, keys, _, efficiency = _unit_physics(cfg, units)
+    idx, _, keys, efficiency = _unit_physics(cfg, units)
     det, pulses = cfg.detection, cfg.pulses_per_setting
     eta = effective_detection_efficiency(det)
     rates = det.n_bar * eta * efficiency + 2.0 * det.background_n

@@ -57,8 +57,8 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     Each key splits into SeedSequence's uint32 words, its high word kept only if not 0; rows
     of one word count hash at once, words wrapping as arrays, constants as ints.
     """
-    high = entropy >> 32
-    words = np.stack([entropy & _MASK32, high], -1).astype(np.uint32).reshape(len(entropy), -1)
+    high, width = entropy >> 32, 2 * entropy.shape[1]
+    words = np.stack([entropy & _MASK32, high], -1).astype(np.uint32).reshape(-1, width)
     kept = np.stack([np.ones(high.shape, bool), high > 0], -1).reshape(words.shape)
     lengths = kept.sum(axis=1)
     seeded = np.empty((len(entropy), 4), dtype=np.uint64)
@@ -159,80 +159,72 @@ def _poisson_constants(lam: np.ndarray) -> np.ndarray:
     return table
 
 
-class Streams:
-    """numpy.random's stream ``Generator(PCG64(SeedSequence(entropy=key)))`` of each uint64 key of
-    ``entropy`` (..., L) (see ``_seed_words``); ``shape`` is the keys' leading shape."""
+def poisson(keys: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """int64 ``Generator.poisson(lam[u])`` of the fresh stream of each uint64 key [u, ...] of
+    ``keys`` (..., L): numpy.random's ``Generator(PCG64(SeedSequence(entropy=key)))``, bit for
+    bit (``_seed_words``); the draws have shape ``keys.shape[:-1] + lam.shape[1:]``.
 
-    def __init__(self, entropy: np.ndarray):
-        self.shape = entropy.shape[:-1]
-        w0, w1, w2, w3 = _seed_words(entropy.reshape(-1, entropy.shape[-1])).T
-        # pcg64_set_seed: inc = (w2:w3) << 1 | 1, state = step(step(0) + (w0:w1)), step(0) = inc.
-        inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
-        self._state = _step(*_step(w0, w1, *inc, 0, 1), *inc, *_MUL_HALVES)
-        # Rows 0 and 1 step once and twice: multipliers M and M**2, increments inc and (M + 1) inc.
-        self._inc = tuple(map(np.stack, zip(inc, _step(*inc, 0, 0, *_TWO_STEPS[1]))))
-
-    def poisson(self, lam: np.ndarray) -> np.ndarray:
-        """int64 ``Generator.poisson(lam[u])`` of each stream [u, ...]: ``shape + lam.shape[1:]``.
-
-        Each stream draws its row of means in C order.  In lockstep, each round
-        every stream not done makes one PTRS attempt or takes up to two factors
-        of the multiplication method; a mean of 0 takes none.
-        """
-        lam = np.asarray(lam, dtype=float)
-        if not np.all(lam <= _LAM_MAX):
-            raise ValueError("lam value too large")
-        if not np.all(lam >= 0.0):
-            raise ValueError("lam < 0 or lam contains NaNs")
-        if not lam.shape or lam.shape[:1] != self.shape[:1]:
-            raise ValueError(f"means {lam.shape} need one row per row of streams {self.shape}")
-        means = lam.reshape(len(lam), -1)
-        size, per_row = means.shape[1], math.prod(self.shape[1:])
-        table = _poisson_constants(means.ravel())
-        # later[u, i]: the flat index of row u's first mean at or after i that is not 0, or -1.
-        later = np.full((len(means), size + 1), -1)
-        for i in range(size - 1, -1, -1):
-            later[:, i] = np.where(means[:, i] != 0, np.arange(i, lam.size, size), later[:, i + 1])
-        after, (state_hi, state_lo) = later[:, 1:].ravel(), (half.copy() for half in self._state)
-        out = np.zeros(state_hi.size * size, dtype=np.int64)
-        sid = np.flatnonzero(later[:, 0].repeat(per_row) >= 0)
-        mean, hi, lo = later[sid // per_row, 0], state_hi[sid], state_lo[sid]
-        inc_hi, inc_lo = self._inc[0][:, sid], self._inc[1][:, sid]
-        mul_hi, mul_lo = np.array([_MUL_HALVES, _TWO_STEPS[0]], dtype=np.uint64).T[..., None]
-        count, prod = np.zeros(sid.size, dtype=np.int64), np.ones(sid.size)
-        # As in C: us = 0 divides to inf; (int64_t) of x beyond int64 is INT64_MIN (rejected).
-        with np.errstate(all="ignore"):
-            while sid.size:
-                two_a, vr, exp_lam, lam_, b = table.take(mean, axis=0)[:, :5].T
-                ptrs = lam_ >= 10.0
-                steps = _step(hi, lo, inc_hi, inc_lo, mul_hi, mul_lo)
-                xored, rot = steps[0] ^ steps[1], steps[0] >> 58  # next_double of XSL-RR output
-                first, v = ((xored >> rot | xored << (64 - rot & 63)) >> 11) * (1.0 / 2**53)
-                u = first - 0.5
-                us = 0.5 - np.abs(u)
-                k = np.floor((two_a / us + b) * u + lam_ + 0.43).astype(np.int64)
-                done = (us >= 0.07) & (v <= vr)
-                slow = np.flatnonzero(ptrs & ~done & (k >= 0) & ((us >= 0.013) | (v <= us)))
-                if slow.size:
-                    lam_s, b_s, a, log_invalpha, log_lam = table.take(mean[slow], axis=0)[:, 3:].T
-                    us_s = us[slow]
-                    w = a / (us_s * us_s) + b_s
-                    done[slow] = _accepts(v[slow], w, log_invalpha, lam_s, log_lam, k[slow])
-                # The multiplication method takes a second factor if the first
-                # leaves the product above exp(-lam).
-                prod, second = prod * first, prod * first * v
-                two = ptrs | (prod > exp_lam)
-                hi, lo = (np.where(two, half[1], half[0]) for half in steps)
-                more = second > exp_lam
-                done, value = np.where(ptrs, done, ~more), np.where(ptrs, k, count + two)
-                count, prod = np.where(more, count + 2, 0), np.where(more, second, 1.0)
-                fin = np.flatnonzero(done)
-                out[sid[fin] * size + mean[fin] % size] = value[fin]
-                mean[fin] = after[mean[fin]]
-                if mean.min() < 0:
-                    gone, keep = mean < 0, np.flatnonzero(mean >= 0)
-                    state_hi[sid[gone]], state_lo[sid[gone]] = hi[gone], lo[gone]
-                    live = (sid, mean, hi, lo, inc_hi, inc_lo, count, prod)
-                    sid, mean, hi, lo, inc_hi, inc_lo, count, prod = (x[..., keep] for x in live)
-        self._state = state_hi, state_lo
-        return out.reshape(self.shape + lam.shape[1:])
+    Each stream draws its row of means in C order.  In lockstep, each round
+    every stream not done makes one PTRS attempt or takes up to two factors
+    of the multiplication method; a mean of 0 takes none.
+    """
+    lam, shape = np.asarray(lam, dtype=float), keys.shape[:-1]
+    if not np.all(lam <= _LAM_MAX):
+        raise ValueError("lam value too large")
+    if not np.all(lam >= 0.0):
+        raise ValueError("lam < 0 or lam contains NaNs")
+    if not lam.shape or lam.shape[:1] != shape[:1]:
+        raise ValueError(f"means {lam.shape} need one row per row of streams {shape}")
+    size, per_row = math.prod(lam.shape[1:]), math.prod(shape[1:])
+    means = lam.reshape(len(lam), size)
+    table = _poisson_constants(means.ravel())
+    # later[u, i]: the flat index of row u's first mean at or after i that is not 0, or -1.
+    later = np.full((len(means), size + 1), -1)
+    for i in range(size - 1, -1, -1):
+        later[:, i] = np.where(means[:, i] != 0, np.arange(i, lam.size, size), later[:, i + 1])
+    after = later[:, 1:].ravel()
+    out = np.zeros(math.prod(shape) * size, dtype=np.int64)
+    sid = np.flatnonzero(later[:, 0].repeat(per_row) >= 0)
+    w0, w1, w2, w3 = _seed_words(keys.reshape(-1, keys.shape[-1])[sid]).T
+    # pcg64_set_seed: inc = (w2:w3) << 1 | 1, state = step(step(0) + (w0:w1)), step(0) = inc.
+    inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
+    hi, lo = _step(*_step(w0, w1, *inc, 0, 1), *inc, *_MUL_HALVES)
+    # Rows 0 and 1 step once and twice: multipliers M and M**2, increments inc and (M + 1) inc.
+    inc_hi, inc_lo = map(np.stack, zip(inc, _step(*inc, 0, 0, *_TWO_STEPS[1])))
+    mul_hi, mul_lo = np.array([_MUL_HALVES, _TWO_STEPS[0]], dtype=np.uint64).T[..., None]
+    mean = later[sid // per_row, 0]
+    count, prod = np.zeros(sid.size, dtype=np.int64), np.ones(sid.size)
+    # As in C: us = 0 divides to inf; (int64_t) of x beyond int64 is INT64_MIN (rejected).
+    with np.errstate(all="ignore"):
+        while sid.size:
+            two_a, vr, exp_lam, lam_, b = table.take(mean, axis=0)[:, :5].T
+            ptrs = lam_ >= 10.0
+            steps = _step(hi, lo, inc_hi, inc_lo, mul_hi, mul_lo)
+            xored, rot = steps[0] ^ steps[1], steps[0] >> 58  # next_double of XSL-RR output
+            first, v = ((xored >> rot | xored << (64 - rot & 63)) >> 11) * (1.0 / 2**53)
+            u = first - 0.5
+            us = 0.5 - np.abs(u)
+            k = np.floor((two_a / us + b) * u + lam_ + 0.43).astype(np.int64)
+            done = (us >= 0.07) & (v <= vr)
+            slow = np.flatnonzero(ptrs & ~done & (k >= 0) & ((us >= 0.013) | (v <= us)))
+            if slow.size:
+                lam_s, b_s, a, log_invalpha, log_lam = table.take(mean[slow], axis=0)[:, 3:].T
+                us_s = us[slow]
+                w = a / (us_s * us_s) + b_s
+                done[slow] = _accepts(v[slow], w, log_invalpha, lam_s, log_lam, k[slow])
+            # The multiplication method takes a second factor if the first
+            # leaves the product above exp(-lam).
+            prod, second = prod * first, prod * first * v
+            two = ptrs | (prod > exp_lam)
+            hi, lo = (np.where(two, half[1], half[0]) for half in steps)
+            more = second > exp_lam
+            done, value = np.where(ptrs, done, ~more), np.where(ptrs, k, count + two)
+            count, prod = np.where(more, count + 2, 0), np.where(more, second, 1.0)
+            fin = np.flatnonzero(done)
+            out[sid[fin] * size + mean[fin] % size] = value[fin]
+            mean[fin] = after[mean[fin]]
+            if mean.min() < 0:
+                keep = np.flatnonzero(mean >= 0)
+                live = (sid, mean, hi, lo, inc_hi, inc_lo, count, prod)
+                sid, mean, hi, lo, inc_hi, inc_lo, count, prod = (x[..., keep] for x in live)
+    return out.reshape(shape + lam.shape[1:])

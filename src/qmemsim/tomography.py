@@ -25,18 +25,19 @@ start from, and ``process_matrix`` builds the map of the states it is given.
 projection, ``_solve_chi``, ``_project_chi`` (one batched eigh), then the
 projected chi[0, 0] (the fidelity to the identity process), in one pass
 over a (..., n_inputs, 3, 2) count stack.  A scenario scores all
-its units in one call, and so does each bootstrap resample, whose counts come
-from a block of ``streams.Streams``.  The map is applied as a stacked real
-(32, 16) matrix-vector product per unit, not as one matrix product over all
-units, whose BLAS blocking (and so the last bits of a row) depends on the unit
-count: like eigh's per-matrix LAPACK calls, it makes every row batch-independent.
+its units in one call, and so does each bootstrap resample, whose counts
+``monte_carlo_error`` draws with ``streams.poisson``.  The map is applied
+as a stacked real (32, 16) matrix-vector product per unit, not as one
+matrix product over all units, whose BLAS blocking (and so the last bits
+of a row) depends on the unit count: like eigh's per-matrix LAPACK calls,
+it makes every row batch-independent.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,11 +50,15 @@ from .polarization import (
     ket_from_named,
     stokes_of,
 )
+from .streams import poisson
 
 #: Input preparation quartet used by default (informationally complete).
 DEFAULT_INPUT_LABELS = ("H", "V", "D", "R")
 
 _PROJECT_EIG_TOL = 1e-12
+
+#: Keys the bootstrap draws at once: those of max(1, _SEED_BLOCK // U) resamples of U units.
+_SEED_BLOCK = 4096
 
 _PAULIS = np.array(PAULI_BASIS)
 
@@ -251,14 +256,15 @@ def reconstruct_from_records(
 def monte_carlo_error(
     counts: np.ndarray,
     resamples: int,
-    blocks: Iterable,
+    keys: np.ndarray,
     input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
 ) -> np.ndarray:
     """Std deviations (U,) of the process fidelities of a (U, n_inputs, 3, 2) count stack.
 
-    ``blocks`` yields (U, b) ``Streams`` stacks of successive resamples, ``resamples`` in
-    all.  Resample j redraws unit k's counts as Poisson(observed) from its stream [k, j],
-    so no sigma depends on the other units; one reconstruction rescores the stack.
+    Resample j redraws unit k's counts as Poisson(observed) from the stream of key
+    (*keys[k], j), ``keys`` the units' uint64 keys (U, L), so no sigma depends on the other
+    units; one reconstruction rescores the stack.  The streams of max(1, _SEED_BLOCK // U)
+    resamples are drawn at a time.
     """
     lam = np.asarray(counts, dtype=float)
     if lam.ndim != 4:
@@ -266,11 +272,11 @@ def monte_carlo_error(
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
     fidelities = np.empty((len(lam), resamples))
-    j = 0
-    for block in blocks:
-        for draws in np.moveaxis(block.poisson(lam), 1, 0):
+    step = max(1, _SEED_BLOCK // max(1, len(lam)))
+    for start in range(0, resamples, step):
+        js = np.arange(start, min(start + step, resamples), dtype=np.uint64)
+        block = np.empty((len(lam), len(js), keys.shape[1] + 1), dtype=np.uint64)
+        block[..., :-1], block[..., -1] = keys[:, None], js
+        for j, draws in enumerate(np.moveaxis(poisson(block, lam), 1, 0), start):
             fidelities[:, j] = reconstruct_from_records(draws, input_labels)
-            j += 1
-    if j != resamples:
-        raise ValueError(f"the streams hold {j} resamples, need {resamples}")
     return np.std(fidelities, axis=1, ddof=1)

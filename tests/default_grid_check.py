@@ -34,9 +34,9 @@ def differing_sigmas(name: str, cfg: ScenarioConfig, channels) -> int:
     seen = {}
     real = scenarios.monte_carlo_error
 
-    def recording(counts, resamples, blocks, input_labels):
+    def recording(counts, resamples, keys, input_labels):
         seen["counts"] = counts
-        return real(counts, resamples, blocks, input_labels)
+        return real(counts, resamples, keys, input_labels)
 
     scenarios.monte_carlo_error = recording
     try:

@@ -182,6 +182,12 @@ class TestReproduce:
         assert len(payload["rows"]) == 1
         assert "error" in payload["meta"]["fit"]
 
+    def test_missing_config_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        code = main(["reproduce", "fig3", "--config", str(path)])
+        assert code == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"io error: cannot read config {path}: ")
+
     def test_unwritable_out_exits_4(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("x")
@@ -249,7 +255,7 @@ class TestSimulate:
 
 class TestImportCost:
     # numpy loads numpy.random on first use, at ~6 MB of RSS and 13-15 ms:
-    # no run loads it, because streams.Streams draws every sample.
+    # no run loads it, because streams.poisson draws every sample.
     def test_importing_the_cli_leaves_numpy_random_unloaded(self):
         code = "import sys, qmemsim.cli; sys.exit('numpy.random' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -497,6 +503,15 @@ class TestCalibrate:
         targets = write_json(tmp_path / "targets.json", payload)
         assert main(["calibrate", "--targets", targets]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {targets}{message}\n"
+
+    def test_missing_targets_exit_4_and_malformed_json_exits_2(self, tmp_path, capsys):
+        # The targets file and --config share one reader, and so their exit codes.
+        absent, broken = tmp_path / "absent.json", tmp_path / "broken.json"
+        broken.write_text("{not json")
+        for path, code, message in [(absent, EXIT_IO, "io error: cannot read targets"),
+                                    (broken, EXIT_CONFIG, "config error: invalid JSON in")]:
+            assert main(["calibrate", "--targets", str(path)]) == code
+            assert capsys.readouterr().err.startswith(f"{message} {path}: ")
 
     def test_unknown_channel_target_exits_2(self, tmp_path, capsys):
         targets = write_json(tmp_path / "targets.json", {"S9": 0.9})

@@ -33,9 +33,11 @@ def test_load_config_file(tmp_path):
     assert cfg.detection.eta_total == 0.23
 
 
-def test_missing_file_is_config_error():
-    with pytest.raises(ConfigError, match="cannot read"):
-        load_config("/nonexistent/scenario.json")
+def test_missing_file_is_io_error(tmp_path):
+    # An unreadable file is an I/O error (exit 4), a directory too; what it holds is config.
+    for path in (tmp_path / "absent.json", tmp_path):
+        with pytest.raises(IOError, match=f"^cannot read config {path}: "):
+            load_config(str(path))
 
 
 def test_invalid_json_is_config_error(tmp_path):

@@ -35,7 +35,8 @@ from qmemsim.scenarios import (
     _DOMAIN_EFFICIENCY,
     _DOMAIN_RESAMPLE,
 )
-from qmemsim.streams import _seed_words
+from qmemsim import tomography
+from qmemsim.streams import _seed_words, poisson
 from qmemsim.tomography import reconstruct_from_records
 from reference_impl import numpy_stream
 
@@ -69,12 +70,12 @@ class TestDeriveRng:
     LAM = np.array([[0.5, 3.0], [40.0, 2.0e4]])
 
     def test_same_key_same_stream(self):
-        a = derive_rng(7, 1, 2, [3]).poisson(self.LAM[None])
-        b = derive_rng(7, 1, 2, [3]).poisson(self.LAM[None])
+        a = poisson(derive_rng(7, 1, 2, [3]), self.LAM[None])
+        b = poisson(derive_rng(7, 1, 2, [3]), self.LAM[None])
         assert np.array_equal(a, b)
 
     def test_disjoint_keys_disjoint_streams(self):
-        a, b, c = derive_rng([7, 7, 8], 1, 2, [3, 4, 3]).poisson(np.tile(self.LAM, (3, 4, 1, 1)))
+        a, b, c = poisson(derive_rng([7, 7, 8], 1, 2, [3, 4, 3]), np.tile(self.LAM, (3, 4, 1, 1)))
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -83,7 +84,7 @@ class TestDeriveRng:
         # Means below and above 10 take numpy's two Poisson algorithms.
         want = numpy_stream(*key).poisson(self.LAM, size=(3, 2, 2))
         lam = np.broadcast_to(self.LAM, (3, 2, 2))[None]
-        assert np.array_equal(derive_rng(*key[:-1], [key[-1]]).poisson(lam)[0], want)
+        assert np.array_equal(poisson(derive_rng(*key[:-1], [key[-1]]), lam)[0], want)
 
     @pytest.mark.parametrize(
         "key",
@@ -98,16 +99,16 @@ class TestDeriveRng:
     def test_a_list_mixing_parts_below_and_from_2_to_the_63_is_read_exactly(self):
         # numpy reads the list [0, 2**63] as float64; its parts are still integers in range.
         parts, lam = [0, 2**63, 2**64 - 1], np.full((3, 2), 30.0)
-        got = derive_rng(7, parts).poisson(lam)
-        assert np.array_equal(got, derive_rng(7, np.array(parts, dtype=np.uint64)).poisson(lam))
+        got = poisson(derive_rng(7, parts), lam)
+        assert np.array_equal(got, poisson(derive_rng(7, np.array(parts, dtype=np.uint64)), lam))
         for part, row in zip(parts, got):
             assert np.array_equal(row, numpy_stream(7, part).poisson([30.0, 30.0]))
 
     def test_key_parts_broadcast_to_the_stack(self):
-        streams = derive_rng(9, _DOMAIN_RESAMPLE, [[0], [6]], [[0], [2**32]], [0, 5, 999_999])
-        assert streams.shape == (2, 3)
+        keys = derive_rng(9, _DOMAIN_RESAMPLE, [[0], [6]], [[0], [2**32]], [0, 5, 999_999])
+        assert keys.shape == (2, 3, 5) and keys.dtype == np.uint64
         lam = np.array([[30.0, 2.5], [7.0, 0.0]])
-        draws = streams.poisson(lam)
+        draws = poisson(keys, lam)
         for k, (channel, t_ps) in enumerate([(0, 0), (6, 2**32)]):
             for i, j in enumerate([0, 5, 999_999]):
                 want = numpy_stream(9, _DOMAIN_RESAMPLE, channel, t_ps, j).poisson(lam[k])
@@ -157,7 +158,7 @@ class TestBootstrapSeedWords:
         for start in range(0, len(js), block):
             part = js[start : start + block]
             stack = derive_rng(seed, _DOMAIN_RESAMPLE, channels[:, None], t_ps[:, None], part)
-            draws = stack.poisson(lam)
+            draws = poisson(stack, lam)
             for k in range(4):
                 for i, j in enumerate(part):
                     rng = numpy_stream(seed, _DOMAIN_RESAMPLE, channels[k], t_ps[k], j)
@@ -167,7 +168,7 @@ class TestBootstrapSeedWords:
 @pytest.mark.parametrize("block", [4096, 35, 1])
 def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
     # 35 // 5 units = 7 resamples a block: 20 resamples cross three blocks.
-    monkeypatch.setattr(scenarios, "_SEED_BLOCK", block)
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", block)
     times = (0.0, 4.294967295, 4.294967296, 6.0)
     cfg = small_cfg(seed=2**40 + 7, storage_times=times, mc_resamples=20)
     units = [("S2", t) for t in times] + [("S5", 1.0)]
@@ -175,7 +176,7 @@ def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
 
     channels = [cfg.channel_index(c) for c, _ in units]
 
-    def numpy_bootstrap(counts, resamples, blocks, input_labels):
+    def numpy_bootstrap(counts, resamples, keys, input_labels):
         # Every (unit, resample) from numpy's own stream, one rescoring per resample.
         fidelities = np.empty((len(counts), resamples))
         for j in range(resamples):
@@ -390,6 +391,16 @@ def test_batched_rows_equal_single_unit_points(expected):
     for k, unit in enumerate(grid):
         single = efficiency_points(cfg, [unit], expected)
         assert [v[k] for v in batch.values()] == [v[0] for v in single.values()]
+
+
+@pytest.mark.parametrize("expected", [False, True], ids=["sampled", "expected"])
+def test_no_units_give_empty_lists(expected):
+    # The batch-independence contract at its edge: a pass over no units
+    # draws nothing and returns an empty list of each value.
+    cfg = small_cfg()
+    assert tomography_points(cfg, [], expected) == {"fidelity": [], "sigma": [], "model": []}
+    names = ("efficiency_true", "counts", "efficiency_est", "sigma")
+    assert efficiency_points(cfg, [], expected) == dict.fromkeys(names, [])
 
 
 class TestCalibration:

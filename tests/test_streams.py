@@ -1,4 +1,4 @@
-"""Streams against numpy.random itself: every draw equal, bit for bit."""
+"""streams.poisson against numpy.random itself: every draw equal, bit for bit."""
 
 import math
 import re
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmemsim import streams
-from qmemsim.streams import Streams, _LAM_MAX, _log, _loggam
+from qmemsim.streams import _LAM_MAX, _log, _loggam, poisson
 from reference_impl import numpy_stream
 
 # Key parts at the edges of SeedSequence's 32-bit word split.
@@ -42,7 +42,7 @@ CASES = st.integers(1, 4).flatmap(
 def assert_poisson_equals_numpy(case):
     keys, lam = case
     keys, lam = keys[: len(lam)], np.array(lam)
-    got = Streams(np.array(keys, dtype=np.uint64)).poisson(lam)
+    got = poisson(np.array(keys, dtype=np.uint64), lam)
     assert got.dtype == np.int64
     assert np.array_equal(got, numpy_draws(keys, lam))
 
@@ -113,7 +113,7 @@ def test_near_ties_and_log_of_zero_are_decided_with_libms_logs(monkeypatch, dire
     v, log_invalpha = np.array(v + [0.0, 0.5]), np.array(log_invalpha + [0.0, 0.0])
     lam, k = np.array(lam + [30.0, 30.0]), np.array(k + [0, 0])
     w, log_lam = np.ones(v.size), real_log(lam)
-    with np.errstate(divide="ignore"):  # np.log(0), as inside Streams.poisson
+    with np.errstate(divide="ignore"):  # np.log(0), as inside poisson
         got = streams._accepts(v, w, log_invalpha, lam, log_lam, k)
     want = libm_accepts(v, w, log_invalpha, lam, log_lam, k)
     assert want.tolist() == [True] * 7 + [False] * 7 + [True] * 7 + [True, False]
@@ -134,7 +134,7 @@ def test_slow_path_and_the_small_loggam_loop_run_and_match_numpy(monkeypatch):
     monkeypatch.setattr(streams, "_loggam", recording)
     keys = [(2024, j) for j in range(2000)]
     lam = np.full((2000, 3), 10.0)
-    got = Streams(np.array(keys, dtype=np.uint64)).poisson(lam)
+    got = poisson(np.array(keys, dtype=np.uint64), lam)
     x = np.concatenate(seen)
     assert (x < 7.0).any() and (x >= 7.0).any() and (x <= 2.0).any()
     assert np.array_equal(got, numpy_draws(keys, lam))
@@ -153,36 +153,41 @@ def test_log_of_zero_is_minus_infinity_as_in_c():
     assert _log(np.array([0.0, 0.5, math.inf])).tolist() == [-math.inf, math.log(0.5), math.inf]
 
 
-def test_draws_continue_each_stream_across_calls():
-    keys = [(7, 1), (7, 2), (8, 2**40)]
-    lam = np.array([[3.5, 0.0, 250.0], [12.0, 9.0, 0.0], [0.0, 0.0, 0.0]])
-    stack = Streams(np.array(keys, dtype=np.uint64))
-    first, second = stack.poisson(lam), stack.poisson(lam[:, ::-1])
-    for key, row, a, b in zip(keys, lam, first, second):
-        rng = numpy_stream(*key)
-        assert np.array_equal(a, rng.poisson(row))
-        assert np.array_equal(b, rng.poisson(row[::-1]))
+def test_draws_are_a_pure_function_of_the_keys():
+    # Each key row draws from a fresh stream: the same keys twice, and any
+    # subset of the rows alone, give numpy's draws of that row's fresh stream.
+    keys = np.array([(7, 1), (7, 2), (8, 2**40), (2**64 - 1, 0)], dtype=np.uint64)
+    lam = np.array([[3.5, 0.0, 250.0], [12.0, 9.0, 0.0], [0.0, 0.0, 0.0], [1e6, 0.5, 10.0]])
+    want = numpy_draws(keys.tolist(), lam)
+    assert np.array_equal(poisson(keys, lam), want)
+    assert np.array_equal(poisson(keys, lam), want)
+    for rows in ([0], [3], [2, 1], [3, 0, 2], []):
+        assert np.array_equal(poisson(keys[rows], lam[rows]), want[rows])
+
+
+def test_zero_keys_draw_nothing():
+    for shape in [(0,), (0, 5)]:
+        draws = poisson(np.zeros((*shape, 3), dtype=np.uint64), np.zeros((0, 4, 3, 2)))
+        assert draws.shape == (*shape, 4, 3, 2) and draws.dtype == np.int64
 
 
 def test_largest_mean_draws_as_numpy_and_any_larger_one_is_refused():
     assert _LAM_MAX == np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
     keys = [(5, j) for j in range(200)]
     lam = np.full((200, 2), _LAM_MAX)
-    got = Streams(np.array(keys, dtype=np.uint64)).poisson(lam)
+    got = poisson(np.array(keys, dtype=np.uint64), lam)
     assert np.array_equal(got, numpy_draws(keys, lam))
     for bad in (math.nextafter(_LAM_MAX, math.inf), 1e30, math.inf, math.nan, -1.0):
         with pytest.raises(ValueError) as want:
             numpy_stream(5).poisson(np.array([bad]))
         with pytest.raises(ValueError, match=f"^{want.value}$"):
-            Streams(np.array([[5]], dtype=np.uint64)).poisson(np.array([[bad]]))
+            poisson(np.array([[5]], dtype=np.uint64), np.array([[bad]]))
 
 
 def test_a_row_of_means_for_every_row_of_streams():
-    stack = Streams(np.zeros((3, 2, 1), dtype=np.uint64))
-    assert stack.shape == (3, 2)
-    assert stack.poisson(np.zeros((3, 4))).shape == (3, 2, 4)
+    assert poisson(np.zeros((3, 2, 1), dtype=np.uint64), np.zeros((3, 4))).shape == (3, 2, 4)
     # A 0-d stack has no rows, and 0-d means make no row.
     for shape, lam in [((3, 2), (2, 4)), ((), (1,)), ((), ()), ((3,), ())]:
         message = f"means {lam} need one row per row of streams {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
-            Streams(np.zeros((*shape, 1), dtype=np.uint64)).poisson(np.full(lam, 30.0))
+            poisson(np.zeros((*shape, 1), dtype=np.uint64), np.full(lam, 30.0))

@@ -35,7 +35,6 @@ from qmemsim.tomography import (
     state_estimate,
     stokes_from_counts,
 )
-from qmemsim.streams import Streams
 from reference_impl import (
     apply_kraus,
     apply_process,
@@ -474,16 +473,11 @@ def test_reconstruct_stack_names_the_zero_total_basis_of_its_bad_unit():
         _reconstruct(stack[:, :, :2], DEFAULT_INPUT_LABELS)
 
 
-def _blocks(keys, resamples, block):
-    """Streams of unit k's resample j keyed (*keys[k], j), ``block`` resamples at a time."""
-    keys = np.asarray(keys, dtype=np.uint64)
-    for js in np.array_split(np.arange(resamples), range(block, resamples, block)):
-        entropy = np.empty((len(keys), len(js), keys.shape[1] + 1), dtype=np.uint64)
-        entropy[..., :-1], entropy[..., -1] = keys[:, None], js
-        yield Streams(entropy)
+def _keys(*keys):
+    return np.array(keys, dtype=np.uint64)
 
 
-def test_monte_carlo_error_deterministic_and_positive():
+def test_monte_carlo_error_deterministic_and_positive(monkeypatch):
     cfg = MemoryConfig()
     det = DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
@@ -493,9 +487,10 @@ def test_monte_carlo_error_deterministic_and_positive():
             for t in (1.0, 4.0)
         ]
     )
-    keys = [(123, 0), (123, 1)]
-    a = monte_carlo_error(counts, 50, _blocks(keys, 50, 50))
-    b = monte_carlo_error(counts, 50, _blocks(keys, 50, 7))
+    keys = _keys((123, 0), (123, 1))
+    a = monte_carlo_error(counts, 50, keys)
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", 14)  # 7 resamples of 2 units a block
+    b = monte_carlo_error(counts, 50, keys)
     assert a.shape == (2,)
     assert np.array_equal(a, b)
     assert (a > 0).all()
@@ -527,7 +522,7 @@ LOW_COUNTS = np.array(
 )
 
 
-def test_monte_carlo_error_matches_scalar_draws():
+def test_monte_carlo_error_matches_scalar_draws(monkeypatch):
     # The batched draw must give the same integers as numpy's scalar draws,
     # for low and high counts alike, whatever the block of resamples.
     cfg = MemoryConfig()
@@ -540,7 +535,8 @@ def test_monte_carlo_error_matches_scalar_draws():
         for k, counts in enumerate(stack)
     ]
     for block in (40, 9, 1):
-        sigma = monte_carlo_error(stack, 40, _blocks([(77, 0), (77, 1)], 40, block))
+        monkeypatch.setattr(tomography, "_SEED_BLOCK", 2 * block)  # block resamples of 2 units
+        sigma = monte_carlo_error(stack, 40, _keys((77, 0), (77, 1)))
         assert sigma.tolist() == want, block
 
 
@@ -573,7 +569,8 @@ def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
         return real_reconstruct(draws, input_labels)
 
     monkeypatch.setattr(tomography, "reconstruct_from_records", recording)
-    sigma = monte_carlo_error(stack, resamples, _blocks(keys, resamples, 8))
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", 48)  # 8 resamples of 6 units a block
+    sigma = monte_carlo_error(stack, resamples, _keys(*keys))
     assert len(applied) == resamples
     fired = np.array(applied)
     assert fired[:, 1].sum() > resamples / 2 and fired[:, 4].sum() > resamples / 2
@@ -583,26 +580,26 @@ def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
         assert sigma[k] == _scalar_draw_monte_carlo_error(counts, resamples, streams)
     order = [4, 0, 5, 2, 1, 3]
     moved_keys = [keys[k] for k in order]
-    moved = monte_carlo_error(stack[order], resamples, _blocks(moved_keys, resamples, 30))
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", 180)  # all 30 resamples in one block
+    moved = monte_carlo_error(stack[order], resamples, _keys(*moved_keys))
     assert np.array_equal(moved, sigma[order])
 
 
 def test_monte_carlo_error_needs_two_resamples():
     counts = np.tile([(700, 300), (500, 500), (400, 600)], (2, 4, 1, 1))
     with pytest.raises(ValueError, match="need at least 2 resamples, got 1"):
-        monte_carlo_error(counts, 1, _blocks([(0,), (1,)], 1, 1))
+        monte_carlo_error(counts, 1, _keys((0,), (1,)))
 
 
-def test_monte_carlo_error_needs_streams_for_every_resample():
-    counts = np.tile([(700, 300), (500, 500), (400, 600)], (2, 4, 1, 1))
-    with pytest.raises(ValueError, match="the streams hold 6 resamples, need 8"):
-        monte_carlo_error(counts, 8, _blocks([(0,), (1,)], 6, 4))
+def test_monte_carlo_error_of_no_units_is_empty():
+    sigma = monte_carlo_error(np.zeros((0, 4, 3, 2)), 10, np.zeros((0, 3), dtype=np.uint64))
+    assert sigma.shape == (0,)
 
 
 def test_monte_carlo_error_rejects_a_single_unit_without_its_stack_axis():
     counts = np.tile([(700, 300), (500, 500), (400, 600)], (4, 1, 1))
     with pytest.raises(ValueError, match=r"a \(units, n_inputs, 3, 2\) stack, got \(4, 3, 2\)"):
-        monte_carlo_error(counts, 10, _blocks([(0,)], 10, 10))
+        monte_carlo_error(counts, 10, _keys((0,)))
 
 
 def _reference_reconstruct(counts):
