@@ -23,7 +23,6 @@ from .config import ScenarioConfig, _build, _read_json, load_config
 from .errors import ConfigError, FitError
 from .fitting import DecayDataset, channel_model, fit_exponential, fit_sigma_gamma
 from .scenarios import (
-    RunArtifact,
     _staged_files,
     calibrate_table,
     emit,
@@ -70,6 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run the configured channel/time grid")
     add_scenario_flags(sim)
+    sim.set_defaults(target="simulate", channel=None)
 
     fit = sub.add_parser("fit", help="fit a decay dataset file")
     fit.add_argument("dataset", metavar="PATH", help="CSV (t_ms,value[,sigma]) or JSON")
@@ -151,41 +151,36 @@ def _load_dataset(path: str) -> DecayDataset:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _write_json(payload: dict, out_dir: str, filename: str) -> None:
-    with _staged_files(out_dir, []) as stage, stage(filename) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-        fh.write("\n")
-
-
-def _emit_and_report(artifact: RunArtifact, cfg: ScenarioConfig, args) -> int:
-    formats = ("csv", "json") if args.format is None else (args.format,)
-    for path in emit(artifact, cfg.output_dir, formats):
-        print(path)
-    fit_info = artifact.meta.get("fit")
-    if isinstance(fit_info, dict) and "error" in fit_info:
-        print(f"fit failed: {fit_info['error']}", file=sys.stderr)
-        return EXIT_FIT
+def _report(payload: dict, out_dir: str | None, filename: str) -> int:
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    if out_dir:
+        with _staged_files(out_dir, []) as stage, stage(filename) as fh:
+            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+            fh.write("\n")
     return EXIT_OK
 
 
 def _run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else ScenarioConfig()
-    if args.command == "reproduce":
+    if args.command in ("reproduce", "simulate"):
         cfg = _scenario_from_args(cfg, args)
         if args.channel is not None and args.target not in ("fig4", "fig5"):
             raise ConfigError(f"--channel applies to fig4 and fig5, not {args.target}")
         channel = "S2" if args.channel is None else args.channel
-        runner = {
+        artifact = {
             "fig3": lambda: run_fig3(cfg),
             "fig4": lambda: run_fig4(cfg, args.expected_counts, channel),
             "fig5": lambda: run_fig5(cfg, args.expected_counts, channel),
             "table1": lambda: run_table1(cfg, args.expected_counts),
-        }[args.target]
-        return _emit_and_report(runner(), cfg, args)
-
-    if args.command == "simulate":
-        cfg = _scenario_from_args(cfg, args)
-        return _emit_and_report(run_simulate(cfg, args.expected_counts), cfg, args)
+            "simulate": lambda: run_simulate(cfg, args.expected_counts),
+        }[args.target]()
+        formats = ("csv", "json") if args.format is None else (args.format,)
+        for path in emit(artifact, cfg.output_dir, formats):
+            print(path)
+        if "error" in artifact.meta.get("fit", {}):
+            print(f"fit failed: {artifact.meta['fit']['error']}", file=sys.stderr)
+            return EXIT_FIT
+        return EXIT_OK
 
     if args.command == "fit":
         dataset = _load_dataset(args.dataset)
@@ -196,11 +191,7 @@ def _run(args: argparse.Namespace) -> int:
             else:
                 model = channel_model(cfg.channel(args.channel), cfg.memory, cfg.detection)
                 report = fit_sigma_gamma(dataset, model)
-        payload = {"model": args.model, **dataclasses.asdict(report)}
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        if args.out:
-            _write_json(payload, args.out, "fit.json")
-        return EXIT_OK
+        return _report({"model": args.model, **dataclasses.asdict(report)}, args.out, "fit.json")
 
     if args.command == "calibrate":
         targets = None
@@ -211,11 +202,7 @@ def _run(args: argparse.Namespace) -> int:
             for key, value in targets.items():
                 if not 0.0 < value <= 1.0:
                     raise ConfigError(f"{args.targets}.{key}: fidelity must be in (0, 1]")
-        fragment = calibrate_table(cfg, targets)
-        print(json.dumps(fragment, sort_keys=True, indent=2))
-        if args.out:
-            _write_json(fragment, args.out, "calibration.json")
-        return EXIT_OK
+        return _report(calibrate_table(cfg, targets), args.out, "calibration.json")
 
     raise ConfigError(f"unknown command {args.command!r}")
 

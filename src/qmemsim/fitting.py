@@ -95,7 +95,10 @@ def closed_form_fidelity(
     eta: float = 0.23,
     background: float = 7e-4,
 ) -> float | np.ndarray:
-    """Model fidelity F(t); vectorized over t."""
+    """Model fidelity F(t); vectorized over t.
+
+    A t with no signal and no background (s + 2N = 0) raises ValueError.
+    """
     if r0 < 0:
         raise ValueError("r0 must be >= 0")
     if tau <= 0 or sigma_gamma <= 0:
@@ -106,8 +109,11 @@ def closed_form_fidelity(
         raise ValueError("invalid rate parameters")
     t_arr = np.asarray(t, dtype=float)
     signal = n_bar * eta * r0 * np.exp(-t_arr / tau)
+    rate = signal + 2.0 * background
+    if np.any(rate == 0.0):
+        raise ValueError("zero detection rate: no signal and no background, fidelity undefined")
     gamma = gamma0 * np.exp(-((t_arr / sigma_gamma) ** 2))
-    out = ((1.0 + gamma) * signal + background) / (2.0 * (signal + 2.0 * background))
+    out = ((1.0 + gamma) * signal + background) / (2.0 * rate)
     if np.ndim(t) == 0:
         return float(out)
     return out

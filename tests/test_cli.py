@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -9,13 +10,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmemsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
 from qmemsim.fitting import closed_form_fidelity
+from qmemsim.memory import DEFAULT_CHANNELS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+#: No background, and a lifetime so short that the signal underflows to 0
+#: at every t > 0: those units detect no photons and have no fidelity.
+ZERO_RATE_CONFIG = {
+    "channels": [{"id": "S2", "theta": 0.8}],
+    "detection": {"background_n": 0},
+    "memory": {"tau": 1e-300},
+    "mc_resamples": 2,
+}
 
 
 def write_json(path, payload):
@@ -42,13 +52,18 @@ class TestReproduce:
         assert str(out / "fig3.csv") in printed
         assert str(out / "fig3.json") in printed
 
-    def test_format_csv_only(self, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["reproduce", "fig3"], "fig3"), (["simulate", "--expected-counts"], "simulate")],
+        ids=["fig3", "simulate"],
+    )
+    def test_format_csv_only(self, tmp_path, capsys, argv, name):
         out = tmp_path / "out"
-        code = main(["reproduce", "fig3", "--out", str(out), "--format", "csv"])
+        code = main([*argv, "--out", str(out), "--format", "csv"])
         assert code == EXIT_OK
-        assert (out / "fig3.csv").exists()
-        assert (out / "fig3.config.json").exists()
-        assert not (out / "fig3.json").exists()
+        written = [str(out / f"{name}.csv"), str(out / f"{name}.config.json")]
+        assert capsys.readouterr().out.splitlines() == written
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in written)
 
     def test_reruns_byte_identical(self, tmp_path, small_config):
         out = tmp_path / "out"
@@ -556,6 +571,21 @@ def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, capsy
     assert (existing / name).read_bytes() == before
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce", "table1"], ["simulate", "--expected-counts"], ["calibrate"]],
+    ids=["table1", "simulate", "calibrate"],
+)
+def test_unit_with_no_photons_exits_3_writing_nothing(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    cfg = write_json(tmp_path / "dark.json", ZERO_RATE_CONFIG)
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == EXIT_FIT
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: zero detection rate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 _numbers = st.one_of(st.floats(), st.integers(), st.booleans())
 _leaves = st.one_of(_numbers, st.none(), st.text(max_size=4))
 _json_values = st.recursive(
@@ -614,3 +644,39 @@ def test_fit_exit_codes_on_generated_datasets(dataset, model):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         assert main(["fit", path, "--model", model]) in {EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_IO}
+
+
+_scenario_configs = st.fixed_dictionaries(
+    {
+        "pulses_per_setting": st.integers(1, 100_000),
+        "mc_resamples": st.integers(2, 5),
+        "storage_times": st.lists(
+            st.floats(0.0, 10.0), min_size=1, max_size=3, unique_by=lambda t: round(t * 1e9)
+        ),
+        "channels": st.lists(
+            st.sampled_from(DEFAULT_CHANNELS), min_size=1, max_size=2, unique=True
+        ).map(lambda chs: [{"id": ch.id, "theta": ch.theta} for ch in chs]),
+        "detection": st.fixed_dictionaries({"background_n": st.sampled_from([0.0, 1e-6, 7e-4])}),
+        "memory": st.fixed_dictionaries({"tau": st.sampled_from([1e-300, 0.01, 2.9])}),
+    }
+)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(config=_scenario_configs)
+@example(config=ZERO_RATE_CONFIG)
+def test_scenario_exit_codes_on_generated_configs(config):
+    # A warning raised inside main is an error under this suite's filterwarnings.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_json(Path(tmp) / "config.json", config)
+        channel = ["--channel", config["channels"][0]["id"]]
+        commands = [["reproduce", "table1"], ["simulate"]]
+        commands += [["reproduce", target, *channel] for target in ("fig4", "fig5")]
+        for command in commands:
+            for flags in ([], ["--expected-counts"]):
+                argv = [*command, *flags, "--config", path, "--out", os.path.join(tmp, "out")]
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main(argv)
+                assert code in {EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_IO}, argv
+                assert err.getvalue().count("\n") == (code != EXIT_OK), (argv, err.getvalue())

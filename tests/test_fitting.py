@@ -56,6 +56,13 @@ def test_closed_form_validation():
         closed_form_fidelity(0.0, 0.1, 2.9, 1.5, 104.0)
     with pytest.raises(ValueError):
         closed_form_fidelity(0.0, 0.1, -1.0, 1.0, 104.0)
+    # No signal and no background: F = 0 / 0 has no value.
+    with pytest.raises(ValueError, match="zero detection rate"):
+        closed_form_fidelity(0.0, 0.0, 2.9, 1.0, 104.0, background=0.0)
+    # A tiny lifetime underflows the signal to 0 at t > 0 only.
+    assert closed_form_fidelity(0.0, 0.127, 1e-300, 1.0, 104.0, background=0.0) == 1.0
+    with pytest.raises(ValueError, match="zero detection rate"):
+        closed_form_fidelity(np.array([0.0, 0.005]), 0.127, 1e-300, 1.0, 104.0, background=0.0)
 
 
 def test_channel_model_matches_closed_form():
