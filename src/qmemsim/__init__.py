@@ -17,10 +17,8 @@ from .config import (
 from .detection import (
     MEASUREMENT_BASES,
     DetectionConfig,
-    effective_detection_efficiency,
     expected_counts,
     expected_rates,
-    total_detection_efficiency,
 )
 from .errors import ConfigError, FitError, QmemsimError
 from .fitting import (
@@ -79,4 +77,7 @@ from .tomography import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# The relative imports above also bind the submodules, which are not exported.
+__all__ = sorted(k for k, v in globals().items() if k[0] != "_" and not isinstance(v, _ModuleType))

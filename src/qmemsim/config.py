@@ -1,15 +1,16 @@
 """Scenario configuration: JSON loading, validation and echo.
 
 A scenario bundles the physics (memory, detection), the channel list,
-the measurement plan (storage times, input states, pulses per setting)
-and the run controls (seed, resample count, output dir).  The
-dataclasses are the only description of the document: the loader
-(``_build``) and the echo (``_echo``) both walk their fields.  Loading
-is strict and checks as it builds: unknown keys, missing keys of fields
-without a default (a channel's id and theta), wrong types and
-out-of-range values fail with their full field path, so a typo in a
-config file fails loudly instead of silently running defaults.  Every
-other missing key takes its default.
+the measurement plan (storage times and pulses per setting; the input
+states are the fixed H, V, D, R quartet of ``tomography``) and the run
+controls (seed, resample count, output dir).  The dataclasses are the
+only description of the document: the loader (``_build``) and the echo
+(``_echo``) both walk their fields.  Loading is strict and checks as it
+builds: unknown keys, missing keys of fields without a default (a
+channel's id and theta), wrong types and out-of-range values fail with
+their full field path, so a typo in a config file fails loudly instead
+of silently running defaults.  Every other missing key takes its
+default.
 
 ``effective_config`` echoes every parameter a run will actually use,
 defaults included, so an emitted artifact is self-describing and the
@@ -28,8 +29,6 @@ import numpy as np
 from .detection import MAX_PULSES, DetectionConfig
 from .errors import ConfigError
 from .memory import DEFAULT_CHANNELS, ChannelSpec, MemoryConfig
-from .polarization import STATE_LABELS
-from .tomography import DEFAULT_INPUT_LABELS
 
 DEFAULT_SEED = 12345
 DEFAULT_PULSES = 100_000
@@ -71,7 +70,6 @@ class ScenarioConfig:
     detection: DetectionConfig = field(default_factory=DetectionConfig)
     channels: tuple[ChannelSpec, ...] = DEFAULT_CHANNELS
     storage_times: tuple[float, ...] = DEFAULT_STORAGE_TIMES
-    input_states: tuple[str, ...] = DEFAULT_INPUT_LABELS
     pulses_per_setting: int = DEFAULT_PULSES
     mc_resamples: int = DEFAULT_RESAMPLES
     seed: int = DEFAULT_SEED
@@ -89,13 +87,6 @@ class ScenarioConfig:
         keys = _time_key(self.storage_times)
         if len(set(keys.tolist())) != len(keys):
             raise ValueError("storage_times must be unique to the picosecond")
-        if not self.input_states:
-            raise ValueError("input_states must not be empty")
-        unknown = [s for s in self.input_states if s not in STATE_LABELS]
-        if unknown:
-            raise ValueError(f"unknown input_states {unknown}; choose from {list(STATE_LABELS)}")
-        if len(set(self.input_states)) != len(self.input_states):
-            raise ValueError("input_states must be unique")
         if not 1 <= self.pulses_per_setting <= MAX_PULSES:
             raise ValueError(
                 f"pulses_per_setting must be in [1, {MAX_PULSES}], "
@@ -132,12 +123,8 @@ def _join(path: str, name: str) -> str:
 
 
 def _check_leaf(path: str, value, hint):
-    """JSON ``value`` as a leaf of type ``hint``: int, float, str or float | None."""
+    """JSON ``value`` as a leaf of type ``hint``: int, float or str."""
     # A bool is never a number; a float field stores a finite float.
-    if hint == float | None:
-        if value is None:
-            return None
-        hint = float
     if isinstance(value, bool):
         raise ConfigError(f"{path}: expected {hint.__name__}, got bool")
     if hint is float:

@@ -1,4 +1,4 @@
-"""Detection chain: efficiencies, background, and photon-count statistics.
+"""Detection: efficiency, background, and photon-count statistics.
 
 Sampled counts are Poisson draws of ``expected_counts``, aggregated over
 the pulse budget of a setting (per-pulse means are << 1, so this is
@@ -14,7 +14,7 @@ Count layout: the rates and counts of one prepared input form a (3, 2)
 array whose rows are the analysis bases in MEASUREMENT_BASES order (HV,
 DA, RL; row i is Stokes axis i) and whose columns are the (+, -)
 detectors.  A tomography run stacks one such array per input into
-shape (n_inputs, 3, 2).  Sampled counts are integers; in expected-counts
+shape (4, 3, 2).  Sampled counts are integers; in expected-counts
 (infinite statistics) mode they are the real-valued means.
 """
 
@@ -31,47 +31,27 @@ MAX_PULSES = 1_000_000_000
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Detection-chain efficiencies and noise rates.
+    """Detection efficiency and noise rates.
 
-    The chain is fiber coupling, etalon stack, multimode-fiber coupling
-    and detector quantum efficiency.  ``eta_total`` is the separately
-    measured end-to-end efficiency actually used in rate and fidelity
-    calculations (the chain product is 22.5%, the measured total rounds
-    to 23%); set it to None to fall back to the chain product.
-    ``background_n`` is the background count rate per pulse per detector.
+    ``eta_total`` is the measured end-to-end detection efficiency used in
+    every rate and fidelity calculation.  The chain behind it is fiber
+    coupling (80%), the etalon stack (58%), multimode-fiber coupling (97%)
+    and detector quantum efficiency (50%), whose product is 22.5%; the
+    measured total rounds to 23%.  ``background_n`` is the background
+    count rate per pulse per detector.
     """
 
-    eta_fiber: float = 0.80
-    eta_etalons: float = 0.58
-    eta_mmf: float = 0.97
-    eta_spd: float = 0.50
-    eta_total: float | None = 0.23
+    eta_total: float = 0.23
     n_bar: float = 1.0
     background_n: float = 7e-4
 
     def __post_init__(self) -> None:
-        for name in ("eta_fiber", "eta_etalons", "eta_mmf", "eta_spd"):
-            val = getattr(self, name)
-            if not 0.0 < val <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {val}")
-        if self.eta_total is not None and not 0.0 < self.eta_total <= 1.0:
+        if not 0.0 < self.eta_total <= 1.0:
             raise ValueError(f"eta_total must be in (0, 1], got {self.eta_total}")
         if self.n_bar <= 0.0:
             raise ValueError(f"n_bar must be > 0, got {self.n_bar}")
         if self.background_n < 0.0:
             raise ValueError(f"background_n must be >= 0, got {self.background_n}")
-
-
-def total_detection_efficiency(cfg: DetectionConfig) -> float:
-    """Product of the four chain efficiencies."""
-    return cfg.eta_fiber * cfg.eta_etalons * cfg.eta_mmf * cfg.eta_spd
-
-
-def effective_detection_efficiency(cfg: DetectionConfig) -> float:
-    """Efficiency used in rate calculations: measured total if set, else chain."""
-    if cfg.eta_total is not None:
-        return cfg.eta_total
-    return total_detection_efficiency(cfg)
 
 
 #: The three mutually unbiased analysis bases in Stokes-axis order, + eigenstate first.
@@ -93,7 +73,7 @@ def expected_rates(
     outside = ~((efficiency >= 0.0) & (efficiency <= 1.0))
     if outside.any():
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency[outside].flat[0]}")
-    signal = cfg.n_bar * effective_detection_efficiency(cfg) * efficiency
+    signal = cfg.n_bar * cfg.eta_total * efficiency
     p_plus = np.clip((1.0 + stokes) / 2.0, 0.0, 1.0)
     rates = signal[..., None, None] * np.stack((p_plus, 1.0 - p_plus), axis=-1)
     rates += cfg.background_n

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detection import DetectionConfig, effective_detection_efficiency
+from .detection import DetectionConfig
 from .errors import FitError
 from .memory import ChannelSpec, MemoryConfig, retrieval_efficiency
 
@@ -122,7 +122,7 @@ def closed_form_fidelity(
 def channel_model(channel: ChannelSpec, memory: MemoryConfig, det: DetectionConfig) -> dict:
     """``closed_form_fidelity`` keyword arguments for a configured channel.
 
-    R0 honours ``r0_overrides``; eta is the effective detection efficiency.
+    R0 honours ``r0_overrides``; eta is the end-to-end detection efficiency.
     """
     return {
         "r0": retrieval_efficiency(channel.theta, 0.0, memory),
@@ -130,7 +130,7 @@ def channel_model(channel: ChannelSpec, memory: MemoryConfig, det: DetectionConf
         "gamma0": memory.channel_static_gamma(channel),
         "sigma_gamma": memory.sigma_gamma,
         "n_bar": det.n_bar,
-        "eta": effective_detection_efficiency(det),
+        "eta": det.eta_total,
         "background": det.background_n,
     }
 

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import ScenarioConfig, _time_key, effective_config
-from .detection import effective_detection_efficiency, expected_counts, expected_rates
+from .detection import expected_counts, expected_rates
 from .errors import ConfigError, FitError
 from .fitting import (
     DecayDataset,
@@ -140,10 +140,7 @@ def tomography_points(
     every sigma is exactly 0.
     """
     idx, times, keys, efficiency = _unit_physics(cfg, units)
-    try:
-        stokes, _ = _input_set(cfg.input_states)
-    except ValueError as exc:
-        raise ConfigError(f"input_states for tomography scenarios: {exc}") from None
+    stokes, _ = _input_set()
     gamma, model, sigma = np.empty(len(units)), np.empty(len(units)), np.zeros(len(units))
     for i in sorted(set(idx.tolist())):
         at, channel = idx == i, cfg.channels[i]
@@ -153,11 +150,11 @@ def tomography_points(
     rates = expected_rates(dephase(stokes, gamma[:, None]), efficiency[:, None], cfg.detection)
     counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx, None if expected else keys, rates)
     del rates  # the kernel below holds the largest arrays of the pass
-    fidelity = _reconstruct(counts, cfg.input_states).process_fidelity
+    fidelity = _reconstruct(counts).process_fidelity
     if not expected:
         # Unit k's resample j is keyed (seed, 2, channel, t_ps, j).
         resample_keys = derive_rng(cfg.seed, _DOMAIN_RESAMPLE, idx, keys)
-        sigma = monte_carlo_error(counts, cfg.mc_resamples, resample_keys, cfg.input_states)
+        sigma = monte_carlo_error(counts, cfg.mc_resamples, resample_keys)
     return {"fidelity": fidelity.tolist(), "sigma": sigma.tolist(), "model": model.tolist()}
 
 
@@ -183,7 +180,7 @@ def efficiency_points(
     """
     idx, _, keys, efficiency = _unit_physics(cfg, units)
     det, pulses = cfg.detection, cfg.pulses_per_setting
-    eta = effective_detection_efficiency(det)
+    eta = det.eta_total
     rates = det.n_bar * eta * efficiency + 2.0 * det.background_n
     counts = _unit_counts(cfg, _DOMAIN_EFFICIENCY, idx, None if expected else keys, rates)
     estimate = (counts / pulses - 2.0 * det.background_n) / (det.n_bar * eta)
@@ -301,7 +298,6 @@ def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifac
     t = TABLE_TIME_MS
     points = tomography_points(cfg, [(ch.id, t) for ch in cfg.channels], expected_counts)
     rows = [(ch.id, ch.theta, f, s, m) for ch, f, s, m in zip(cfg.channels, *points.values())]
-    settings = len(cfg.input_states) * 3
     return _artifact(
         "table1",
         ("channel", "theta_deg", "fidelity", "fidelity_sigma", "model_fidelity"),
@@ -310,7 +306,8 @@ def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifac
         expected_counts,
         time_ms=t,
         mc_resamples=cfg.mc_resamples,
-        acquisition_s_per_channel=settings * cfg.pulses_per_setting / cfg.rep_rate_hz,
+        # 12 settings: four inputs, three analysis bases each.
+        acquisition_s_per_channel=12 * cfg.pulses_per_setting / cfg.rep_rate_hz,
     )
 
 

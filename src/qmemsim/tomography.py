@@ -17,14 +17,15 @@ chi is one linear solve (Chuang & Nielsen, J. Mod. Opt. 44, 2455 (1997)).
 The design matrix depends only on the inputs, and so does the whole
 linear map from the output Stokes rows (1, S_k) to the Hermitized chi.
 Every chi here is ``_solve_chi`` applying a ``_chi_map``: ``_input_set``
-caches the map of a labelled input set next to the inputs' Stokes vectors
-S that the simulated rates expected_rates(dephase(S, gamma), R, detection)
-start from, and ``process_matrix`` builds the map of the states it is given.
+caches the map of the fixed H, V, D, R input quartet next to the inputs'
+Stokes vectors S that the simulated rates
+expected_rates(dephase(S, gamma), R, detection) start from, and
+``process_matrix`` builds the map of the states it is given.
 
 ``_reconstruct`` is the kernel for counts: Stokes rows, their
 projection, ``_solve_chi``, ``_project_chi`` (one batched eigh), then the
 projected chi[0, 0] (the fidelity to the identity process), in one pass
-over a (..., n_inputs, 3, 2) count stack.  A scenario scores all
+over a (..., 4, 3, 2) count stack.  A scenario scores all
 its units in one call, and so does each bootstrap resample, whose counts
 ``monte_carlo_error`` draws with ``streams.poisson``.  The map is applied
 as a stacked real (32, 16) matrix-vector product per unit, not as one
@@ -52,7 +53,7 @@ from .polarization import (
 )
 from .streams import poisson
 
-#: Input preparation quartet used by default (informationally complete).
+#: The input preparation quartet of every tomography run (informationally complete).
 DEFAULT_INPUT_LABELS = ("H", "V", "D", "R")
 
 _PROJECT_EIG_TOL = 1e-12
@@ -147,12 +148,10 @@ def _chi_map(states: np.ndarray) -> np.ndarray:
     return np.stack((chi_map.real, chi_map.imag), axis=1).reshape(32, 16)
 
 
-@functools.lru_cache(maxsize=None)
-def _input_set(input_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Stokes vectors (4, 3) of the ideal inputs and their ``_chi_map``."""
-    if len(input_labels) != 4:
-        raise ValueError(f"need exactly 4 input states, got {len(input_labels)}")
-    states = np.array([density_of(ket_from_named(lbl)) for lbl in input_labels])
+@functools.cache
+def _input_set() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Stokes vectors (4, 3) of the DEFAULT_INPUT_LABELS inputs and their ``_chi_map``."""
+    states = np.array([density_of(ket_from_named(lbl)) for lbl in DEFAULT_INPUT_LABELS])
     stokes = np.array([stokes_of(rho) for rho in states])
     chi_map = _chi_map(states)
     for arr in (stokes, chi_map):
@@ -225,19 +224,18 @@ def _check_unit_trace(name: str, trace: np.ndarray) -> None:
         raise ValueError(f"{name} is not trace-normalized")
 
 
-def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResult:
-    """Score a (..., n_inputs, 3, 2) count stack in one pass: Stokes -> chi -> fidelity.
+def _reconstruct(counts: np.ndarray) -> ProcessResult:
+    """Score a (..., 4, 3, 2) count stack in one pass: Stokes -> chi -> fidelity.
 
     Every field of the result has the leading shape (...) of ``counts``,
     and a unit's values do not depend on the other units.
     """
-    _, chi_map = _input_set(tuple(input_labels))
+    _, chi_map = _input_set()
     counts = np.asarray(counts)
-    n = len(input_labels)
-    if counts.shape[-3:] != (n, 3, 2):
+    if counts.shape[-3:] != (4, 3, 2):
         if counts.ndim >= 3 and counts.shape[-2:] == (3, 2):
-            raise ValueError(f"need counts for {n} inputs, got {counts.shape[-3]}")
-        raise ValueError(f"counts must have shape (..., {n}, 3, 2), got {counts.shape}")
+            raise ValueError(f"need counts for 4 inputs, got {counts.shape[-3]}")
+        raise ValueError(f"counts must have shape (..., 4, 3, 2), got {counts.shape}")
     stokes, _ = _project_stokes(stokes_from_counts(counts))
     chi_raw = _solve_chi(chi_map, stokes)
     chi, applied = _project_chi(chi_raw)
@@ -245,21 +243,13 @@ def _reconstruct(counts: np.ndarray, input_labels: Sequence[str]) -> ProcessResu
     return ProcessResult(fidelity, chi_raw[..., 0, 0].real, applied)
 
 
-def reconstruct_from_records(
-    counts: np.ndarray,
-    input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
-) -> np.ndarray:
-    """Process fidelities (...) of a (..., n_inputs, 3, 2) count stack; one unit's is a float."""
-    return _reconstruct(counts, input_labels).process_fidelity
+def reconstruct_from_records(counts: np.ndarray) -> np.ndarray:
+    """Process fidelities (...) of a (..., 4, 3, 2) count stack; one unit's is a float."""
+    return _reconstruct(counts).process_fidelity
 
 
-def monte_carlo_error(
-    counts: np.ndarray,
-    resamples: int,
-    keys: np.ndarray,
-    input_labels: Sequence[str] = DEFAULT_INPUT_LABELS,
-) -> np.ndarray:
-    """Std deviations (U,) of the process fidelities of a (U, n_inputs, 3, 2) count stack.
+def monte_carlo_error(counts: np.ndarray, resamples: int, keys: np.ndarray) -> np.ndarray:
+    """Std deviations (U,) of the process fidelities of a (U, 4, 3, 2) count stack.
 
     Resample j redraws unit k's counts as Poisson(observed) from the stream of key
     (*keys[k], j), ``keys`` the units' uint64 keys (U, L), so no sigma depends on the other
@@ -268,7 +258,7 @@ def monte_carlo_error(
     """
     lam = np.asarray(counts, dtype=float)
     if lam.ndim != 4:
-        raise ValueError(f"counts must be a (units, n_inputs, 3, 2) stack, got {lam.shape}")
+        raise ValueError(f"counts must be a (units, 4, 3, 2) stack, got {lam.shape}")
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
     fidelities = np.empty((len(lam), resamples))
@@ -278,5 +268,5 @@ def monte_carlo_error(
         block = np.empty((len(lam), len(js), keys.shape[1] + 1), dtype=np.uint64)
         block[..., :-1], block[..., -1] = keys[:, None], js
         for j, draws in enumerate(np.moveaxis(poisson(block, lam), 1, 0), start):
-            fidelities[:, j] = reconstruct_from_records(draws, input_labels)
+            fidelities[:, j] = reconstruct_from_records(draws)
     return np.std(fidelities, axis=1, ddof=1)

@@ -34,9 +34,9 @@ def differing_sigmas(name: str, cfg: ScenarioConfig, channels) -> int:
     seen = {}
     real = scenarios.monte_carlo_error
 
-    def recording(counts, resamples, keys, input_labels):
+    def recording(counts, resamples, keys):
         seen["counts"] = counts
-        return real(counts, resamples, keys, input_labels)
+        return real(counts, resamples, keys)
 
     scenarios.monte_carlo_error = recording
     try:
@@ -54,7 +54,7 @@ def differing_sigmas(name: str, cfg: ScenarioConfig, channels) -> int:
             numpy_stream(cfg.seed, scenarios._DOMAIN_RESAMPLE, *key, j).poisson(unit)
             for key, unit in zip(keys, seen["counts"])
         ]
-        fidelities[:, j] = reconstruct_from_records(np.array(draws), cfg.input_states)
+        fidelities[:, j] = reconstruct_from_records(np.array(draws))
     want = np.std(fidelities, axis=1, ddof=1)
     reference = time.perf_counter() - start
 

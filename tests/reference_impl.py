@@ -7,7 +7,7 @@ batched code paths are checked against.
 
 import numpy as np
 
-from qmemsim.detection import MEASUREMENT_BASES, effective_detection_efficiency, expected_counts
+from qmemsim.detection import MEASUREMENT_BASES, expected_counts
 from qmemsim.polarization import PAULI_BASIS, check_density, density_of, ket_from_named
 
 
@@ -64,7 +64,7 @@ def reference_dephase(rho: np.ndarray, gamma: float) -> np.ndarray:
 
 def reference_rates(rho: np.ndarray, efficiency: float, det) -> np.ndarray:
     """Matrix form of detection.expected_rates: one projector trace per basis."""
-    signal = det.n_bar * effective_detection_efficiency(det) * efficiency
+    signal = det.n_bar * det.eta_total * efficiency
     rates = []
     for basis in MEASUREMENT_BASES:
         projector = density_of(ket_from_named(basis[0]))
@@ -97,7 +97,7 @@ def postselected_state(state_deph: np.ndarray, efficiency: float, det) -> np.nda
     state_deph = check_density(state_deph)
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
-    signal = det.n_bar * effective_detection_efficiency(det) * efficiency
+    signal = det.n_bar * det.eta_total * efficiency
     denom = signal + 2.0 * det.background_n
     if denom == 0.0:
         raise ValueError("post-selection undefined: zero signal and zero background")

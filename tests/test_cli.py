@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmemsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
+from qmemsim.config import config_from_dict, effective_config
 from qmemsim.fitting import closed_form_fidelity
 from qmemsim.memory import DEFAULT_CHANNELS
 
@@ -171,17 +172,23 @@ class TestReproduce:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command", [["reproduce", "fig5"], ["reproduce", "table1"], ["simulate"]]
+        "config, path",
+        [
+            ({"input_states": ["H", "V", "D", "R"]}, "input_states"),
+            ({"detection": {"eta_fiber": 0.8}}, "detection.eta_fiber"),
+            ({"detection": {"eta_total": None}}, "detection.eta_total"),
+        ],
+        ids=["input_states", "eta_fiber", "eta_total_null"],
     )
-    def test_degenerate_input_states_exit_2_writing_nothing(self, tmp_path, capsys, command):
-        # H, V, D, A span only two Stokes axes: not informationally complete.
+    def test_removed_keys_exit_2_writing_nothing(self, tmp_path, capsys, config, path):
+        # The input quartet is fixed and eta_total is the one efficiency, so
+        # a config that still sets the old keys is refused.
         out = tmp_path / "out"
-        cfg = write_json(tmp_path / "hvda.json", {"input_states": ["H", "V", "D", "A"]})
-        code = main([*command, "--config", cfg, "--out", str(out)])
+        cfg = write_json(tmp_path / "old.json", config)
+        code = main(["simulate", "--config", cfg, "--out", str(out)])
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: input_states")
-        assert "informationally complete" in err
+        assert err.startswith("config error: ") and path in err
         assert err.count("\n") == 1
         assert not out.exists()
 
@@ -666,6 +673,9 @@ _scenario_configs = st.fixed_dictionaries(
 @given(config=_scenario_configs)
 @example(config=ZERO_RATE_CONFIG)
 def test_scenario_exit_codes_on_generated_configs(config):
+    # Every generated config loads, and its echo loads back as the same config.
+    cfg = config_from_dict(config)
+    assert config_from_dict(effective_config(cfg)) == cfg
     # A warning raised inside main is an error under this suite's filterwarnings.
     with tempfile.TemporaryDirectory() as tmp:
         path = write_json(Path(tmp) / "config.json", config)

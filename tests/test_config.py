@@ -129,11 +129,6 @@ def test_seed_must_be_integer():
         config_from_dict({"seed": 2**64})
 
 
-def test_eta_total_null_falls_back_to_chain():
-    cfg = config_from_dict({"detection": {"eta_total": None}})
-    assert cfg.detection.eta_total is None
-
-
 def test_channels_parsing_and_validation():
     cfg = config_from_dict(
         {"channels": [{"id": "A", "theta": 0.0}, {"id": "B", "theta": 2.5}]}
@@ -169,11 +164,6 @@ def test_storage_times_key_below_2_to_the_64_picoseconds():
     assert config_from_dict({"storage_times": [0.0, largest]}).storage_times == (0.0, largest)
     with pytest.raises(ConfigError, match=r"^storage_times must be in \[0, 2\*\*64\) picoseconds"):
         config_from_dict({"storage_times": [0.5, math.nextafter(largest, math.inf)]})
-
-
-def test_input_states_validation():
-    with pytest.raises(ConfigError, match="input_states"):
-        config_from_dict({"input_states": ["H", "V", "D", "X"]})
 
 
 def test_r0_overrides_string_keys_parse_as_angles():
@@ -238,7 +228,6 @@ def test_effective_config_round_trips():
                 "static_gamma": {"S2": 0.9},
                 "r0_overrides": {"0.8": 0.13, "0.1234567": 0.12},
             },
-            "detection": {"eta_total": None},
             "storage_times": [0.005, 1.0],
         }
     )

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from qmemsim.detection import (
     MEASUREMENT_BASES,
     DetectionConfig,
-    effective_detection_efficiency,
     expected_counts,
     expected_rates,
-    total_detection_efficiency,
 )
 from qmemsim.memory import dephase
 from qmemsim.polarization import (
@@ -32,34 +30,12 @@ H_STATE = density_of(H_KET)
 H_STOKES = stokes_of(H_STATE)
 
 
-def test_chain_product():
-    assert abs(total_detection_efficiency(DET) - 0.22504) < 1e-12
-
-
-def test_chain_product_all_ones():
-    cfg = DetectionConfig(eta_fiber=1.0, eta_etalons=1.0, eta_mmf=1.0, eta_spd=1.0)
-    assert total_detection_efficiency(cfg) == 1.0
-
-
-def test_chain_product_multiplicativity():
-    halved = DetectionConfig(eta_spd=0.25)
-    assert abs(total_detection_efficiency(halved) - 0.22504 / 2.0) < 1e-12
-
-
-def test_effective_efficiency_uses_measured_total():
-    # The measured end-to-end efficiency (23%) drives the rates; the
-    # chain product stays available for budget breakdowns.
-    assert effective_detection_efficiency(DET) == 0.23
-    chain_only = DetectionConfig(eta_total=None)
-    assert abs(effective_detection_efficiency(chain_only) - 0.22504) < 1e-12
-
-
 def test_expected_rates_h_state_chain_efficiency():
-    cfg = DetectionConfig(eta_total=None)
-    rates = expected_rates(H_STOKES, 0.127, cfg)
+    # The chain's measured end-to-end efficiency (23%) drives the rates.
+    rates = expected_rates(H_STOKES, 0.127, DET)
     assert rates.shape == (3, 2)
     mu_plus, mu_minus = rates[MEASUREMENT_BASES.index("HV")]
-    assert abs(mu_plus - (0.22504 * 0.127 + 7e-4)) < 1e-12
+    assert abs(mu_plus - (0.23 * 0.127 + 7e-4)) < 1e-12
     assert abs(mu_minus - 7e-4) < 1e-15
 
 

@@ -1,6 +1,7 @@
 import importlib
 import json
 import re
+import types
 from pathlib import Path
 
 import numpy as np
@@ -21,12 +22,14 @@ def _section(heading: str) -> str:
 
 def test_readme_names_only_existing_api():
     # Every bare name in the "Lower-level entry points" paragraph is
-    # exported, and every module in the layout can be imported.
+    # exported, no submodule is, and every module in the layout can be
+    # imported.
     library = _section("Library use")
     paragraph = library[library.index("Lower-level entry points:") :].split("\n\n")[0]
     names = re.findall(r"`([A-Za-z_]\w*)`", paragraph)
     assert len(names) >= 10
     assert [name for name in names if name not in qmemsim.__all__] == []
+    assert [n for n in qmemsim.__all__ if isinstance(getattr(qmemsim, n), types.ModuleType)] == []
     modules = re.findall(r"^\s+(\w+)\.py\b", _section("Layout"), flags=re.MULTILINE)
     assert len(modules) >= 8
     for name in modules:

@@ -176,7 +176,7 @@ def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
 
     channels = [cfg.channel_index(c) for c, _ in units]
 
-    def numpy_bootstrap(counts, resamples, keys, input_labels):
+    def numpy_bootstrap(counts, resamples, keys):
         # Every (unit, resample) from numpy's own stream, one rescoring per resample.
         fidelities = np.empty((len(counts), resamples))
         for j in range(resamples):
@@ -184,7 +184,7 @@ def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
                 numpy_stream(cfg.seed, _DOMAIN_RESAMPLE, i, _time_key(t), j).poisson(unit)
                 for i, (_, t), unit in zip(channels, units, counts)
             ]
-            fidelities[:, j] = reconstruct_from_records(np.array(draws), input_labels)
+            fidelities[:, j] = reconstruct_from_records(np.array(draws))
         return np.std(fidelities, axis=1, ddof=1)
 
     monkeypatch.setattr(scenarios, "monte_carlo_error", numpy_bootstrap)

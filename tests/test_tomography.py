@@ -24,6 +24,7 @@ from qmemsim.polarization import (
 from qmemsim.tomography import (
     _PROJECT_EIG_TOL,
     DEFAULT_INPUT_LABELS,
+    _chi_map,
     _input_set,
     _project_chi,
     _reconstruct,
@@ -58,11 +59,11 @@ def _dephase_state(rho, gamma):
 def _run_process_tomography(channel, t, cfg, det, pulses, rng=None):
     # One unit's process tomography: the counts drawn from (or, with no
     # rng, the means of) its rates, and their reconstruction.
-    stokes, _ = _input_set(DEFAULT_INPUT_LABELS)
+    stokes, _ = _input_set()
     gamma = dephasing_factor(t, channel, cfg)
     rates = expected_rates(dephase(stokes, gamma), retrieval_efficiency(channel.theta, t, cfg), det)
     counts = expected_counts(rates, pulses) if rng is None else sample_counts(rates, pulses, rng)
-    return counts, _reconstruct(counts, DEFAULT_INPUT_LABELS)
+    return counts, _reconstruct(counts)
 
 
 def test_stokes_from_counts_basic():
@@ -144,8 +145,13 @@ def _reference_chi(inputs, outputs):
 def test_cached_chi_map_matches_the_linear_solve(rng, labels):
     # The map takes the rows (1, S_k) to the same Hermitized chi as the
     # design-matrix solve on the density matrices (I + S_k . sigma)/2.
-    _, chi_map = _input_set(labels)
+    # The cached map serves the fixed quartet; process_matrix builds the
+    # map of any other informationally complete set.
     inputs = [density_of(ket_from_named(l)) for l in labels]
+    if labels == DEFAULT_INPUT_LABELS:
+        _, chi_map = _input_set()
+    else:
+        chi_map = _chi_map(np.array(inputs))
     for _ in range(200):
         directions = rng.normal(size=(4, 3))
         stokes = directions / np.linalg.norm(directions, axis=1, keepdims=True)
@@ -246,16 +252,8 @@ def test_process_matrix_rejects_degenerate_inputs():
         process_matrix(pairs)
 
 
-def test_degenerate_input_labels_rejected_at_first_use():
-    labels = ("H", "V", "D", "A")
-    with pytest.raises(ValueError, match="informationally complete"):
-        _input_set(labels)
-    with pytest.raises(ValueError, match="informationally complete"):
-        reconstruct_from_records(np.full((4, 3, 2), 5), labels)
-
-
 def test_cached_constants_are_read_only():
-    stokes, inverse = _input_set(DEFAULT_INPUT_LABELS)
+    stokes, inverse = _input_set()
     for arr in (stokes, inverse):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0.0
@@ -426,10 +424,10 @@ def test_reconstruct_from_records_round_trip():
 
 
 def _assert_rows_equal_single_unit_calls(stack):
-    res = _reconstruct(stack, DEFAULT_INPUT_LABELS)
+    res = _reconstruct(stack)
     assert res.process_fidelity.shape == stack.shape[:-3]
     for k, counts in enumerate(stack):
-        one = _reconstruct(counts, DEFAULT_INPUT_LABELS)
+        one = _reconstruct(counts)
         assert res.process_fidelity[k] == one.process_fidelity
         assert res.raw_chi00[k] == one.raw_chi00
         assert res.projection_applied[k] == one.projection_applied
@@ -466,11 +464,11 @@ def test_reconstruct_stack_names_the_zero_total_basis_of_its_bad_unit():
     stack = np.full((7, 4, 3, 2), 50)
     stack[4, 2, 1] = (0, 0)
     with pytest.raises(ValueError, match="zero total counts in basis DA"):
-        _reconstruct(stack, DEFAULT_INPUT_LABELS)
+        _reconstruct(stack)
     with pytest.raises(ValueError, match="need counts for 4 inputs, got 3"):
-        _reconstruct(stack[:, :3], DEFAULT_INPUT_LABELS)
+        _reconstruct(stack[:, :3])
     with pytest.raises(ValueError, match=r"shape \(\.\.\., 4, 3, 2\), got \(7, 4, 2, 2\)"):
-        _reconstruct(stack[:, :, :2], DEFAULT_INPUT_LABELS)
+        _reconstruct(stack[:, :, :2])
 
 
 def _keys(*keys):
@@ -564,9 +562,9 @@ def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
     applied = []
     real_reconstruct = tomography.reconstruct_from_records
 
-    def recording(draws, input_labels):
-        applied.append(_reconstruct(draws, input_labels).projection_applied)
-        return real_reconstruct(draws, input_labels)
+    def recording(draws):
+        applied.append(_reconstruct(draws).projection_applied)
+        return real_reconstruct(draws)
 
     monkeypatch.setattr(tomography, "reconstruct_from_records", recording)
     monkeypatch.setattr(tomography, "_SEED_BLOCK", 48)  # 8 resamples of 6 units a block
@@ -598,7 +596,7 @@ def test_monte_carlo_error_of_no_units_is_empty():
 
 def test_monte_carlo_error_rejects_a_single_unit_without_its_stack_axis():
     counts = np.tile([(700, 300), (500, 500), (400, 600)], (4, 1, 1))
-    with pytest.raises(ValueError, match=r"a \(units, n_inputs, 3, 2\) stack, got \(4, 3, 2\)"):
+    with pytest.raises(ValueError, match=r"a \(units, 4, 3, 2\) stack, got \(4, 3, 2\)"):
         monte_carlo_error(counts, 10, _keys((0,)))
 
 
@@ -638,13 +636,13 @@ def _count_arrays(draw):
 @given(_count_arrays())
 def test_reconstruct_matches_reference_chain(counts):
     fidelity, raw_chi00, applied = _reference_reconstruct(counts)
-    res = _reconstruct(counts, DEFAULT_INPUT_LABELS)
+    res = _reconstruct(counts)
     assert res.projection_applied == applied
     assert abs(res.process_fidelity - fidelity) < 1e-12
     assert abs(res.raw_chi00 - raw_chi00) < 1e-12
     assert applied or res.process_fidelity == min(max(res.raw_chi00, 0.0), 1.0)
     # Expected-counts mode carries the same counts as floats.
-    as_float = _reconstruct(counts.astype(float), DEFAULT_INPUT_LABELS)
+    as_float = _reconstruct(counts.astype(float))
     assert as_float.process_fidelity == res.process_fidelity
     assert as_float.raw_chi00 == res.raw_chi00
     assert as_float.projection_applied == res.projection_applied
