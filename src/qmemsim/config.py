@@ -61,9 +61,7 @@ def _time_key(t_ms) -> np.ndarray:
 class ScenarioConfig:
     """Everything a reproducible run needs.
 
-    ``rep_rate_hz`` is experiment-cycle metadata used only to convert
-    pulse budgets into acquisition times in artifact metadata; it does
-    not enter the simulation.
+    Every key of ``memory.static_gamma`` must name a configured channel.
     """
 
     memory: MemoryConfig = field(default_factory=MemoryConfig)
@@ -74,7 +72,6 @@ class ScenarioConfig:
     mc_resamples: int = DEFAULT_RESAMPLES
     seed: int = DEFAULT_SEED
     output_dir: str = "out"
-    rep_rate_hz: float = 20.0
 
     def __post_init__(self) -> None:
         if not self.channels:
@@ -98,8 +95,11 @@ class ScenarioConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.rep_rate_hz <= 0:
-            raise ValueError(f"rep_rate_hz must be > 0, got {self.rep_rate_hz}")
+        for key in self.memory.static_gamma:
+            if key not in ids:
+                raise ValueError(
+                    f"memory.static_gamma.{key}: names no channel (configured: {', '.join(ids)})"
+                )
 
     def channel(self, channel_id: str) -> ChannelSpec:
         return self.channels[self.channel_index(channel_id)]
@@ -157,14 +157,7 @@ def _build(hint, data, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
     if origin is dict:
-        built = {}
-        for key, value in data.items():
-            try:  # JSON keys are strings; angle keys parse as floats
-                parsed = args[0](key)
-            except ValueError:
-                raise ConfigError(f"{path}: keys must parse as {args[0].__name__}") from None
-            built[parsed] = _build(args[1], value, f"{path}.{key}")
-        return built
+        return {key: _build(args[1], value, f"{path}.{key}") for key, value in data.items()}
     hints = _fields(hint)
     kwargs = {}
     for key, value in data.items():
@@ -210,10 +203,7 @@ def _echo(value):
     if isinstance(value, (tuple, list)):
         return [_echo(item) for item in value]
     if isinstance(value, dict):
-        return {
-            repr(k) if isinstance(k, float) else k: _echo(v)
-            for k, v in sorted(value.items())
-        }
+        return {k: _echo(v) for k, v in sorted(value.items())}
     return value
 
 

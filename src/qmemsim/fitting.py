@@ -122,7 +122,7 @@ def closed_form_fidelity(
 def channel_model(channel: ChannelSpec, memory: MemoryConfig, det: DetectionConfig) -> dict:
     """``closed_form_fidelity`` keyword arguments for a configured channel.
 
-    R0 honours ``r0_overrides``; eta is the end-to-end detection efficiency.
+    R0 honours ``memory.MEASURED_R0``; eta is the end-to-end detection efficiency.
     """
     return {
         "r0": retrieval_efficiency(channel.theta, 0.0, memory),

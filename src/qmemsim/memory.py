@@ -51,6 +51,9 @@ class ChannelSpec:
         _check_theta(self.theta, f" (channel {self.id})")
 
 
+#: R0 measured apart from the walk-off profile, by read angle (deg): the 0.8 deg channel's 12.7%.
+MEASURED_R0 = {0.8: 0.127}
+
 DEFAULT_CHANNELS = (
     ChannelSpec("S0", 0.0),
     ChannelSpec("S1", 0.4),
@@ -67,9 +70,7 @@ class MemoryConfig:
     """Physical memory parameters.
 
     Times are in ms, angles in degrees.  ``r0_axis`` anchors the walk-off
-    profile at theta = 0; ``r0_overrides`` maps specific angles to measured
-    zero-time efficiencies that take precedence over the profile (the
-    default pins the 0.8 deg channel to its separately measured 12.7%).
+    profile at theta = 0 (``MEASURED_R0`` takes precedence at its angles).
     ``static_gamma`` maps channel ids to a residual coherence factor in
     [0, 1] applied on top of the time-dependent dephasing (default 1.0).
     """
@@ -79,7 +80,6 @@ class MemoryConfig:
     sigma_gamma: float = 104.0
     theta_w: float = 6.684
     static_gamma: dict[str, float] = field(default_factory=dict)
-    r0_overrides: dict[float, float] = field(default_factory=lambda: {0.8: 0.127})
 
     def __post_init__(self) -> None:
         if not 0.0 < self.r0_axis <= 1.0:
@@ -93,11 +93,6 @@ class MemoryConfig:
         for ch, g in self.static_gamma.items():
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"static_gamma[{ch}] must be in [0, 1], got {g}")
-        for th, r in self.r0_overrides.items():
-            if not 0.0 <= th <= THETA_MAX_DEG:
-                raise ValueError(f"r0_overrides key {th} must be finite, in [0, {THETA_MAX_DEG}]")
-            if not 0.0 < r <= 1.0:
-                raise ValueError(f"r0_overrides[{th}] must be in (0, 1], got {r}")
 
     def channel_static_gamma(self, channel: ChannelSpec) -> float:
         return self.static_gamma.get(channel.id, 1.0)
@@ -121,7 +116,7 @@ def walk_off_r0(theta: float, cfg: MemoryConfig) -> float:
 
 
 def _r0_at(theta: float, cfg: MemoryConfig) -> float:
-    for th, r in cfg.r0_overrides.items():
+    for th, r in MEASURED_R0.items():
         if abs(theta - th) < 1e-9:
             return r
     return walk_off_r0(theta, cfg)
@@ -130,8 +125,8 @@ def _r0_at(theta: float, cfg: MemoryConfig) -> float:
 def retrieval_efficiency(theta: float, t: Times, cfg: MemoryConfig) -> Times:
     """R(theta, t) = R0(theta) exp(-t/tau); theta in degrees, t in ms.
 
-    R0 comes from the walk-off profile unless the angle carries a
-    measured override.
+    R0 comes from the walk-off profile unless the angle has a measured
+    value in ``MEASURED_R0``.
     """
     t = _check_times(t)
     _check_theta(theta)

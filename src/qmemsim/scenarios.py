@@ -48,6 +48,9 @@ FORMAT_VERSION = 1
 #: Storage time (ms) at which the per-channel fidelity table is taken.
 TABLE_TIME_MS = 0.005
 
+#: Experiment cycle (Hz); it only turns pulse budgets into acquisition_s_per_* meta times.
+REP_RATE_HZ = 20.0
+
 #: Reference per-channel process fidelities (and one-sigma errors) for
 #: the default seven-channel layout, used as default calibration targets
 #: and as benchmarks in the acceptance suite.
@@ -252,7 +255,7 @@ def run_fig4(
         channel=channel_id,
         theta_deg=channel.theta,
         model={"r0": retrieval_efficiency(channel.theta, 0.0, cfg.memory), "tau": cfg.memory.tau},
-        acquisition_s_per_point=cfg.pulses_per_setting / cfg.rep_rate_hz,
+        acquisition_s_per_point=cfg.pulses_per_setting / REP_RATE_HZ,
         fit=_fit_or_error(lambda: fit_exponential(DecayDataset(*data))),
     )
 
@@ -288,7 +291,7 @@ def run_fig5(
         theta_deg=channel.theta,
         mc_resamples=cfg.mc_resamples,
         model={"sigma_gamma": cfg.memory.sigma_gamma},
-        acquisition_s_per_setting=cfg.pulses_per_setting / cfg.rep_rate_hz,
+        acquisition_s_per_setting=cfg.pulses_per_setting / REP_RATE_HZ,
         fit=_fit_or_error(fit),
     )
 
@@ -307,7 +310,7 @@ def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifac
         time_ms=t,
         mc_resamples=cfg.mc_resamples,
         # 12 settings: four inputs, three analysis bases each.
-        acquisition_s_per_channel=12 * cfg.pulses_per_setting / cfg.rep_rate_hz,
+        acquisition_s_per_channel=12 * cfg.pulses_per_setting / REP_RATE_HZ,
     )
 
 
@@ -377,7 +380,8 @@ def _staged_files(out_dir: str, paths: list[str]):
     Yields ``stage(filename, newline=None)``, which appends the final
     path to the empty list ``paths`` and opens a temporary
     ``<file>.<pid>.tmp`` beside it for writing.  Only when the block
-    completes are the staged files renamed into place; on any error the
+    completes are the staged files renamed into place, and only if no
+    target exists as anything but a regular file; on any error the
     temporary files are removed and no file is replaced.
     """
     try:
@@ -392,6 +396,9 @@ def _staged_files(out_dir: str, paths: list[str]):
 
     try:
         yield stage
+        for path in paths:
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise OSError(f"{path} is not a regular file")
         for path in paths:
             os.replace(path + tmp, path)
     except OSError as exc:

@@ -177,12 +177,15 @@ class TestReproduce:
             ({"input_states": ["H", "V", "D", "R"]}, "input_states"),
             ({"detection": {"eta_fiber": 0.8}}, "detection.eta_fiber"),
             ({"detection": {"eta_total": None}}, "detection.eta_total"),
+            ({"rep_rate_hz": 20.0}, "rep_rate_hz"),
+            ({"memory": {"r0_overrides": {"0.8": 0.127}}}, "memory.r0_overrides"),
         ],
-        ids=["input_states", "eta_fiber", "eta_total_null"],
+        ids=["input_states", "eta_fiber", "eta_total_null", "rep_rate_hz", "r0_overrides"],
     )
     def test_removed_keys_exit_2_writing_nothing(self, tmp_path, capsys, config, path):
-        # The input quartet is fixed and eta_total is the one efficiency, so
-        # a config that still sets the old keys is refused.
+        # The input quartet is fixed, eta_total is the one efficiency and the
+        # measured R0 and the rep rate are constants, so a config that still
+        # sets the old keys is refused.
         out = tmp_path / "out"
         cfg = write_json(tmp_path / "old.json", config)
         code = main(["simulate", "--config", cfg, "--out", str(out)])

@@ -98,8 +98,7 @@ def test_first_error_in_document_order_wins():
         ('{"memory": {"sigma_gamma": Infinity}}', "memory.sigma_gamma"),
         ('{"storage_times": [1.0, -Infinity]}', r"storage_times\[1\]"),
         ('{"memory": {"static_gamma": {"S2": NaN}}}', "memory.static_gamma.S2"),
-        ('{"memory": {"r0_overrides": {"nan": 0.1}}}', "memory.r0_overrides"),
-        ('{"rep_rate_hz": 1%s}' % ("0" * 400), "rep_rate_hz"),
+        ('{"memory": {"tau": 1%s}}' % ("0" * 400), "memory.tau"),
     ],
 )
 def test_non_finite_numbers_rejected(tmp_path, text, path):
@@ -166,21 +165,24 @@ def test_storage_times_key_below_2_to_the_64_picoseconds():
         config_from_dict({"storage_times": [0.5, math.nextafter(largest, math.inf)]})
 
 
-def test_r0_overrides_string_keys_parse_as_angles():
-    cfg = config_from_dict({"memory": {"r0_overrides": {"1.5": 0.11}}})
-    assert cfg.memory.r0_overrides == {1.5: 0.11}
-    for key in ("a", "8", "-1", "inf", "1e400"):
-        with pytest.raises(ConfigError, match="memory.r0_overrides"):
-            config_from_dict({"memory": {"r0_overrides": {key: 0.11}}})
-
-
 def test_static_gamma_entries_validated():
     with pytest.raises(ConfigError, match="static_gamma"):
         config_from_dict({"memory": {"static_gamma": {"S0": 1.5}}})
 
 
-#: The two maps of the echo; the every-leaf round trip replaces each whole.
-_MAPS = ("memory.static_gamma", "memory.r0_overrides")
+def test_static_gamma_key_must_name_a_configured_channel():
+    # A mistyped id would otherwise leave its channel at gamma0 = 1.
+    data = {"channels": [{"id": "S2", "theta": 0.8}], "memory": {"static_gamma": {"s2": 0.5}}}
+    with pytest.raises(
+        ConfigError, match=r"^memory\.static_gamma\.s2: names no channel \(configured: S2\)$"
+    ):
+        config_from_dict(data)
+    data["memory"]["static_gamma"] = {"S2": 0.5}
+    assert config_from_dict(data).memory.static_gamma == {"S2": 0.5}
+
+
+#: The one map of the echo; the every-leaf round trip replaces it whole.
+_MAPS = ("memory.static_gamma",)
 
 
 def _join(path, key):
@@ -190,9 +192,9 @@ def _join(path, key):
 def _non_default(value, path=""):
     # Every leaf of the default echo moved to another valid value: lists
     # reversed, floats halved (0 becomes 0.5), ints incremented, strings
-    # reversed and maps replaced.
+    # reversed and maps replaced by one entry for a (reversed) channel id.
     if path in _MAPS:
-        return {"1.5": 0.5}
+        return {"6S": 0.5}
     if isinstance(value, dict):
         return {key: _non_default(item, _join(path, key)) for key, item in value.items()}
     if isinstance(value, list):
@@ -224,10 +226,7 @@ def test_effective_config_round_trips():
         {
             "seed": 99,
             "pulses_per_setting": 5000,
-            "memory": {
-                "static_gamma": {"S2": 0.9},
-                "r0_overrides": {"0.8": 0.13, "0.1234567": 0.12},
-            },
+            "memory": {"static_gamma": {"S2": 0.9, "S0": 0.8}},
             "storage_times": [0.005, 1.0],
         }
     )

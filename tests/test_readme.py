@@ -9,6 +9,7 @@ import numpy as np
 import qmemsim
 from qmemsim.config import ScenarioConfig, config_from_dict
 from qmemsim.fitting import channel_model, closed_form_fidelity
+from qmemsim.memory import retrieval_efficiency
 from qmemsim.scenarios import calibrate_table
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -51,7 +52,7 @@ def test_readme_example_config_loads():
     example = text[text.index("```json\n") + len("```json\n") :].split("```")[0]
     cfg = config_from_dict(json.loads(example))
     assert [ch.id for ch in cfg.channels] == ["S2"]
-    assert cfg.memory.r0_overrides == {0.8: 0.127}
+    assert retrieval_efficiency(cfg.channel("S2").theta, 0.0, cfg.memory) == 0.127
 
 
 HEADLINE_FIDELITY = {

@@ -506,6 +506,20 @@ class TestEmit:
         assert os.listdir(fresh) == []
         assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
 
+    def test_target_that_is_no_regular_file_fails_the_whole_set(self, tmp_path):
+        emit(run_fig3(ScenarioConfig()), str(tmp_path))
+        before = (tmp_path / "fig3.csv").read_bytes()
+        (tmp_path / "fig3.json").unlink()
+        (tmp_path / "fig3.json").mkdir()
+        stale = run_fig3(config_from_dict({"memory": {"tau": 3.0}}))
+        emit(stale, str(tmp_path / "elsewhere"))
+        assert (tmp_path / "elsewhere" / "fig3.csv").read_bytes() != before
+        with pytest.raises(IOError, match="fig3.json is not a regular file"):
+            emit(stale, str(tmp_path))
+        assert (tmp_path / "fig3.csv").read_bytes() == before
+        assert (tmp_path / "fig3.json").is_dir()
+        assert sorted(os.listdir(tmp_path)) == ["elsewhere", "fig3.csv", "fig3.json"]
+
     @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_cell_raises_and_leaves_no_file(self, tmp_path, cell):
         artifact = RunArtifact("bad", ("a", "b"), [(1.0, 2.0), ("x", cell)], {}, {})
