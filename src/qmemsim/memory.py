@@ -92,7 +92,7 @@ class MemoryConfig:
             raise ValueError(f"theta_w must be > 0, got {self.theta_w}")
         for ch, g in self.static_gamma.items():
             if not 0.0 <= g <= 1.0:
-                raise ValueError(f"static_gamma[{ch}] must be in [0, 1], got {g}")
+                raise ValueError(f"static_gamma.{ch}: must be in [0, 1], got {g}")
 
     def channel_static_gamma(self, channel: ChannelSpec) -> float:
         return self.static_gamma.get(channel.id, 1.0)

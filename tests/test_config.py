@@ -166,7 +166,10 @@ def test_storage_times_key_below_2_to_the_64_picoseconds():
 
 
 def test_static_gamma_entries_validated():
-    with pytest.raises(ConfigError, match="static_gamma"):
+    # The same path spelling as a NaN entry's or an unknown id's error.
+    with pytest.raises(
+        ConfigError, match=r"^memory\.static_gamma\.S0: must be in \[0, 1\], got 1\.5$"
+    ):
         config_from_dict({"memory": {"static_gamma": {"S0": 1.5}}})
 
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemsim import tomography
+from qmemsim import scenarios, tomography
+from qmemsim.config import ScenarioConfig
 from qmemsim.detection import DetectionConfig, expected_counts, expected_rates
 from qmemsim.memory import (
     DEFAULT_CHANNELS,
@@ -21,6 +22,7 @@ from qmemsim.polarization import (
     ket_from_named,
     stokes_of,
 )
+from qmemsim.scenarios import run_simulate
 from qmemsim.tomography import (
     _PROJECT_EIG_TOL,
     DEFAULT_INPUT_LABELS,
@@ -294,6 +296,100 @@ def test_project_process_matrix_clamps():
     assert np.max(np.abs(projected - identity_chi())) < 1e-15
     assert np.linalg.eigvalsh(projected)[0] >= -1e-15
     assert abs(np.trace(projected).real - 1.0) < 1e-12
+
+
+def _both_gates(monkeypatch, fn, arg):
+    # fn(arg) with the Gershgorin bound evaluated on every stack and on none,
+    # and whether eigh ran under the first.
+    eigh, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    monkeypatch.setattr(tomography, "_CERTIFY_MIN", 0)
+    certified = fn(arg)
+    ran_eigh = bool(calls)
+    monkeypatch.setattr(tomography, "_CERTIFY_MIN", 2**62)
+    return certified, fn(arg), ran_eigh
+
+
+def _assert_same_projection(monkeypatch, chi):
+    (chi_a, mask_a), (chi_b, mask_b), ran_eigh = _both_gates(monkeypatch, _project_chi, chi)
+    assert chi_a.shape == chi_b.shape == chi.shape and mask_a.shape == mask_b.shape
+    assert np.array_equal(chi_a, chi_b) and np.array_equal(mask_a, mask_b)
+    return mask_a, ran_eigh
+
+
+def _assert_same_result(monkeypatch, counts):
+    a, b, ran_eigh = _both_gates(monkeypatch, _reconstruct, counts)
+    for name in ("process_fidelity", "raw_chi00", "projection_applied"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    return a.projection_applied, ran_eigh
+
+
+def test_gershgorin_certificate_changes_no_bit(monkeypatch):
+    # The default simulate --expected-counts stack: every chi is certified,
+    # and the result equals eigh's path bit for bit.
+    seen = []
+    monkeypatch.setattr(scenarios, "_reconstruct", lambda c: seen.append(c) or _reconstruct(c))
+    run_simulate(ScenarioConfig(), expected_counts=True)
+    applied, ran_eigh = _assert_same_result(monkeypatch, seen[0])
+    assert seen[0].shape == (84, 4, 3, 2) and not applied.any() and not ran_eigh
+    # A sampled stack that mixes firing and non-firing chi is not certified.
+    cfg, det = MemoryConfig(), DetectionConfig()
+    s2, s6 = DEFAULT_CHANNELS[2], DEFAULT_CHANNELS[6]
+    stack = np.array(
+        [LOW_COUNTS]
+        + [
+            _run_process_tomography(ch, t, cfg, det, m, np.random.default_rng(seed))[0]
+            for seed, (ch, t, m) in enumerate([(s2, 3.0, 3000), (s6, 6.0, 10**5)] * 4)
+        ]
+    )
+    applied, ran_eigh = _assert_same_result(monkeypatch, stack)
+    assert applied.any() and not applied.all() and ran_eigh
+    _, ran_eigh = _assert_same_projection(monkeypatch, np.zeros((0, 4, 4), dtype=complex))
+    assert not ran_eigh
+
+
+def test_gershgorin_certificate_at_its_edges(monkeypatch):
+    # Diagonal chi: eigh's smallest eigenvalue is the last entry.  The
+    # projection fires below -tol, and the bound certifies above its
+    # threshold slack - tol, slack = 2**-40 times the largest entry.
+    def chi_with(lam):
+        return np.diag([0.9, 0.06, 0.04, lam]).astype(complex)[None].repeat(3, axis=0)
+
+    edge = -_PROJECT_EIG_TOL
+    threshold = tomography._CERTIFY_SLACK * 0.9 - _PROJECT_EIG_TOL
+    cases = [
+        (np.nextafter(edge, -np.inf), True, False),
+        (edge, False, False),
+        (np.nextafter(edge, np.inf), False, False),
+        (np.nextafter(threshold, -np.inf), False, False),
+        (threshold, False, False),
+        (np.nextafter(threshold, np.inf), False, True),
+    ]
+    for lam, fires, certified in cases:
+        mask, ran_eigh = _assert_same_projection(monkeypatch, chi_with(lam))
+        assert mask.tolist() == [fires] * 3 and ran_eigh != certified, lam
+
+
+def test_gershgorin_certificate_keeps_the_errors(monkeypatch):
+    # A NaN off the diagonal leaves every trace at 1 but fails the bound, so
+    # eigh's path raises its trace error; a positive chi of trace 2 passes
+    # the bound and fails the diagonal-sum trace check.  Both gates raise.
+    chi = np.diag([0.9, 0.05, 0.04, 0.01]).astype(complex)[None].repeat(2, axis=0)
+    chi[1, 2, 1] = chi[1, 1, 2] = np.nan
+    for gate in (0, 2**62):
+        monkeypatch.setattr(tomography, "_CERTIFY_MIN", gate)
+        for bad in (chi, 2.0 * chi[:1]):
+            with pytest.raises(ValueError, match="^chi is not trace-normalized$"):
+                _project_chi(bad)
+    # Below the gate the bound is never evaluated.
+    monkeypatch.setattr(tomography, "_CERTIFY_MIN", 64)
+    calls, bound = [], tomography._no_unit_fires
+    monkeypatch.setattr(tomography, "_no_unit_fires", lambda c: calls.append(len(c)) or bound(c))
+    stack = chi[:1].repeat(64, axis=0)
+    _project_chi(stack[:63])
+    assert calls == []
+    _project_chi(stack)
+    assert calls == [64]
 
 
 def test_process_fidelity_rank_one_ideal_is_chi00(rng):
