@@ -23,6 +23,7 @@ from .config import ScenarioConfig, _build, _read_json, load_config
 from .errors import ConfigError, FitError
 from .fitting import DecayDataset, channel_model, fit_exponential, fit_sigma_gamma
 from .scenarios import (
+    FIGURE_CHANNEL,
     _staged_files,
     calibrate_table,
     emit,
@@ -65,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("reproduce", help="run a packaged scenario")
     rep.add_argument("target", choices=("fig3", "fig4", "fig5", "table1"))
     add_scenario_flags(rep)
-    rep.add_argument("--channel", help="channel of fig4 and fig5 (default: S2)")
+    rep.add_argument("--channel", help=f"channel of fig4 and fig5 (default: {FIGURE_CHANNEL})")
 
     sim = sub.add_parser("simulate", help="run the configured channel/time grid")
     add_scenario_flags(sim)
@@ -80,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="decay model to fit",
     )
     fit.add_argument("--config", metavar="PATH", help="scenario config for fixed parameters")
-    fit.add_argument("--channel", default="S2", help="channel for sigma-gamma fixed parameters")
+    fit.add_argument(
+        "--channel", default=FIGURE_CHANNEL, help="channel for sigma-gamma fixed parameters"
+    )
     fit.add_argument("--out", metavar="DIR", help="also write the report as fit.json here")
 
     cal = sub.add_parser("calibrate", help="compute static coherence factors")
@@ -166,7 +169,7 @@ def _run(args: argparse.Namespace) -> int:
         cfg = _scenario_from_args(cfg, args)
         if args.channel is not None and args.target not in ("fig4", "fig5"):
             raise ConfigError(f"--channel applies to fig4 and fig5, not {args.target}")
-        channel = "S2" if args.channel is None else args.channel
+        channel = FIGURE_CHANNEL if args.channel is None else args.channel
         artifact = {
             "fig3": lambda: run_fig3(cfg),
             "fig4": lambda: run_fig4(cfg, args.expected_counts, channel),

@@ -8,7 +8,8 @@ mixes the signal state with an isotropic background in proportion
 eta*R : 2N.
 
 States enter as Stokes vectors: basis i resolves S_i alone, so its two
-detectors see per-pulse means n_bar*eta*R*(1 +- S_i)/2 + N.
+detectors see per-pulse means eta*R*(1 +- S_i)/2 + N, with the signal
+pulses at the single-photon level (mean photon number 1).
 
 Count layout: the rates and counts of one prepared input form a (3, 2)
 array whose rows are the analysis bases in MEASUREMENT_BASES order (HV,
@@ -42,14 +43,11 @@ class DetectionConfig:
     """
 
     eta_total: float = 0.23
-    n_bar: float = 1.0
     background_n: float = 7e-4
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eta_total <= 1.0:
             raise ValueError(f"eta_total must be in (0, 1], got {self.eta_total}")
-        if self.n_bar <= 0.0:
-            raise ValueError(f"n_bar must be > 0, got {self.n_bar}")
         if self.background_n < 0.0:
             raise ValueError(f"background_n must be >= 0, got {self.background_n}")
 
@@ -63,17 +61,17 @@ def expected_rates(
 ) -> np.ndarray:
     """Per-pulse mean counts (..., 3, 2) of Stokes vectors (..., 3).
 
-    mu_+- = n_bar * eta * R * (1 +- S_i)/2 + background in basis i; each
-    row sums to n_bar * eta * R + 2 * background.  The retrieval
-    efficiency R is a number or an array of them that broadcasts against
-    the stack's leading shape (...).
+    mu_+- = eta * R * (1 +- S_i)/2 + background in basis i; each row
+    sums to eta * R + 2 * background.  The retrieval efficiency R is a
+    number or an array of them that broadcasts against the stack's
+    leading shape (...).
     """
     stokes = check_stokes(stokes)
     efficiency = np.asarray(efficiency, dtype=float)
     outside = ~((efficiency >= 0.0) & (efficiency <= 1.0))
     if outside.any():
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency[outside].flat[0]}")
-    signal = cfg.n_bar * cfg.eta_total * efficiency
+    signal = cfg.eta_total * efficiency
     p_plus = np.clip((1.0 + stokes) / 2.0, 0.0, 1.0)
     rates = signal[..., None, None] * np.stack((p_plus, 1.0 - p_plus), axis=-1)
     rates += cfg.background_n

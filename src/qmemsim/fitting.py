@@ -5,14 +5,15 @@ closed form in the physical parameters:
 
     F(t) = ((1 + gamma(t)) s(t) + N) / (2 (s(t) + 2 N))
 
-with signal s(t) = n_bar * eta * R0 * exp(-t / tau), dephasing
-gamma(t) = gamma0 * exp(-(t / sigma_gamma)^2) and background rate N per
-detector.  ``closed_form_fidelity`` is the one implementation of that
-model, and ``channel_model`` gives its parameter bundle for a configured
-channel.  The efficiency-decay fit recovers (R0, tau); the two solvers
-take a bundle and free one parameter of it: ``fit_sigma_gamma`` fits
-sigma_gamma to a decay curve, and ``calibrate_static_gamma`` inverts the
-model for gamma0 at a single (t, F) point.
+with signal s(t) = eta * R0 * exp(-t / tau) for pulses of mean photon
+number 1, dephasing gamma(t) = gamma0 * exp(-(t / sigma_gamma)^2) and
+background rate N per detector.  ``closed_form_fidelity`` is the one
+implementation of that model, and ``channel_model`` gives its parameter
+bundle for a configured channel.  The efficiency-decay fit recovers
+(R0, tau); the two solvers take a bundle and free one parameter of it:
+``fit_sigma_gamma`` fits sigma_gamma to a decay curve, and
+``calibrate_static_gamma`` inverts the model for gamma0 at a single
+(t, F) point.
 
 Both fits are one golden-section search over one log-scaled parameter.
 The exponential fit searches tau and takes the amplitude in closed form
@@ -91,9 +92,8 @@ def closed_form_fidelity(
     tau: float,
     gamma0: float,
     sigma_gamma: float,
-    n_bar: float = 1.0,
-    eta: float = 0.23,
-    background: float = 7e-4,
+    eta: float = DetectionConfig.eta_total,
+    background: float = DetectionConfig.background_n,
 ) -> float | np.ndarray:
     """Model fidelity F(t); vectorized over t.
 
@@ -105,10 +105,10 @@ def closed_form_fidelity(
         raise ValueError("tau and sigma_gamma must be > 0")
     if not 0.0 <= gamma0 <= 1.0:
         raise ValueError("gamma0 must be in [0, 1]")
-    if n_bar <= 0 or not 0.0 < eta <= 1.0 or background < 0:
+    if not 0.0 < eta <= 1.0 or background < 0:
         raise ValueError("invalid rate parameters")
     t_arr = np.asarray(t, dtype=float)
-    signal = n_bar * eta * r0 * np.exp(-t_arr / tau)
+    signal = eta * r0 * np.exp(-t_arr / tau)
     rate = signal + 2.0 * background
     if np.any(rate == 0.0):
         raise ValueError("zero detection rate: no signal and no background, fidelity undefined")
@@ -129,7 +129,6 @@ def channel_model(channel: ChannelSpec, memory: MemoryConfig, det: DetectionConf
         "tau": memory.tau,
         "gamma0": memory.channel_static_gamma(channel),
         "sigma_gamma": memory.sigma_gamma,
-        "n_bar": det.n_bar,
         "eta": det.eta_total,
         "background": det.background_n,
     }

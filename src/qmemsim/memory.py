@@ -54,6 +54,9 @@ class ChannelSpec:
 #: R0 measured apart from the walk-off profile, by read angle (deg): the 0.8 deg channel's 12.7%.
 MEASURED_R0 = {0.8: 0.127}
 
+#: Width (deg) of the Gaussian walk-off profile, calibrated so that R0(5 deg) is 8%.
+WALK_OFF_WIDTH_DEG = 6.684
+
 DEFAULT_CHANNELS = (
     ChannelSpec("S0", 0.0),
     ChannelSpec("S1", 0.4),
@@ -70,7 +73,8 @@ class MemoryConfig:
     """Physical memory parameters.
 
     Times are in ms, angles in degrees.  ``r0_axis`` anchors the walk-off
-    profile at theta = 0 (``MEASURED_R0`` takes precedence at its angles).
+    profile, of width ``WALK_OFF_WIDTH_DEG``, at theta = 0 (``MEASURED_R0``
+    takes precedence at its angles).
     ``static_gamma`` maps channel ids to a residual coherence factor in
     [0, 1] applied on top of the time-dependent dephasing (default 1.0).
     """
@@ -78,7 +82,6 @@ class MemoryConfig:
     r0_axis: float = 0.14
     tau: float = 2.9
     sigma_gamma: float = 104.0
-    theta_w: float = 6.684
     static_gamma: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -88,8 +91,6 @@ class MemoryConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.sigma_gamma <= 0.0:
             raise ValueError(f"sigma_gamma must be > 0, got {self.sigma_gamma}")
-        if self.theta_w <= 0.0:
-            raise ValueError(f"theta_w must be > 0, got {self.theta_w}")
         for ch, g in self.static_gamma.items():
             if not 0.0 <= g <= 1.0:
                 raise ValueError(f"static_gamma.{ch}: must be in [0, 1], got {g}")
@@ -112,7 +113,7 @@ class PhaseMatchConfig:
 def walk_off_r0(theta: float, cfg: MemoryConfig) -> float:
     """Zero-time efficiency from the Gaussian walk-off profile alone."""
     _check_theta(theta)
-    return cfg.r0_axis * math.exp(-(theta * theta) / (cfg.theta_w * cfg.theta_w))
+    return cfg.r0_axis * math.exp(-(theta * theta) / (WALK_OFF_WIDTH_DEG * WALK_OFF_WIDTH_DEG))
 
 
 def _r0_at(theta: float, cfg: MemoryConfig) -> float:

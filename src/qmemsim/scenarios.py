@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import ScenarioConfig, _time_key, effective_config
-from .detection import expected_counts, expected_rates
+from .detection import MEASUREMENT_BASES, expected_counts, expected_rates
 from .errors import ConfigError, FitError
 from .fitting import (
     DecayDataset,
@@ -41,12 +41,15 @@ from .fitting import (
 )
 from .memory import dephase, dephasing_factor, retrieval_efficiency, walk_off_r0
 from .streams import poisson
-from .tomography import _input_set, _reconstruct, monte_carlo_error
+from .tomography import DEFAULT_INPUT_LABELS, _input_set, _reconstruct, monte_carlo_error
 
 FORMAT_VERSION = 1
 
 #: Storage time (ms) at which the per-channel fidelity table is taken.
 TABLE_TIME_MS = 0.005
+
+#: Channel of fig4 and fig5 unless one is named.
+FIGURE_CHANNEL = "S2"
 
 #: Experiment cycle (Hz); it only turns pulse budgets into acquisition_s_per_* meta times.
 REP_RATE_HZ = 20.0
@@ -178,16 +181,16 @@ def efficiency_points(
 ) -> dict[str, list[float]]:
     """Lists "efficiency_true", "counts", "efficiency_est" and "sigma" of units (channel_id, t).
 
-    Counts sum both detectors; the estimate inverts counts = M (n_bar eta R + 2 N),
-    and its one-sigma error is the Poisson plug-in sqrt(counts) / (M n_bar eta).
+    Counts sum both detectors; the estimate inverts counts = M (eta R + 2 N), and
+    its one-sigma error is the Poisson plug-in sqrt(counts) / (M eta).
     """
     idx, _, keys, efficiency = _unit_physics(cfg, units)
     det, pulses = cfg.detection, cfg.pulses_per_setting
     eta = det.eta_total
-    rates = det.n_bar * eta * efficiency + 2.0 * det.background_n
+    rates = eta * efficiency + 2.0 * det.background_n
     counts = _unit_counts(cfg, _DOMAIN_EFFICIENCY, idx, None if expected else keys, rates)
-    estimate = (counts / pulses - 2.0 * det.background_n) / (det.n_bar * eta)
-    sigma = np.sqrt(np.maximum(counts, 1.0)) / (pulses * det.n_bar * eta)
+    estimate = (counts / pulses - 2.0 * det.background_n) / eta
+    sigma = np.sqrt(np.maximum(counts, 1.0)) / (pulses * eta)
     names = ("efficiency_true", "counts", "efficiency_est", "sigma")
     return {k: c.tolist() for k, c in zip(names, (efficiency, counts, estimate, sigma))}
 
@@ -239,7 +242,7 @@ def _fit_or_error(fit: Callable[[], object]) -> dict:
 def run_fig4(
     cfg: ScenarioConfig,
     expected_counts: bool = False,
-    channel_id: str = "S2",
+    channel_id: str = FIGURE_CHANNEL,
 ) -> RunArtifact:
     """Efficiency decay over the storage-time grid plus an exponential fit."""
     channel = cfg.channel(channel_id)
@@ -263,7 +266,7 @@ def run_fig4(
 def run_fig5(
     cfg: ScenarioConfig,
     expected_counts: bool = False,
-    channel_id: str = "S2",
+    channel_id: str = FIGURE_CHANNEL,
 ) -> RunArtifact:
     """Process fidelity over the storage-time grid plus the dephasing fit.
 
@@ -299,6 +302,7 @@ def run_fig5(
 def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifact:
     """Per-channel process fidelity at the table storage time."""
     t = TABLE_TIME_MS
+    settings = len(DEFAULT_INPUT_LABELS) * len(MEASUREMENT_BASES)
     points = tomography_points(cfg, [(ch.id, t) for ch in cfg.channels], expected_counts)
     rows = [(ch.id, ch.theta, f, s, m) for ch, f, s, m in zip(cfg.channels, *points.values())]
     return _artifact(
@@ -309,8 +313,7 @@ def run_table1(cfg: ScenarioConfig, expected_counts: bool = False) -> RunArtifac
         expected_counts,
         time_ms=t,
         mc_resamples=cfg.mc_resamples,
-        # 12 settings: four inputs, three analysis bases each.
-        acquisition_s_per_channel=12 * cfg.pulses_per_setting / REP_RATE_HZ,
+        acquisition_s_per_channel=settings * cfg.pulses_per_setting / REP_RATE_HZ,
     )
 
 

@@ -64,7 +64,7 @@ def reference_dephase(rho: np.ndarray, gamma: float) -> np.ndarray:
 
 def reference_rates(rho: np.ndarray, efficiency: float, det) -> np.ndarray:
     """Matrix form of detection.expected_rates: one projector trace per basis."""
-    signal = det.n_bar * det.eta_total * efficiency
+    signal = det.eta_total * efficiency
     rates = []
     for basis in MEASUREMENT_BASES:
         projector = density_of(ket_from_named(basis[0]))
@@ -91,13 +91,13 @@ def sample_counts(rates: np.ndarray, pulses: int, rng: np.random.Generator) -> n
 def postselected_state(state_deph: np.ndarray, efficiency: float, det) -> np.ndarray:
     """State conditioned on a detection event: signal mixed with background.
 
-    Returns p * state + (1 - p) * I/2 with p = n_bar*eta*R / (n_bar*eta*R + 2N),
+    Returns p * state + (1 - p) * I/2 with p = eta*R / (eta*R + 2N),
     the density-matrix form of the map the count pipeline reconstructs.
     """
     state_deph = check_density(state_deph)
     if not 0.0 <= efficiency <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {efficiency}")
-    signal = det.n_bar * det.eta_total * efficiency
+    signal = det.eta_total * efficiency
     denom = signal + 2.0 * det.background_n
     if denom == 0.0:
         raise ValueError("post-selection undefined: zero signal and zero background")

@@ -132,7 +132,7 @@ class TestReproduce:
         # numpy's Generator.poisson refuses a mean above POISSON_LAM_MAX, and
         # so does the transcription the runs draw with.
         out = tmp_path / "out"
-        cfg = write_json(tmp_path / "huge.json", {"detection": {"n_bar": 1e30}})
+        cfg = write_json(tmp_path / "huge.json", {"detection": {"background_n": 1e30}})
         code = main(["reproduce", "table1", "--config", cfg, "--out", str(out)])
         assert code == EXIT_FIT
         assert capsys.readouterr().err == "numerical error: lam value too large\n"
@@ -179,13 +179,24 @@ class TestReproduce:
             ({"detection": {"eta_total": None}}, "detection.eta_total"),
             ({"rep_rate_hz": 20.0}, "rep_rate_hz"),
             ({"memory": {"r0_overrides": {"0.8": 0.127}}}, "memory.r0_overrides"),
+            ({"detection": {"n_bar": 1.0}}, "detection.n_bar"),
+            ({"memory": {"theta_w": 6.684}}, "memory.theta_w"),
         ],
-        ids=["input_states", "eta_fiber", "eta_total_null", "rep_rate_hz", "r0_overrides"],
+        ids=[
+            "input_states",
+            "eta_fiber",
+            "eta_total_null",
+            "rep_rate_hz",
+            "r0_overrides",
+            "n_bar",
+            "theta_w",
+        ],
     )
     def test_removed_keys_exit_2_writing_nothing(self, tmp_path, capsys, config, path):
-        # The input quartet is fixed, eta_total is the one efficiency and the
-        # measured R0 and the rep rate are constants, so a config that still
-        # sets the old keys is refused.
+        # The input quartet is fixed, eta_total is the one efficiency (the mean
+        # photon number is 1) and the measured R0, the rep rate and the
+        # walk-off width are constants, so a config that still sets the old
+        # keys is refused.
         out = tmp_path / "out"
         cfg = write_json(tmp_path / "old.json", config)
         code = main(["simulate", "--config", cfg, "--out", str(out)])

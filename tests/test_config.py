@@ -87,8 +87,8 @@ def test_structural_error_names_the_path(data, message):
 
 
 def test_first_error_in_document_order_wins():
-    with pytest.raises(ConfigError, match=r"^detection.n_bar must be > 0, got -1.0$"):
-        config_from_dict({"detection": {"n_bar": -1}, "memory": {"tau": "x"}})
+    with pytest.raises(ConfigError, match=r"^detection.background_n must be >= 0, got -1.0$"):
+        config_from_dict({"detection": {"background_n": -1}, "memory": {"tau": "x"}})
 
 
 @pytest.mark.parametrize(

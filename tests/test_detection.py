@@ -43,7 +43,7 @@ def test_expected_rates_sum_identity(rng):
     for _ in range(20):
         state = random_density(rng)
         eff = rng.uniform(0, 1)
-        total = DET.n_bar * 0.23 * eff + 2 * DET.background_n
+        total = 0.23 * eff + 2 * DET.background_n
         for mu_plus, mu_minus in expected_rates(stokes_of(state), eff, DET):
             assert abs(mu_plus + mu_minus - total) < 1e-15
 

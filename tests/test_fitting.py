@@ -25,7 +25,6 @@ def random_bundle(rng):
         tau=rng.uniform(0.8, 5.0),
         gamma0=rng.uniform(0.0, 1.0),
         sigma_gamma=rng.uniform(20.0, 300.0),
-        n_bar=rng.uniform(0.3, 3.0),
         eta=rng.uniform(0.05, 1.0),
         background=rng.uniform(0.0, 5e-3),
     )

@@ -7,6 +7,7 @@ from qmemsim.memory import (
     DEFAULT_CHANNELS,
     ChannelSpec,
     MemoryConfig,
+    WALK_OFF_WIDTH_DEG,
     PhaseMatchConfig,
     dephase,
     dephasing_factor,
@@ -47,7 +48,7 @@ def test_walk_off_is_monotone_decreasing():
 
 def test_walk_off_matches_gaussian_law():
     for th in (0.0, 0.4, 0.8, 2.0, 3.0, 4.0, 5.0):
-        expected = 0.14 * math.exp(-(th**2) / MEM.theta_w**2)
+        expected = 0.14 * math.exp(-(th**2) / WALK_OFF_WIDTH_DEG**2)
         assert abs(walk_off_r0(th, MEM) - expected) < 1e-15
 
 

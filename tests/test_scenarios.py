@@ -256,7 +256,7 @@ class TestEfficiencyPoint:
         point = {k: v[0] for k, v in efficiency_points(cfg, [("S2", 1.0)], expected=True).items()}
         assert point["efficiency_est"] == pytest.approx(point["efficiency_true"], abs=1e-12)
         det = cfg.detection
-        mu = det.n_bar * 0.23 * point["efficiency_true"] + 2 * det.background_n
+        mu = 0.23 * point["efficiency_true"] + 2 * det.background_n
         assert point["counts"] == pytest.approx(cfg.pulses_per_setting * mu, rel=1e-12)
 
     def test_sampled_mode_deterministic(self):

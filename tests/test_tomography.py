@@ -425,7 +425,7 @@ def test_process_fidelity_rejects_an_ideal_that_is_not_rank_one():
 
 def test_composite_map_chi00_closed_form(rng):
     # Key identity: the process matrix of rho -> postselect(dephase(rho))
-    # has chi_00 = ((1+gamma) s + N) / (2 (s + 2N)), s = n_bar eta R.
+    # has chi_00 = ((1+gamma) s + N) / (2 (s + 2N)), s = eta R.
     det = DetectionConfig()
     for _ in range(100):
         gamma = rng.uniform(0, 1)
@@ -433,7 +433,7 @@ def test_composite_map_chi00_closed_form(rng):
         chi = process_matrix(
             _pairs_for(lambda rho: postselected_state(_dephase_state(rho, gamma), eff, det))
         )
-        s = det.n_bar * 0.23 * eff
+        s = 0.23 * eff
         want = ((1 + gamma) * s + det.background_n) / (2 * (s + 2 * det.background_n))
         assert abs(chi[0, 0].real - want) < 1e-9
 
