@@ -76,7 +76,12 @@ class DecayDataset:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Fit outcome: parameter estimates plus convergence diagnostics."""
+    """Fit outcome: parameter estimates plus convergence diagnostics.
+
+    ``converged`` is True on every report that is returned: a fit that cannot converge raises
+    FitError instead (``qmemsim fit`` exits 3; fig4 and fig5 record {"error": ...} as their
+    fit).  The field stays so that reports keep their keys.
+    """
 
     params: dict[str, float]
     uncertainties: dict[str, float] = field(default_factory=dict)

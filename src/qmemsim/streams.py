@@ -7,7 +7,8 @@ operations are the C code's, in its order, and every value and decision is libm'
 and each per-mean log is math.exp or math.log, the libm calls of the C code (numpy's SIMD
 np.log and np.exp differ from libm in the last bit).  PTRS's log-acceptance test is decided
 with np.log wherever a forward-error bound of 2**-40 times the summed magnitudes of its terms
-proves the sign (``_accepts``), and with libm's logs on the rest.
+proves the sign (``_accepts``), and with libm's logs on the rest; its log-gamma terms come
+from a table that each call makes once (``_loggam_table``).
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ _MASK32 = 0xFFFFFFFF
 # numpy's SeedSequence constants (O'Neill's seed_seq_fe, pool of 4 words).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
-# PCG64's LCG multiplier M in 64-bit halves; two steps multiply by M**2 and add (M + 1) inc.
+# PCG64's LCG multiplier M; two steps multiply by M**2 and add (M + 1) inc.
 _MUL = 0x2360ED051FC65DA44385DF649FCCF645
-_MUL_HALVES = divmod(_MUL, 2**64)
-_TWO_STEPS = divmod(_MUL * _MUL % 2**128, 2**64), divmod(_MUL + 1, 2**64)
 #: The largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX).
 _LAM_MAX = float(2**63 - 1) - math.sqrt(2**63 - 1) * 10
 # random_loggam's series coefficients a[9], ..., a[0] (Horner order), and log(2 pi) / 2.
@@ -35,6 +34,9 @@ _LOGGAM_A = (-1.39243221690590e00, 1.796443723688307e-01, -2.955065359477124e-02
 _HALF_LG2PI = 0.5 * 1.8378770664093453
 #: The log the acceptance filter evaluates with, and its slack relative to the terms (``_accepts``).
 _fast_log, _SLACK = np.log, 2.0**-40
+#: The log-gamma table of a call ends below x = 2**16 (2 x 2**16 floats at most); PTRS attempts
+#: past its end evaluate their terms directly.
+_TABLE_END = 2.0**16
 
 
 def _hashmix(value: np.ndarray, const: int, mult: int) -> tuple[np.ndarray, int]:
@@ -82,10 +84,16 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return seeded
 
 
-def _step(hi: np.ndarray, lo: np.ndarray, inc_hi, inc_lo, mul_hi, mul_lo) -> tuple:
-    """128-bit (hi, lo) * (mul_hi, mul_lo) + (inc_hi, inc_lo) mod 2**128, in uint64 halves."""
+def _multiplier(mul: int) -> tuple:
+    """``mul`` mod 2**128 as ``_step`` takes it: 64-bit halves hi and lo, and lo's 32-bit halves."""
+    hi, lo = divmod(mul % 2**128, 2**64)
+    return hi, lo, lo & _MASK32, lo >> 32
+
+
+def _step(hi: np.ndarray, lo: np.ndarray, inc_hi, inc_lo, mul) -> tuple:
+    """128-bit (hi, lo) * mul + (inc_hi, inc_lo) mod 2**128 in uint64 halves (``_multiplier``)."""
+    mul_hi, mul_lo, m0, m1 = mul
     a0, a1 = lo & _MASK32, lo >> 32
-    m0, m1 = mul_lo & _MASK32, mul_lo >> 32
     mid = a1 * m0 + (a0 * m0 >> 32)
     carry = a1 * m1 + (mid >> 32) + ((mid & _MASK32) + a0 * m1 >> 32)
     new_lo = lo * mul_lo + inc_lo
@@ -100,25 +108,49 @@ def _log(x: np.ndarray) -> np.ndarray:
         return np.array([math.log(v) if v else -math.inf for v in x.tolist()])
 
 
-def _loggam(x: np.ndarray, log=_log) -> np.ndarray:
-    """numpy's ``random_loggam`` of integer-valued x >= 1: Stirling's series at max(x, 7), with
-    ``log`` (libm's by default) of max(x, 7)."""
-    x0 = np.maximum(x, 7.0)  # x + (int64_t)(7 - x) below 7
+def _series(x0, log_x0):
+    """Stirling's series of ``random_loggam`` at x0 >= 7, given log x0."""
     x2 = (1.0 / x0) * (1.0 / x0)
-    gl0 = np.full(x.shape, _LOGGAM_A[0])
+    gl0 = _LOGGAM_A[0]
     for coef in _LOGGAM_A[1:]:
         gl0 = gl0 * x2 + coef
-    gl = gl0 / x0 + _HALF_LG2PI + (x0 - 0.5) * log(x0) - x0
-    if (x < 7.0).any():  # below 7, log(6), log(5), ... down to log(x) come off in turn
-        for step in range(1, 7):
-            gl[x0 - x >= step] -= math.log(7.0 - step)
-        gl[x <= 2.0] = 0.0
+    return gl0 / x0 + _HALF_LG2PI + (x0 - 0.5) * log_x0 - x0
+
+
+def _small_loggam() -> tuple:
+    """``random_loggam(x)`` of x = 1, ..., 7 as the C code evaluates it: the series at 7, then
+    log(6), log(5), ... down to log(x) come off in turn; 1 and 2 give 0."""
+    gl = [_series(7.0, math.log(7.0))]
+    for x in range(6, 2, -1):
+        gl.insert(0, gl[0] - math.log(x))
+    return (0.0, 0.0, *gl)
+
+
+_LOGGAM_SMALL = np.array(_small_loggam())
+
+
+def _loggam(x: np.ndarray, log=_log) -> np.ndarray:
+    """numpy's ``random_loggam`` of integer-valued x >= 1: Stirling's series with ``log`` (libm's
+    by default) of x from 8 up, and the values the C code yields at x <= 7."""
+    x0 = np.maximum(x, 7.0)
+    gl = _series(x0, log(x0))
+    small = np.flatnonzero(x <= 7.0)
+    if small.size:
+        gl[small] = _LOGGAM_SMALL[x[small].astype(np.intp) - 1]
     return gl
 
 
-def _accepts(v, w, log_invalpha, lam, log_lam, k) -> np.ndarray:
+def _loggam_bound(x: np.ndarray) -> tuple:
+    """``_loggam(x, _fast_log)``, and (x0 - 0.5) log x0 + x0 + |loggam| with x0 = max(x, 7):
+    the part of ``_accepts``' term sum that loggam(x) brings."""
+    x0, gl = np.maximum(x, 7.0), _loggam(x, _fast_log)
+    return gl, (x0 - 0.5) * _fast_log(x0) + x0 + np.abs(gl)
+
+
+def _accepts(v, w, log_invalpha, lam, log_lam, k, table=None) -> np.ndarray:
     """libm's decision of PTRS's log-acceptance test, log(V) + log(invalpha) - log(w) <= -lam +
-    k log(lam) - loggam(k + 1), of each attempt, with w = a / us**2 + b.
+    k log(lam) - loggam(k + 1), of each attempt, with w = a / us**2 + b.  ``table`` (2, n), from
+    ``_loggam_table``, holds ``_loggam_bound`` of x = 1, ..., n; attempts past it evaluate theirs.
 
     A filtered predicate (Shewchuk, Discrete Comput. Geom. 18, 305 (1997)): both sides are
     evaluated with ``_fast_log``, and the sign of lhs - rhs decides wherever |lhs - rhs| exceeds
@@ -130,23 +162,39 @@ def _accepts(v, w, log_invalpha, lam, log_lam, k) -> np.ndarray:
     of one argument differ by <= 10 u |log|, which makes <= 10 u S in all; each of the <= 11
     roundings after them adds <= 2 u of a partial sum, which is <= 2 S (the constants of
     loggam, below 8, are smaller than lam >= 10).  So the two values of lhs - rhs differ by
-    < 54 u S < 2**-47 S, and 2**-40 leaves a factor 128.
+    < 54 u S < 2**-47 S, and 2**-40 leaves a factor 128.  A table entry is the same value
+    from the same operations, so reading it changes none of this.
     """
-    x, k_log_lam = (k + 1).astype(float), k * log_lam
-    x0, log_v, log_w, gl = np.maximum(x, 7.0), _fast_log(v), _fast_log(w), _loggam(x, _fast_log)
+    log_v, log_w, k_log_lam = _fast_log(v), _fast_log(w), k * log_lam
+    size = 0 if table is None else table.shape[1]
+    past = (k >= size).nonzero()[0]
+    if past.size == k.size:
+        gl, bound = _loggam_bound((k + 1).astype(float))
+    else:  # k >= 0, so clipping reads the last entry for the attempts past the table
+        gl, bound = table.take(k, axis=1, mode="clip")
+        if past.size:
+            gl[past], bound[past] = _loggam_bound((k[past] + 1).astype(float))
     lhs, rhs = log_v + log_invalpha - log_w, -lam + k_log_lam - gl
     terms = np.abs(log_v) + np.abs(log_w) + np.abs(log_invalpha) + lam + np.abs(k_log_lam)
-    terms += (x0 - 0.5) * _fast_log(x0) + x0 + np.abs(gl)
-    accept, near = lhs <= rhs, np.flatnonzero(~(np.abs(lhs - rhs) > _SLACK * terms))
+    terms += bound
+    accept, near = lhs <= rhs, (~(np.abs(lhs - rhs) > _SLACK * terms)).nonzero()[0]
     if near.size:
-        v, w, log_i, lam, k_log_lam, x = (a[near] for a in (v, w, log_invalpha, lam, k_log_lam, x))
-        accept[near] = _log(v) + log_i - _log(w) <= -lam + k_log_lam - _loggam(x)
+        v, w, log_i, lam, k_log_lam, k = (a[near] for a in (v, w, log_invalpha, lam, k_log_lam, k))
+        gl = _loggam((k + 1).astype(float))
+        accept[near] = _log(v) + log_i - _log(w) <= -lam + k_log_lam - gl
     return accept
+
+
+def _loggam_table(lam_max: float) -> np.ndarray:
+    """``_loggam_bound`` of x = 1, 2, ... below min(lam_max + 10 sqrt(lam_max) + 16, 2**16),
+    (2, n), for PTRS at means up to lam_max."""
+    end = min(lam_max + 10.0 * math.sqrt(lam_max) + 16.0, _TABLE_END)
+    return np.stack(_loggam_bound(np.arange(1.0, math.ceil(end))))
 
 
 def _poisson_constants(lam: np.ndarray) -> np.ndarray:
     """Columns 2a, vr, exp(-lam), lam, b, a, log(invalpha), log(lam) of flat means: PTRS's
-    for means >= 10, exp(-lam) below (+inf for PTRS, so prod > exp(-lam) never holds)."""
+    for means >= 10, exp(-lam) and lam below."""
     table, ptrs = np.zeros((lam.size, 8)), lam >= 10.0
     table[~ptrs, 2:4] = np.array([(math.exp(-v), v) for v in lam[~ptrs].tolist()]).reshape(-1, 2)
     lam = lam[ptrs]
@@ -154,8 +202,8 @@ def _poisson_constants(lam: np.ndarray) -> np.ndarray:
     a = -0.059 + 0.02483 * b
     invalpha = 1.1239 + 1.1328 / (b - 3.4)
     vr = 0.9277 - 3.6224 / (b - 2)
-    inf = np.full(lam.size, np.inf)
-    table[ptrs] = np.column_stack((2 * a, vr, inf, lam, b, a, _log(invalpha), _log(lam)))
+    zero = np.zeros(lam.size)
+    table[ptrs] = np.column_stack((2 * a, vr, zero, lam, b, a, _log(invalpha), _log(lam)))
     return table
 
 
@@ -164,9 +212,21 @@ def poisson(keys: np.ndarray, lam: np.ndarray) -> np.ndarray:
     ``keys`` (..., L): numpy.random's ``Generator(PCG64(SeedSequence(entropy=key)))``, bit for
     bit (``_seed_words``); the draws have shape ``keys.shape[:-1] + lam.shape[1:]``.
 
-    Each stream draws its row of means in C order.  In lockstep, each round
-    every stream not done makes one PTRS attempt or takes up to two factors
-    of the multiplication method; a mean of 0 takes none.
+    Each stream draws its row of means in C order, all streams in lockstep.  Each round, every
+    stream not done steps its state twice (U and V) and acts at its current mean:
+
+    - at 10 and up, one PTRS attempt.  Most end at once (us >= 0.07 and V <= vr); those left
+      for the log-acceptance test (``_accepts``) read loggam(k + 1) and its error-bound term
+      from a table made once per call for k + 1 below min(lam_max + 10 sqrt(lam_max) + 16,
+      2**16) (``_loggam_table``), and evaluate both directly past its end;
+    - below 10, the multiplication method, on the subset of streams at such a mean: up to two
+      factors, keeping the one-step state when the first factor ends the draw.  A round with
+      no such stream skips it;
+    - a mean of 0 takes no round.
+
+    Every draw is numpy's: a table entry is the value the direct evaluation makes, from the
+    same float operations, and every test the filter in ``_accepts`` cannot prove is decided
+    with libm's logs.
     """
     lam, shape = np.asarray(lam, dtype=float), keys.shape[:-1]
     if not np.all(lam <= _LAM_MAX):
@@ -188,43 +248,52 @@ def poisson(keys: np.ndarray, lam: np.ndarray) -> np.ndarray:
     w0, w1, w2, w3 = _seed_words(keys.reshape(-1, keys.shape[-1])[sid]).T
     # pcg64_set_seed: inc = (w2:w3) << 1 | 1, state = step(step(0) + (w0:w1)), step(0) = inc.
     inc = (w2 << 1 | w3 >> 63, w3 << 1 | 1)
-    hi, lo = _step(*_step(w0, w1, *inc, 0, 1), *inc, *_MUL_HALVES)
+    hi, lo = _step(*_step(w0, w1, *inc, _multiplier(1)), *inc, _multiplier(_MUL))
     # Rows 0 and 1 step once and twice: multipliers M and M**2, increments inc and (M + 1) inc.
-    inc_hi, inc_lo = map(np.stack, zip(inc, _step(*inc, 0, 0, *_TWO_STEPS[1])))
-    mul_hi, mul_lo = np.array([_MUL_HALVES, _TWO_STEPS[0]], dtype=np.uint64).T[..., None]
-    mean = later[sid // per_row, 0]
+    inc_hi, inc_lo = map(np.stack, zip(inc, _step(*inc, 0, 0, _multiplier(_MUL + 1))))
+    mul = np.array([_multiplier(_MUL), _multiplier(_MUL**2)], dtype=np.uint64).T[..., None]
+    # A stream's draw of flat mean m goes to out[base + m], base = (stream - its row) * size.
+    row = sid // per_row
+    mean, base = later[row, 0], (sid - row) * size
     count, prod = np.zeros(sid.size, dtype=np.int64), np.ones(sid.size)
+    loggam = _loggam_table(means.max(initial=0.0))
     # As in C: us = 0 divides to inf; (int64_t) of x beyond int64 is INT64_MIN (rejected).
     with np.errstate(all="ignore"):
-        while sid.size:
+        while mean.size:
             two_a, vr, exp_lam, lam_, b = table.take(mean, axis=0)[:, :5].T
             ptrs = lam_ >= 10.0
-            steps = _step(hi, lo, inc_hi, inc_lo, mul_hi, mul_lo)
+            steps = _step(hi, lo, inc_hi, inc_lo, mul)
             xored, rot = steps[0] ^ steps[1], steps[0] >> 58  # next_double of XSL-RR output
             first, v = ((xored >> rot | xored << (64 - rot & 63)) >> 11) * (1.0 / 2**53)
             u = first - 0.5
             us = 0.5 - np.abs(u)
             k = np.floor((two_a / us + b) * u + lam_ + 0.43).astype(np.int64)
             done = (us >= 0.07) & (v <= vr)
-            slow = np.flatnonzero(ptrs & ~done & (k >= 0) & ((us >= 0.013) | (v <= us)))
+            slow = (ptrs & ~done & (k >= 0) & ((us >= 0.013) | (v <= us))).nonzero()[0]
             if slow.size:
                 lam_s, b_s, a, log_invalpha, log_lam = table.take(mean[slow], axis=0)[:, 3:].T
                 us_s = us[slow]
                 w = a / (us_s * us_s) + b_s
-                done[slow] = _accepts(v[slow], w, log_invalpha, lam_s, log_lam, k[slow])
-            # The multiplication method takes a second factor if the first
-            # leaves the product above exp(-lam).
-            prod, second = prod * first, prod * first * v
-            two = ptrs | (prod > exp_lam)
-            hi, lo = (np.where(two, half[1], half[0]) for half in steps)
-            more = second > exp_lam
-            done, value = np.where(ptrs, done, ~more), np.where(ptrs, k, count + two)
-            count, prod = np.where(more, count + 2, 0), np.where(more, second, 1.0)
-            fin = np.flatnonzero(done)
-            out[sid[fin] * size + mean[fin] % size] = value[fin]
-            mean[fin] = after[mean[fin]]
+                done[slow] = _accepts(v[slow], w, log_invalpha, lam_s, log_lam, k[slow], loggam)
+            hi, lo = steps[0][1], steps[1][1]  # a PTRS attempt takes both steps, U and V
+            mult = (~ptrs).nonzero()[0]
+            if mult.size:  # the multiplication method's streams; k becomes their count
+                prod_m, exp_m = prod[mult] * first[mult], exp_lam[mult]
+                second = prod_m * v[mult]
+                # A second factor is taken if the first leaves the product above exp(-lam).
+                two, more = prod_m > exp_m, second > exp_m
+                one = mult[~two]
+                hi[one], lo[one] = steps[0][0, one], steps[1][0, one]
+                count_m = count[mult]
+                done[mult], k[mult] = ~more, count_m + two
+                count[mult] = np.where(more, count_m + 2, 0)
+                prod[mult] = np.where(more, second, 1.0)
+            fin = done.nonzero()[0]
+            now = mean[fin]
+            out[base[fin] + now] = k[fin]
+            mean[fin] = after[now]
             if mean.min() < 0:
-                keep = np.flatnonzero(mean >= 0)
-                live = (sid, mean, hi, lo, inc_hi, inc_lo, count, prod)
-                sid, mean, hi, lo, inc_hi, inc_lo, count, prod = (x[..., keep] for x in live)
+                keep = (mean >= 0).nonzero()[0]
+                live = (base, mean, hi, lo, inc_hi, inc_lo, count, prod)
+                base, mean, hi, lo, inc_hi, inc_lo, count, prod = (x.take(keep, -1) for x in live)
     return out.reshape(shape + lam.shape[1:])

@@ -1,6 +1,6 @@
-"""Two grids' bootstraps against numpy.random's own streams, exactly.
+"""Three grids' bootstraps against numpy.random's own streams, exactly.
 
-Runs ``tomography_points`` on two grids and checks that every sigma equals,
+Runs ``tomography_points`` on three grids and checks that every sigma equals,
 with ``==``, a reference bootstrap that draws each (unit, resample) from
 ``numpy_stream`` and rescores each resample with ``reconstruct_from_records``:
 
@@ -8,7 +8,12 @@ with ``==``, a reference bootstrap that draws each (unit, resample) from
   1 M Poisson draws, in blocks of 48 resamples);
 - a low-count grid shaped like the ``fig5_lowcount`` benchmark: S2 at
   M = 6000 pulses over 30 storage times in [0, 6] ms, R = 100.  Its small
-  means take PTRS's x < 7 branch of ``random_loggam``.
+  means take the multiplication method and PTRS's x < 7 branch of
+  ``random_loggam``;
+- a high-count grid: S2 at M = 10**9 pulses, storage times 0.005, 1, 3 and
+  6 ms, R = 20.  Its means, about 10**7 per detector, lie past the end of
+  ``streams.poisson``'s log-gamma table (2**16), so every PTRS attempt that
+  reaches the log-acceptance test evaluates log-gamma directly.
 
 Exits 1 on any difference.
 
@@ -76,8 +81,12 @@ def main() -> int:
         mc_resamples=100,
         storage_times=tuple(6.0 * i / 29 for i in range(30)),
     )
+    high = dataclasses.replace(
+        cfg, pulses_per_setting=10**9, mc_resamples=20, storage_times=(0.005, 1.0, 3.0, 6.0)
+    )
     differ = differing_sigmas("default grid", cfg, [ch.id for ch in cfg.channels])
     differ += differing_sigmas("low-count grid", low, ["S2"])
+    differ += differing_sigmas("high-count grid", high, ["S2"])
     return 1 if differ else 0
 
 

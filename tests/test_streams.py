@@ -191,3 +191,75 @@ def test_a_row_of_means_for_every_row_of_streams():
         message = f"means {lam} need one row per row of streams {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):
             poisson(np.zeros((*shape, 1), dtype=np.uint64), np.full(lam, 30.0))
+
+
+def ptrs_attempts(seed, n):
+    """PTRS attempts (v, w, log(invalpha), lam, log(lam), k) as poisson makes them, from n at
+    means from 10 to 300, those with k >= 0; k runs up to a few hundred."""
+    rng = numpy_stream(seed)
+    lam = np.concatenate([[10.0], rng.uniform(10.0, 300.0, n - 1)])
+    two_a, _, _, lam, b, a, log_invalpha, log_lam = streams._poisson_constants(lam).T
+    u, v = rng.uniform(-0.5, 0.5, n), rng.uniform(0.0, 1.0, n)
+    us = 0.5 - np.abs(u)
+    k = np.floor((two_a / us + b) * u + lam + 0.43).astype(np.int64)
+    keep = k >= 0
+    return v[keep], (a / (us * us) + b)[keep], log_invalpha[keep], lam[keep], log_lam[keep], k[keep]
+
+
+@pytest.mark.parametrize("end", [-1, 0, 1], ids=["ends-below", "ends-at", "ends-above"])
+@pytest.mark.parametrize("direction", [None, math.inf, -math.inf])
+def test_accepts_reading_a_table_decides_as_libm(monkeypatch, end, direction):
+    # Ties of loggam at V = w = 1: log(invalpha) at rhs, one ULP above and one below, for
+    # k + 1 at 1, 6 and 7 (the values below the series), 8, 21 and 151.  The table holds
+    # x = 1, ..., k + 1 + end of the tie at k = 20, so the ties past it evaluate loggam
+    # directly; 400 attempts as poisson makes them ride along.
+    if direction is not None:
+        monkeypatch.setattr(streams, "_fast_log", ulp_off(np.log, direction))
+    k_ties = np.tile([0, 5, 6, 7, 20, 150], 3)
+    lam = np.full(18, 30.0)
+    rhs = -lam + k_ties * _log(lam) - _loggam((k_ties + 1).astype(float))
+    ulps = np.repeat([0.0, math.inf, -math.inf], 6)  # at rhs, one ULP above, one below
+    log_invalpha = np.where(ulps == 0.0, rhs, np.nextafter(rhs, ulps))
+    ties = [np.ones(18), np.ones(18), log_invalpha, lam, _log(lam), k_ties]
+    attempts = [np.concatenate(pair) for pair in zip(ties, ptrs_attempts(11, 400))]
+    table = streams._loggam_table(30.0)[:, : 21 + end]
+    direct = []
+    real = streams._loggam_bound
+    monkeypatch.setattr(streams, "_loggam_bound", lambda x: direct.append(x) or real(x))
+    with np.errstate(divide="ignore"):
+        got = streams._accepts(*attempts, table)
+    assert got.tolist() == libm_accepts(*attempts).tolist()
+    assert got[:18].tolist() == [True] * 6 + [False] * 6 + [True] * 6
+    k = attempts[-1]
+    assert np.concatenate(direct).tolist() == (k[k > 20 + end] + 1.0).tolist()
+
+
+@pytest.mark.parametrize("where", [0, 3, 6], ids=["first", "middle", "last"])
+def test_one_small_mean_among_ptrs_means_draws_as_numpy(where):
+    # Each round, the streams at their small mean take the multiplication method on their
+    # own while the rest make PTRS attempts.
+    rng = numpy_stream(where)
+    lam = rng.uniform(10.0, 1e4, (500, 7))
+    lam[:, where] = rng.uniform(0.0, 10.0, 500)
+    keys = [(where, j) for j in range(500)]
+    got = poisson(np.array(keys, dtype=np.uint64), lam)
+    assert np.array_equal(got, numpy_draws(keys, lam))
+
+
+def test_largest_mean_draws_as_numpy_with_a_table_of_at_most_2_16_entries(monkeypatch):
+    tables, direct = [], []
+    real_table, real_bound = streams._loggam_table, streams._loggam_bound
+
+    def table(lam_max):
+        tables.append(real_table(lam_max))
+        return tables[-1]
+
+    monkeypatch.setattr(streams, "_loggam_table", table)
+    monkeypatch.setattr(streams, "_loggam_bound", lambda x: direct.append(x) or real_bound(x))
+    keys = [(6, j) for j in range(50)]
+    lam = np.full((50, 2), _LAM_MAX)
+    got = poisson(np.array(keys, dtype=np.uint64), lam)
+    assert np.array_equal(got, numpy_draws(keys, lam))
+    assert len(tables) == 1 and tables[0].shape == (2, 2**16 - 1)
+    # Every attempt's k is near 2**63, past the table: each evaluates its terms directly.
+    assert len(direct) > 1 and min(x.min() for x in direct[1:]) > 2**62
