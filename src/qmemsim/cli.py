@@ -6,7 +6,7 @@ fits a user-supplied decay dataset, ``calibrate`` computes static
 coherence factors from target fidelities.
 
 Exit codes: 0 success, 2 configuration or input-schema error,
-3 numerical or fit failure, 4 I/O error.
+3 numerical or fit failure or a run out of memory, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -227,6 +227,10 @@ def main(argv: list[str] | None = None) -> int:
         # Model or estimator failures on valid input, such as a basis
         # with zero total counts or a fit that overflows.
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_FIT
+    except MemoryError as exc:
+        # A grid too large for this machine: numpy names the array it could not allocate.
+        print(f"memory error: {exc or 'out of memory'}", file=sys.stderr)
         return EXIT_FIT
 
 

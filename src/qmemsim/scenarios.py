@@ -140,7 +140,7 @@ def tomography_points(
 
     The forward model and the reconstruction run once over the stack of
     all units, the coherence factor and the model once per channel, and
-    each bootstrap resample is one more reconstruction over the stack.
+    ``monte_carlo_error`` rescores the stack's bootstrap resamples in slices.
     Each unit draws its counts and resamples from its own streams, so its
     values do not depend on the other units.  In expected-counts mode
     every sigma is exactly 0.

@@ -187,7 +187,9 @@ def _accepts(v, w, log_invalpha, lam, log_lam, k, table=None) -> np.ndarray:
 
 def _loggam_table(lam_max: float) -> np.ndarray:
     """``_loggam_bound`` of x = 1, 2, ... below min(lam_max + 10 sqrt(lam_max) + 16, 2**16),
-    (2, n), for PTRS at means up to lam_max."""
+    (2, n), for PTRS at means up to lam_max; empty below 10, where no mean takes PTRS."""
+    if lam_max < 10.0:
+        return np.empty((2, 0))
     end = min(lam_max + 10.0 * math.sqrt(lam_max) + 16.0, _TABLE_END)
     return np.stack(_loggam_bound(np.arange(1.0, math.ceil(end))))
 
@@ -218,7 +220,8 @@ def poisson(keys: np.ndarray, lam: np.ndarray) -> np.ndarray:
     - at 10 and up, one PTRS attempt.  Most end at once (us >= 0.07 and V <= vr); those left
       for the log-acceptance test (``_accepts``) read loggam(k + 1) and its error-bound term
       from a table made once per call for k + 1 below min(lam_max + 10 sqrt(lam_max) + 16,
-      2**16) (``_loggam_table``), and evaluate both directly past its end;
+      2**16), lam_max the largest mean below 2**16 (``_loggam_table``; none if that mean is
+      below 10), and evaluate both directly past its end;
     - below 10, the multiplication method, on the subset of streams at such a mean: up to two
       factors, keeping the one-step state when the first factor ends the draw.  A round with
       no such stream skips it;
@@ -256,7 +259,9 @@ def poisson(keys: np.ndarray, lam: np.ndarray) -> np.ndarray:
     row = sid // per_row
     mean, base = later[row, 0], (sid - row) * size
     count, prod = np.zeros(sid.size, dtype=np.int64), np.ones(sid.size)
-    loggam = _loggam_table(means.max(initial=0.0))
+    # Sized by the largest mean below the table's end: attempts at means from there up
+    # nearly all land past it, and evaluate their terms directly wherever they land.
+    loggam = _loggam_table(means[means < _TABLE_END].max(initial=0.0))
     # As in C: us = 0 divides to inf; (int64_t) of x beyond int64 is INT64_MIN (rejected).
     with np.errstate(all="ignore"):
         while mean.size:

@@ -27,8 +27,9 @@ projection, ``_solve_chi``, ``_project_chi`` (one batched eigh, skipped
 when a Gershgorin bound proves that no chi of a large stack is
 projected), then the projected chi[0, 0] (the fidelity to the identity
 process), in one pass over a (..., 4, 3, 2) count stack.  A scenario
-scores all its units in one call, and so does each bootstrap resample,
-whose counts ``monte_carlo_error`` draws with ``streams.poisson``.  The
+scores all its units in one call.  ``monte_carlo_error`` draws a block of
+bootstrap resamples with ``streams.poisson`` and scores its draws in
+resample-major slices of at most _SLICE_UNITS, one call each.  The
 map is applied as a stacked real (32, 16) matrix-vector product per
 unit, not as one matrix product over all units, whose BLAS blocking (and
 so the last bits of a row) depends on the unit count: like eigh's
@@ -66,8 +67,9 @@ _CERTIFY_MIN, _CERTIFY_SLACK = 64, 2.0**-40
 _LOWER = np.tril_indices(4, -1)
 _RADII = np.eye(4)[_LOWER[0]] + np.eye(4)[_LOWER[1]]
 
-#: Keys the bootstrap draws at once: those of max(1, _SEED_BLOCK // U) resamples of U units.
-_SEED_BLOCK = 4096
+#: Keys the bootstrap draws at once: those of max(1, _SEED_BLOCK // U) resamples of U units;
+#: one ``reconstruct_from_records`` call scores at most _SLICE_UNITS of a block's draws.
+_SEED_BLOCK, _SLICE_UNITS = 4096, 256
 
 _PAULIS = np.array(PAULI_BASIS)
 
@@ -190,12 +192,12 @@ def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     all-False mask, after checking each trace as a diagonal sum.  The bound
     costs about 9 us a call plus 0.04 us a chi, eigh about 5 us plus 1.9 us
     a chi (numpy 2.4, OpenBLAS at 1 thread, Xeon), and a stack that holds
-    one firing chi pays the bound for nothing.  Bootstrap resamples almost
-    always hold one: with no gate, table1's 500 stacks of 7 chi took 11%
-    more CPU time and fig5's 101 stacks of 30 chi 3% more.  From 64 chi on
-    the bound costs at most 7% of eigh: a default simulate's 501 stacks of
-    84 chi (none certified) take 1% more, while a 7 x 200 expected-count
-    grid (1400 chi, certified) takes 21% less.
+    one firing chi pays the bound for nothing.  From 64 chi on the bound
+    costs at most 7% of eigh; a bootstrap slice of _SLICE_UNITS chi almost
+    always holds one that fires and pays about 3%, while a 7 x 200
+    expected-count grid (1400 chi, certified) takes 21% less time.  Below
+    64 chi the bound is not tried: on stacks of 7 bootstrap chi it cost 11%
+    more CPU time.
     """
     if chi.size >= 16 * _CERTIFY_MIN and _no_unit_fires(chi):
         _check_unit_trace("chi", chi.diagonal(0, -2, -1).real.sum(axis=-1))
@@ -300,20 +302,30 @@ def monte_carlo_error(counts: np.ndarray, resamples: int, keys: np.ndarray) -> n
 
     Resample j redraws unit k's counts as Poisson(observed) from the stream of key
     (*keys[k], j), ``keys`` the units' uint64 keys (U, L), so no sigma depends on the other
-    units; one reconstruction rescores the stack.  The streams of max(1, _SEED_BLOCK // U)
-    resamples are drawn at a time.
+    units.  The streams of max(1, _SEED_BLOCK // U) resamples are drawn at a time, and
+    ``reconstruct_from_records`` scores the block's draws in resample-major order, at most
+    _SLICE_UNITS a call; each unit's score is its own, so neither size changes a bit, and a
+    zero-total basis raises for the first resample, then unit, that has one.  The (U, R)
+    fidelities are C-contiguous, so ``np.std`` reads each unit's R values in a row.
     """
     lam = np.asarray(counts, dtype=float)
     if lam.ndim != 4:
         raise ValueError(f"counts must be a (units, 4, 3, 2) stack, got {lam.shape}")
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
-    fidelities = np.empty((len(lam), resamples))
-    step = max(1, _SEED_BLOCK // max(1, len(lam)))
+    units = len(lam)
+    fidelities = np.empty((units, resamples))
+    step = max(1, _SEED_BLOCK // max(1, units))
     for start in range(0, resamples, step):
         js = np.arange(start, min(start + step, resamples), dtype=np.uint64)
-        block = np.empty((len(lam), len(js), keys.shape[1] + 1), dtype=np.uint64)
+        block = np.empty((units, len(js), keys.shape[1] + 1), dtype=np.uint64)
         block[..., :-1], block[..., -1] = keys[:, None], js
-        for j, draws in enumerate(np.moveaxis(poisson(block, lam), 1, 0), start):
-            fidelities[:, j] = reconstruct_from_records(draws)
+        # Row k b + i of draws (b = len(js)) and entry i U + k of scored (resample-major)
+        # belong to unit k's resample start + i; a slice gathers its rows.
+        draws = poisson(block, lam).reshape(-1, 4, 3, 2)
+        scored = np.empty(len(draws))
+        for first in range(0, len(draws), _SLICE_UNITS):
+            rows = np.arange(first, min(first + _SLICE_UNITS, len(draws)))
+            scored[rows] = reconstruct_from_records(draws[rows % units * len(js) + rows // units])
+        fidelities[:, start : start + len(js)] = scored.reshape(len(js), units).T
     return np.std(fidelities, axis=1, ddof=1)

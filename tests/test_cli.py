@@ -138,6 +138,21 @@ class TestReproduce:
         assert capsys.readouterr().err == "numerical error: lam value too large\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 522. GiB"), MemoryError()])
+    def test_memory_error_exits_3_writing_nothing(self, tmp_path, capsys, monkeypatch, error):
+        # A grid whose bootstrap does not fit in memory: the kernel raising
+        # stands in for the allocation, so nothing large is allocated.
+        def out_of_memory(counts, resamples, keys):
+            raise error
+
+        monkeypatch.setattr("qmemsim.scenarios.monte_carlo_error", out_of_memory)
+        out = tmp_path / "out"
+        code = main(["reproduce", "table1", "--out", str(out)])
+        assert code == EXIT_FIT
+        err = capsys.readouterr().err
+        assert err == f"memory error: {error or 'out of memory'}\n"
+        assert not out.exists()
+
     def test_too_many_resamples_exit_2_without_traceback(self, tmp_path):
         # The resample array is allocated before any resample runs, so an
         # unbounded count would fail there with a memory error.

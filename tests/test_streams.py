@@ -1,5 +1,6 @@
 """streams.poisson against numpy.random itself: every draw equal, bit for bit."""
 
+import dataclasses
 import math
 import re
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmemsim import streams
+from qmemsim import scenarios, streams
+from qmemsim.config import ScenarioConfig
 from qmemsim.streams import _LAM_MAX, _log, _loggam, poisson
 from reference_impl import numpy_stream
 
@@ -260,6 +262,43 @@ def test_largest_mean_draws_as_numpy_with_a_table_of_at_most_2_16_entries(monkey
     lam = np.full((50, 2), _LAM_MAX)
     got = poisson(np.array(keys, dtype=np.uint64), lam)
     assert np.array_equal(got, numpy_draws(keys, lam))
-    assert len(tables) == 1 and tables[0].shape == (2, 2**16 - 1)
-    # Every attempt's k is near 2**63, past the table: each evaluates its terms directly.
-    assert len(direct) > 1 and min(x.min() for x in direct[1:]) > 2**62
+    # Every attempt's k is near 2**63, past any table: none is built, and each attempt
+    # evaluates its terms directly.
+    assert len(tables) == 1 and tables[0].shape == (2, 0)
+    assert direct and min(x.min() for x in direct) > 2**62
+
+
+def test_high_count_grid_draws_as_numpy_with_no_table(monkeypatch):
+    # The high-count grid of tests/default_grid_check.py (S2 at M = 10**9 pulses over four
+    # storage times) has means of 7e5 to 3e7, none below 2**16, so no log-gamma table is
+    # built: every loggam is an attempt's own, at x near its mean.  A mean of 100 among
+    # them sizes the table alone, to x below 100 + 10 sqrt(100) + 16.
+    cfg = dataclasses.replace(
+        ScenarioConfig(),
+        pulses_per_setting=10**9,
+        mc_resamples=2,
+        storage_times=(0.005, 1.0, 3.0, 6.0),
+    )
+    seen = []
+    monkeypatch.setattr(
+        scenarios, "monte_carlo_error", lambda counts, *_: seen.append(counts) or counts[:, 0, 0, 0]
+    )
+    scenarios.tomography_points(cfg, [("S2", t) for t in cfg.storage_times])
+    grid = seen[0].reshape(len(seen[0]), -1)
+    assert 5e5 < grid.min() and 2e7 < grid.max() < 4e7
+    real_table, real_bound = streams._loggam_table, streams._loggam_bound
+    for lam, table_size in ((grid, 0), (np.where(grid == grid.max(), 100.0, grid), 215)):
+        tables, direct = [], []
+
+        def table(lam_max):
+            tables.append(real_table(lam_max))
+            return tables[-1]
+
+        monkeypatch.setattr(streams, "_loggam_table", table)
+        monkeypatch.setattr(streams, "_loggam_bound", lambda x: direct.append(x) or real_bound(x))
+        keys = [(9, k, j) for k in range(len(lam)) for j in range(5)]
+        got = poisson(np.array(keys, dtype=np.uint64).reshape(len(lam), 5, 3), lam)
+        assert np.array_equal(got.reshape(len(keys), -1), numpy_draws(keys, lam.repeat(5, axis=0)))
+        assert [built.shape for built in tables] == [(2, table_size)]
+        attempts = direct[1:] if table_size else direct  # the table is one call of its own
+        assert attempts and min(x.min() for x in attempts) > 2**16

@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from qmemsim import scenarios, tomography
 from qmemsim.config import ScenarioConfig
-from qmemsim.detection import DetectionConfig, expected_counts, expected_rates
+from qmemsim.detection import (
+    MEASUREMENT_BASES,
+    DetectionConfig,
+    expected_counts,
+    expected_rates,
+)
 from qmemsim.memory import (
     DEFAULT_CHANNELS,
     MemoryConfig,
@@ -665,8 +670,8 @@ def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
     monkeypatch.setattr(tomography, "reconstruct_from_records", recording)
     monkeypatch.setattr(tomography, "_SEED_BLOCK", 48)  # 8 resamples of 6 units a block
     sigma = monte_carlo_error(stack, resamples, _keys(*keys))
-    assert len(applied) == resamples
-    fired = np.array(applied)
+    # The slices of each block come in resample-major order.
+    fired = np.concatenate(applied).reshape(resamples, len(stack))
     assert fired[:, 1].sum() > resamples / 2 and fired[:, 4].sum() > resamples / 2
     assert fired[:, 2].sum() < resamples / 2 and fired[:, 5].sum() < resamples / 2
     for k, counts in enumerate(stack):
@@ -677,6 +682,49 @@ def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
     monkeypatch.setattr(tomography, "_SEED_BLOCK", 180)  # all 30 resamples in one block
     moved = monte_carlo_error(stack[order], resamples, _keys(*moved_keys))
     assert np.array_equal(moved, sigma[order])
+
+
+def _first_zero_total_basis(counts, resamples, key_of):
+    # The basis of the first zero-total draw in resample-major order, and
+    # the resample and unit that draw it, from numpy's own streams.
+    for j in range(resamples):
+        for k, unit in enumerate(counts):
+            totals = numpy_stream(*key_of(k), j).poisson(unit).sum(axis=-1)
+            if (totals == 0).any():
+                return MEASUREMENT_BASES[np.argwhere(totals == 0)[0][-1]], j, k
+    return None
+
+
+def test_monte_carlo_error_slices_change_no_bit(monkeypatch):
+    # One slice per draw, slices of 5 that split each resample of 6 units
+    # over two slices, and one slice for every draw give the same sigmas.
+    # A zero-total resample raises the same error under each slice size:
+    # the first in resample-major order (unit 5's basis RL in resample 10),
+    # not unit 4's basis DA, which fails first in unit-major order.
+    cfg, det = MemoryConfig(), DetectionConfig()
+    s2 = DEFAULT_CHANNELS[2]
+    stack = np.array(
+        [LOW_COUNTS, LOW_COUNTS[:, :, ::-1]]
+        + [
+            _run_process_tomography(s2, t, cfg, det, 3000, np.random.default_rng(5))[0]
+            for t in (0.005, 3.0, 6.0)
+        ]
+        + [_run_process_tomography(s2, 1.0, cfg, det, 10**5, np.random.default_rng(6))[0]]
+    )
+    keys = [(21, k) for k in range(len(stack))]
+    rare = np.array([LOW_COUNTS] * len(stack))
+    rare[4, 0, 1], rare[5, 2, 2] = (3, 0), (4, 0)
+    assert _first_zero_total_basis(rare, 20, keys.__getitem__) == ("RL", 10, 5)
+    assert _first_zero_total_basis(rare[4:5], 20, lambda k: keys[4])[0] == "DA"
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", 60)  # 10 resamples of 6 units a block
+    sigmas = []
+    for size in (1, 5, len(stack) * 20):
+        monkeypatch.setattr(tomography, "_SLICE_UNITS", size)
+        sigmas.append(monte_carlo_error(stack, 20, _keys(*keys)))
+        with pytest.raises(ValueError, match="^zero total counts in basis RL$"):
+            monte_carlo_error(rare, 20, _keys(*keys))
+    assert all(sigma.tobytes() == sigmas[0].tobytes() for sigma in sigmas)
+    assert (sigmas[0] > 0).all()
 
 
 def test_monte_carlo_error_needs_two_resamples():
