@@ -33,7 +33,7 @@ from .memory import DEFAULT_CHANNELS, ChannelSpec, MemoryConfig
 DEFAULT_SEED = 12345
 DEFAULT_PULSES = 100_000
 DEFAULT_RESAMPLES = 500
-#: Largest mc_resamples: a float per unit and resample; keys live a block (tomography._SEED_BLOCK).
+#: Largest mc_resamples: one unit's R fidelities are held at once (tomography._SEED_BLOCK).
 MAX_RESAMPLES = 1_000_000
 #: Storage-time grid (ms): dense enough for decay fits, includes the
 #: 5 us table point and the 6 ms endpoint.

@@ -24,12 +24,12 @@ expected_rates(dephase(S, gamma), R, detection) start from, and
 
 ``_reconstruct`` is the kernel for counts: Stokes rows, their
 projection, ``_solve_chi``, ``_project_chi`` (one batched eigh, skipped
-when a Gershgorin bound proves that no chi of a large stack is
-projected), then the projected chi[0, 0] (the fidelity to the identity
-process), in one pass over a (..., 4, 3, 2) count stack.  A scenario
-scores all its units in one call.  ``monte_carlo_error`` draws a block of
-bootstrap resamples with ``streams.poisson`` and scores its draws in
-resample-major slices of at most _SLICE_UNITS, one call each.  The
+when a Gershgorin bound proves that no chi of the stack is projected),
+then the projected chi[0, 0] (the fidelity to the identity process), in
+one pass over a (..., 4, 3, 2) count stack.  A scenario scores all its
+units in one call.  ``monte_carlo_error`` takes units in chunks, draws
+each chunk's bootstrap resamples with ``streams.poisson`` and scores the
+unit-major draws in slices of at most _SLICE_UNITS, one call each.  The
 map is applied as a stacked real (32, 16) matrix-vector product per
 unit, not as one matrix product over all units, whose BLAS blocking (and
 so the last bits of a row) depends on the unit count: like eigh's
@@ -59,16 +59,16 @@ from .streams import poisson
 DEFAULT_INPUT_LABELS = ("H", "V", "D", "R")
 
 _PROJECT_EIG_TOL = 1e-12
-#: The smallest chi stack whose Gershgorin bound ``_project_chi`` evaluates, and the bound's
-#: slack relative to the stack's largest Gershgorin row sum (``_no_unit_fires``).
-_CERTIFY_MIN, _CERTIFY_SLACK = 64, 2.0**-40
+#: The slack of ``_no_unit_fires``'s bound relative to the stack's largest Gershgorin row sum.
+_CERTIFY_SLACK = 2.0**-40
 # The strictly lower (row, column) pairs of a 4x4 chi, and the 0/1 (6, 4) matrix that adds
 # each pair's modulus to the Gershgorin radius of its row and of its column.
 _LOWER = np.tril_indices(4, -1)
 _RADII = np.eye(4)[_LOWER[0]] + np.eye(4)[_LOWER[1]]
 
-#: Keys the bootstrap draws at once: those of max(1, _SEED_BLOCK // U) resamples of U units;
-#: one ``reconstruct_from_records`` call scores at most _SLICE_UNITS of a block's draws.
+#: Keys the bootstrap draws at once: all R resamples of max(1, _SEED_BLOCK // R) units, or
+#: _SEED_BLOCK of one unit's; one ``reconstruct_from_records`` call scores at most
+#: _SLICE_UNITS of those draws.
 _SEED_BLOCK, _SLICE_UNITS = 4096, 256
 
 _PAULIS = np.array(PAULI_BASIS)
@@ -187,19 +187,18 @@ def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Only units with an eigenvalue below -_PROJECT_EIG_TOL change.  Returns
     the projected chi and the mask (...) of the changed units.
 
-    A stack of at least _CERTIFY_MIN chi for which ``_no_unit_fires`` holds
-    skips eigh: it returns what eigh's path returns then, chi and an
-    all-False mask, after checking each trace as a diagonal sum.  The bound
-    costs about 9 us a call plus 0.04 us a chi, eigh about 5 us plus 1.9 us
-    a chi (numpy 2.4, OpenBLAS at 1 thread, Xeon), and a stack that holds
-    one firing chi pays the bound for nothing.  From 64 chi on the bound
-    costs at most 7% of eigh; a bootstrap slice of _SLICE_UNITS chi almost
-    always holds one that fires and pays about 3%, while a 7 x 200
-    expected-count grid (1400 chi, certified) takes 21% less time.  Below
-    64 chi the bound is not tried: on stacks of 7 bootstrap chi it cost 11%
-    more CPU time.
+    A stack for which ``_no_unit_fires`` holds skips eigh: it returns what
+    eigh's path returns then, chi and an all-False mask, after checking each
+    trace as a diagonal sum.  The bound costs about 9 us a call plus 0.04 us
+    a chi, eigh about 5 us plus 1.9 us a chi (numpy 2.4, OpenBLAS at 1
+    thread, Xeon), and a stack that holds one firing chi pays the bound for
+    nothing.  A bootstrap slice of _SLICE_UNITS chi almost always holds one
+    that fires and pays about 3%, while a 7 x 200 expected-count grid (1400
+    chi, certified) takes 21% less time.  The bound is tried on every stack:
+    the small ones, such as the point estimates of a sampled table1's 7
+    units, come once a run.
     """
-    if chi.size >= 16 * _CERTIFY_MIN and _no_unit_fires(chi):
+    if _no_unit_fires(chi):
         _check_unit_trace("chi", chi.diagonal(0, -2, -1).real.sum(axis=-1))
         return chi, np.zeros(chi.shape[:-2], dtype=bool)
     vals, vecs = np.linalg.eigh(chi)
@@ -302,10 +301,11 @@ def monte_carlo_error(counts: np.ndarray, resamples: int, keys: np.ndarray) -> n
 
     Resample j redraws unit k's counts as Poisson(observed) from the stream of key
     (*keys[k], j), ``keys`` the units' uint64 keys (U, L), so no sigma depends on the other
-    units.  The streams of max(1, _SEED_BLOCK // U) resamples are drawn at a time, and
-    ``reconstruct_from_records`` scores the block's draws in resample-major order, at most
-    _SLICE_UNITS a call; each unit's score is its own, so neither size changes a bit, and a
-    zero-total basis raises for the first resample, then unit, that has one.  The (U, R)
+    units.  The data stays unit-major: units come in chunks of c = max(1, _SEED_BLOCK // R),
+    a chunk's streams are drawn min(R, _SEED_BLOCK) resamples at a time, and
+    ``reconstruct_from_records`` scores the draws in contiguous slices of at most
+    _SLICE_UNITS.  Each unit's score is its own, so no size changes a bit, and a zero-total
+    basis raises for the first unit, then resample, that has one.  A chunk's (c, R)
     fidelities are C-contiguous, so ``np.std`` reads each unit's R values in a row.
     """
     lam = np.asarray(counts, dtype=float)
@@ -313,19 +313,17 @@ def monte_carlo_error(counts: np.ndarray, resamples: int, keys: np.ndarray) -> n
         raise ValueError(f"counts must be a (units, 4, 3, 2) stack, got {lam.shape}")
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
-    units = len(lam)
-    fidelities = np.empty((units, resamples))
-    step = max(1, _SEED_BLOCK // max(1, units))
-    for start in range(0, resamples, step):
-        js = np.arange(start, min(start + step, resamples), dtype=np.uint64)
-        block = np.empty((units, len(js), keys.shape[1] + 1), dtype=np.uint64)
-        block[..., :-1], block[..., -1] = keys[:, None], js
-        # Row k b + i of draws (b = len(js)) and entry i U + k of scored (resample-major)
-        # belong to unit k's resample start + i; a slice gathers its rows.
-        draws = poisson(block, lam).reshape(-1, 4, 3, 2)
-        scored = np.empty(len(draws))
-        for first in range(0, len(draws), _SLICE_UNITS):
-            rows = np.arange(first, min(first + _SLICE_UNITS, len(draws)))
-            scored[rows] = reconstruct_from_records(draws[rows % units * len(js) + rows // units])
-        fidelities[:, start : start + len(js)] = scored.reshape(len(js), units).T
-    return np.std(fidelities, axis=1, ddof=1)
+    sigma = np.empty(len(lam))
+    chunk, block = max(1, _SEED_BLOCK // resamples), min(resamples, _SEED_BLOCK)
+    for first in range(0, len(lam), chunk):
+        part, scored = lam[first : first + chunk], []
+        for start in range(0, resamples, block):
+            js = np.arange(start, min(start + block, resamples), dtype=np.uint64)
+            stack = np.empty((len(part), len(js), keys.shape[1] + 1), dtype=np.uint64)
+            stack[..., :-1], stack[..., -1] = keys[first : first + chunk, None], js
+            draws = poisson(stack, part).reshape(-1, 4, 3, 2)
+            for s in range(0, len(draws), _SLICE_UNITS):
+                scored.append(reconstruct_from_records(draws[s : s + _SLICE_UNITS]))
+        fidelities = np.concatenate(scored).reshape(len(part), resamples)
+        sigma[first : first + chunk] = np.std(fidelities, axis=1, ddof=1)
+    return sigma

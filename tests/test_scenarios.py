@@ -167,7 +167,8 @@ class TestBootstrapSeedWords:
 
 @pytest.mark.parametrize("block", [4096, 35, 1])
 def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
-    # 35 // 5 units = 7 resamples a block: 20 resamples cross three blocks.
+    # 4096 takes the 5 units in one chunk; 35 // 20 resamples takes one unit
+    # a chunk, and 1 draws one resample a call.
     monkeypatch.setattr(tomography, "_SEED_BLOCK", block)
     times = (0.0, 4.294967295, 4.294967296, 6.0)
     cfg = small_cfg(seed=2**40 + 7, storage_times=times, mc_resamples=20)

@@ -303,27 +303,27 @@ def test_project_process_matrix_clamps():
     assert abs(np.trace(projected).real - 1.0) < 1e-12
 
 
-def _both_gates(monkeypatch, fn, arg):
-    # fn(arg) with the Gershgorin bound evaluated on every stack and on none,
-    # and whether eigh ran under the first.
+def _both_paths(monkeypatch, fn, arg):
+    # fn(arg) with the Gershgorin bound tried and with it failing on every
+    # stack, and whether eigh ran under the first.
     eigh, calls = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    monkeypatch.setattr(tomography, "_CERTIFY_MIN", 0)
-    certified = fn(arg)
-    ran_eigh = bool(calls)
-    monkeypatch.setattr(tomography, "_CERTIFY_MIN", 2**62)
-    return certified, fn(arg), ran_eigh
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        certified = fn(arg)
+    with monkeypatch.context() as m:
+        m.setattr(tomography, "_no_unit_fires", lambda chi: False)
+        return certified, fn(arg), bool(calls)
 
 
 def _assert_same_projection(monkeypatch, chi):
-    (chi_a, mask_a), (chi_b, mask_b), ran_eigh = _both_gates(monkeypatch, _project_chi, chi)
+    (chi_a, mask_a), (chi_b, mask_b), ran_eigh = _both_paths(monkeypatch, _project_chi, chi)
     assert chi_a.shape == chi_b.shape == chi.shape and mask_a.shape == mask_b.shape
     assert np.array_equal(chi_a, chi_b) and np.array_equal(mask_a, mask_b)
     return mask_a, ran_eigh
 
 
 def _assert_same_result(monkeypatch, counts):
-    a, b, ran_eigh = _both_gates(monkeypatch, _reconstruct, counts)
+    a, b, ran_eigh = _both_paths(monkeypatch, _reconstruct, counts)
     for name in ("process_fidelity", "raw_chi00", "projection_applied"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     return a.projection_applied, ran_eigh
@@ -378,23 +378,14 @@ def test_gershgorin_certificate_at_its_edges(monkeypatch):
 def test_gershgorin_certificate_keeps_the_errors(monkeypatch):
     # A NaN off the diagonal leaves every trace at 1 but fails the bound, so
     # eigh's path raises its trace error; a positive chi of trace 2 passes
-    # the bound and fails the diagonal-sum trace check.  Both gates raise.
+    # the bound and fails the diagonal-sum trace check.  Both paths raise.
     chi = np.diag([0.9, 0.05, 0.04, 0.01]).astype(complex)[None].repeat(2, axis=0)
     chi[1, 2, 1] = chi[1, 1, 2] = np.nan
-    for gate in (0, 2**62):
-        monkeypatch.setattr(tomography, "_CERTIFY_MIN", gate)
+    for bound in (tomography._no_unit_fires, lambda c: False):
+        monkeypatch.setattr(tomography, "_no_unit_fires", bound)
         for bad in (chi, 2.0 * chi[:1]):
             with pytest.raises(ValueError, match="^chi is not trace-normalized$"):
                 _project_chi(bad)
-    # Below the gate the bound is never evaluated.
-    monkeypatch.setattr(tomography, "_CERTIFY_MIN", 64)
-    calls, bound = [], tomography._no_unit_fires
-    monkeypatch.setattr(tomography, "_no_unit_fires", lambda c: calls.append(len(c)) or bound(c))
-    stack = chi[:1].repeat(64, axis=0)
-    _project_chi(stack[:63])
-    assert calls == []
-    _project_chi(stack)
-    assert calls == [64]
 
 
 def test_process_fidelity_rank_one_ideal_is_chi00(rng):
@@ -588,7 +579,7 @@ def test_monte_carlo_error_deterministic_and_positive(monkeypatch):
     )
     keys = _keys((123, 0), (123, 1))
     a = monte_carlo_error(counts, 50, keys)
-    monkeypatch.setattr(tomography, "_SEED_BLOCK", 14)  # 7 resamples of 2 units a block
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", 14)  # one unit, 14 resamples a block
     b = monte_carlo_error(counts, 50, keys)
     assert a.shape == (2,)
     assert np.array_equal(a, b)
@@ -633,8 +624,8 @@ def test_monte_carlo_error_matches_scalar_draws(monkeypatch):
         _scalar_draw_monte_carlo_error(counts, 40, functools.partial(numpy_stream, 77, k))
         for k, counts in enumerate(stack)
     ]
-    for block in (40, 9, 1):
-        monkeypatch.setattr(tomography, "_SEED_BLOCK", 2 * block)  # block resamples of 2 units
+    for block in (80, 9, 1):  # both units in one call, then one unit in blocks of 9 and 1
+        monkeypatch.setattr(tomography, "_SEED_BLOCK", block)
         sigma = monte_carlo_error(stack, 40, _keys((77, 0), (77, 1)))
         assert sigma.tolist() == want, block
 
@@ -668,39 +659,40 @@ def test_monte_carlo_error_of_a_mixed_stack_equals_each_unit_alone(monkeypatch):
         return real_reconstruct(draws)
 
     monkeypatch.setattr(tomography, "reconstruct_from_records", recording)
-    monkeypatch.setattr(tomography, "_SEED_BLOCK", 48)  # 8 resamples of 6 units a block
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", 90)  # chunks of 3 units x 30 resamples
     sigma = monte_carlo_error(stack, resamples, _keys(*keys))
-    # The slices of each block come in resample-major order.
-    fired = np.concatenate(applied).reshape(resamples, len(stack))
-    assert fired[:, 1].sum() > resamples / 2 and fired[:, 4].sum() > resamples / 2
-    assert fired[:, 2].sum() < resamples / 2 and fired[:, 5].sum() < resamples / 2
+    # The slices come in unit-major order.
+    fired = np.concatenate(applied).reshape(len(stack), resamples)
+    assert fired[1].sum() > resamples / 2 and fired[4].sum() > resamples / 2
+    assert fired[2].sum() < resamples / 2 and fired[5].sum() < resamples / 2
     for k, counts in enumerate(stack):
         streams = functools.partial(numpy_stream, *keys[k])
         assert sigma[k] == _scalar_draw_monte_carlo_error(counts, resamples, streams)
     order = [4, 0, 5, 2, 1, 3]
     moved_keys = [keys[k] for k in order]
-    monkeypatch.setattr(tomography, "_SEED_BLOCK", 180)  # all 30 resamples in one block
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", 180)  # all 6 units in one chunk
     moved = monte_carlo_error(stack[order], resamples, _keys(*moved_keys))
     assert np.array_equal(moved, sigma[order])
 
 
 def _first_zero_total_basis(counts, resamples, key_of):
-    # The basis of the first zero-total draw in resample-major order, and
-    # the resample and unit that draw it, from numpy's own streams.
-    for j in range(resamples):
-        for k, unit in enumerate(counts):
+    # The basis of the first zero-total draw in unit-major order, and the
+    # unit and resample that draw it, from numpy's own streams.
+    for k, unit in enumerate(counts):
+        for j in range(resamples):
             totals = numpy_stream(*key_of(k), j).poisson(unit).sum(axis=-1)
             if (totals == 0).any():
-                return MEASUREMENT_BASES[np.argwhere(totals == 0)[0][-1]], j, k
+                return MEASUREMENT_BASES[np.argwhere(totals == 0)[0][-1]], k, j
     return None
 
 
 def test_monte_carlo_error_slices_change_no_bit(monkeypatch):
-    # One slice per draw, slices of 5 that split each resample of 6 units
-    # over two slices, and one slice for every draw give the same sigmas.
-    # A zero-total resample raises the same error under each slice size:
-    # the first in resample-major order (unit 5's basis RL in resample 10),
-    # not unit 4's basis DA, which fails first in unit-major order.
+    # One slice per draw, slices of 7 that cross the ends of units and of
+    # blocks, and one slice for every draw give the same sigmas, in chunks
+    # of 3 units and in blocks of 10 resamples of one unit.  A
+    # zero-total resample raises the same error under each size: the first
+    # in unit-major order (unit 4's basis DA in resample 18), not unit 5's
+    # basis RL, which fails first in resample-major order (resample 10).
     cfg, det = MemoryConfig(), DetectionConfig()
     s2 = DEFAULT_CHANNELS[2]
     stack = np.array(
@@ -714,17 +706,39 @@ def test_monte_carlo_error_slices_change_no_bit(monkeypatch):
     keys = [(21, k) for k in range(len(stack))]
     rare = np.array([LOW_COUNTS] * len(stack))
     rare[4, 0, 1], rare[5, 2, 2] = (3, 0), (4, 0)
-    assert _first_zero_total_basis(rare, 20, keys.__getitem__) == ("RL", 10, 5)
-    assert _first_zero_total_basis(rare[4:5], 20, lambda k: keys[4])[0] == "DA"
-    monkeypatch.setattr(tomography, "_SEED_BLOCK", 60)  # 10 resamples of 6 units a block
+    assert _first_zero_total_basis(rare, 20, keys.__getitem__) == ("DA", 4, 18)
+    assert _first_zero_total_basis(rare[5:], 20, lambda k: keys[5]) == ("RL", 0, 10)
     sigmas = []
-    for size in (1, 5, len(stack) * 20):
-        monkeypatch.setattr(tomography, "_SLICE_UNITS", size)
-        sigmas.append(monte_carlo_error(stack, 20, _keys(*keys)))
-        with pytest.raises(ValueError, match="^zero total counts in basis RL$"):
-            monte_carlo_error(rare, 20, _keys(*keys))
+    for block in (60, 10):  # chunks of 3 units; one unit in blocks of 10 resamples
+        monkeypatch.setattr(tomography, "_SEED_BLOCK", block)
+        for size in (1, 7, len(stack) * 20):
+            monkeypatch.setattr(tomography, "_SLICE_UNITS", size)
+            sigmas.append(monte_carlo_error(stack, 20, _keys(*keys)))
+            with pytest.raises(ValueError, match="^zero total counts in basis DA$"):
+                monte_carlo_error(rare, 20, _keys(*keys))
     assert all(sigma.tobytes() == sigmas[0].tobytes() for sigma in sigmas)
     assert (sigmas[0] > 0).all()
+
+
+def test_monte_carlo_error_draws_whole_units_within_the_seed_block(monkeypatch):
+    # Whatever the unit count, no poisson call gets more than _SEED_BLOCK
+    # keys, and a call holds all R resamples of each of its units when R
+    # fits the block; the sigmas equal those of the default block.
+    stack = np.array([LOW_COUNTS, LOW_COUNTS[:, :, ::-1]] * 7)
+    draw = tomography.poisson
+    for units, resamples in ((13, 2), (7, 3), (2, 40)):
+        keys = _keys(*[(31, k) for k in range(units)])
+        want = monte_carlo_error(stack[:units], resamples, keys)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(tomography, "poisson", lambda k, lam: calls.append(k.shape) or draw(k, lam))
+            m.setattr(tomography, "_SEED_BLOCK", 12)
+            got = monte_carlo_error(stack[:units], resamples, keys)
+        assert got.tobytes() == want.tobytes()
+        assert all(c * b <= 12 for c, b, _ in calls), calls
+        assert sum(c * b for c, b, _ in calls) == units * resamples
+        if resamples <= 12:
+            assert all(b == resamples for _, b, _ in calls), calls
 
 
 def test_monte_carlo_error_needs_two_resamples():
