@@ -207,8 +207,6 @@ def _run(args: argparse.Namespace) -> int:
                     raise ConfigError(f"{args.targets}.{key}: fidelity must be in (0, 1]")
         return _report(calibrate_table(cfg, targets), args.out, "calibration.json")
 
-    raise ConfigError(f"unknown command {args.command!r}")
-
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)

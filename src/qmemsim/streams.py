@@ -102,10 +102,7 @@ def _step(hi: np.ndarray, lo: np.ndarray, inc_hi, inc_lo, mul) -> tuple:
 
 def _log(x: np.ndarray) -> np.ndarray:
     """libm's log of each element of x >= 0, through ``math.log``; log 0 is -inf, as in C."""
-    try:
-        return np.fromiter(map(math.log, x.tolist()), float, x.size)
-    except ValueError:  # math.log(0.0)
-        return np.array([math.log(v) if v else -math.inf for v in x.tolist()])
+    return np.array([math.log(v) if v else -math.inf for v in x.tolist()])
 
 
 def _series(x0, log_x0):
@@ -231,6 +228,8 @@ def poisson(keys: np.ndarray, lam: np.ndarray) -> np.ndarray:
     same float operations, and every test the filter in ``_accepts`` cannot prove is decided
     with libm's logs.
     """
+    if keys.dtype != np.uint64:
+        raise ValueError(f"stream keys must be uint64, got {keys.dtype}")
     lam, shape = np.asarray(lam, dtype=float), keys.shape[:-1]
     if not np.all(lam <= _LAM_MAX):
         raise ValueError("lam value too large")

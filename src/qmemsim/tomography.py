@@ -184,8 +184,10 @@ def _solve_chi(chi_map: np.ndarray, stokes: np.ndarray) -> np.ndarray:
 def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp the negative eigenvalues of unit-trace Hermitian chi (..., 4, 4) and renormalize.
 
-    Only units with an eigenvalue below -_PROJECT_EIG_TOL change.  Returns
-    the projected chi and the mask (...) of the changed units.
+    Only units with an eigenvalue below -_PROJECT_EIG_TOL change: eigh's path
+    clamps and renormalizes those alone and writes them into a copy of chi, so
+    every other unit comes back bit for bit.  Returns the projected chi and the
+    mask (...) of the changed units.
 
     A stack for which ``_no_unit_fires`` holds skips eigh: it returns what
     eigh's path returns then, chi and an all-False mask, after checking each
@@ -204,12 +206,11 @@ def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = np.linalg.eigh(chi)
     _check_unit_trace("chi", vals.sum(axis=-1))
     applied = vals[..., 0] < -_PROJECT_EIG_TOL
-    if not applied.any():
-        return chi, applied
-    clamped = np.maximum(vals, 0.0)
+    clamped, vecs = np.maximum(vals[applied], 0.0), vecs[applied]
     lam = clamped / clamped.sum(axis=-1, keepdims=True)
-    projected = (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return np.where(applied[..., None, None], projected, chi), applied
+    projected = chi.copy()
+    projected[applied] = (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return projected, applied
 
 
 def _no_unit_fires(chi: np.ndarray) -> bool:
@@ -313,6 +314,8 @@ def monte_carlo_error(counts: np.ndarray, resamples: int, keys: np.ndarray) -> n
         raise ValueError(f"counts must be a (units, 4, 3, 2) stack, got {lam.shape}")
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
+    if keys.ndim != 2 or len(keys) != len(lam) or not keys.shape[1]:
+        raise ValueError(f"keys must be ({len(lam)}, L >= 1), one row per unit, got {keys.shape}")
     sigma = np.empty(len(lam))
     chunk, block = max(1, _SEED_BLOCK // resamples), min(resamples, _SEED_BLOCK)
     for first in range(0, len(lam), chunk):

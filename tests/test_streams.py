@@ -195,6 +195,17 @@ def test_a_row_of_means_for_every_row_of_streams():
             poisson(np.zeros((*shape, 1), dtype=np.uint64), np.full(lam, 30.0))
 
 
+@pytest.mark.parametrize("keys", [[[7, -1]], [[7, 1]], [[7.0, 1.0]]])
+def test_keys_must_be_uint64(keys):
+    # numpy's SeedSequence refuses a negative key part; keys of any other dtype than
+    # uint64, a negative one or not, are refused before they are read as words.
+    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+        numpy_stream(7, -1)
+    keys = np.array(keys)
+    with pytest.raises(ValueError, match=f"^stream keys must be uint64, got {keys.dtype}$"):
+        poisson(keys, np.array([[30.0]]))
+
+
 def ptrs_attempts(seed, n):
     """PTRS attempts (v, w, log(invalpha), lam, log(lam), k) as poisson makes them, from n at
     means from 10 to 300, those with k >= 0; k runs up to a few hundred."""

@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -301,6 +302,36 @@ def test_project_process_matrix_clamps():
     assert np.max(np.abs(projected - identity_chi())) < 1e-15
     assert np.linalg.eigvalsh(projected)[0] >= -1e-15
     assert abs(np.trace(projected).real - 1.0) < 1e-12
+
+
+def _unitary_chi(rng, vals):
+    # chi = U diag(vals) U+ for a random unitary U: its off-diagonal moduli
+    # fail the Gershgorin bound, so _project_chi takes eigh's path.
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return (q * vals) @ q.conj().T
+
+
+def test_project_chi_writes_back_only_the_chi_that_fire(rng):
+    # A stack (2, 3) that mixes chi that fire with chi that do not: those
+    # that do not come back bit for bit, each that fires as it is projected
+    # alone, as a single (4, 4) chi, and the input is left as it was.
+    fires = [[True, False, False], [False, True, False]]
+    spectra = {True: [1.03, 0.0, 0.0, -0.03], False: [0.6, 0.3, 0.1, 0.0]}
+    chi = np.array([[_unitary_chi(rng, spectra[f]) for f in row] for row in fires])
+    before = chi.copy()
+    projected, applied = _project_chi(chi)
+    assert np.array_equal(chi, before) and applied.tolist() == fires
+    for k in np.ndindex(applied.shape):
+        alone, mask = _project_chi(chi[k])
+        assert mask.shape == () and bool(mask) == applied[k]
+        assert np.array_equal(projected[k], alone)
+        assert np.array_equal(projected[k], chi[k]) != applied[k]
+    # No chi fires in an uncertified stack: chi comes back and the mask is
+    # all False, as on the certified path.
+    quiet = chi[~np.array(fires)]
+    assert not tomography._no_unit_fires(quiet)
+    projected, applied = _project_chi(quiet)
+    assert np.array_equal(projected, quiet) and applied.shape == (4,) and not applied.any()
 
 
 def _both_paths(monkeypatch, fn, arg):
@@ -756,6 +787,17 @@ def test_monte_carlo_error_rejects_a_single_unit_without_its_stack_axis():
     counts = np.tile([(700, 300), (500, 500), (400, 600)], (4, 1, 1))
     with pytest.raises(ValueError, match=r"a \(units, 4, 3, 2\) stack, got \(4, 3, 2\)"):
         monte_carlo_error(counts, 10, _keys((0,)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 1), (2, 0), (2,), (2, 1, 1)])
+def test_monte_carlo_error_needs_one_key_row_per_unit(shape):
+    # One key row for two units would give both the same streams, and so the
+    # same sigma at equal counts; too many rows, a key of no words and a
+    # stack of another rank are refused too.
+    counts = np.tile([(700, 300), (500, 500), (400, 600)], (2, 4, 1, 1))
+    message = f"keys must be (2, L >= 1), one row per unit, got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        monte_carlo_error(counts, 10, np.zeros(shape, dtype=np.uint64))
 
 
 def _reference_reconstruct(counts):
