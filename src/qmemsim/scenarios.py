@@ -2,8 +2,8 @@
 
 Each scenario maps a configured measurement plan onto the simulation
 pipeline and packs the results into a RunArtifact.  A unit is one
-channel at one storage time, one table row; a scenario runs all its
-units in one batched pass (``tomography_points``, ``efficiency_points``).
+channel at one storage time, one table row; ``tomography_points`` runs them in
+tiles of at most ``tomography._SEED_BLOCK``, ``efficiency_points`` in one pass.
 Every stochastic unit of work (a unit's counts, or one Monte Carlo resample)
 draws from its own fresh RNG stream, numpy.random's PCG64 stream of the key
 (seed, domain, unit key[, resample]) (``derive_rng`` checks the key parts,
@@ -28,6 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import tomography
 from .config import ScenarioConfig, _time_key, effective_config
 from .detection import MEASUREMENT_BASES, expected_counts, expected_rates
 from .errors import ConfigError, FitError
@@ -138,29 +139,28 @@ def tomography_points(
 ) -> dict[str, list[float]]:
     """Lists "fidelity", its Monte Carlo error "sigma" and "model" of units (channel_id, t).
 
-    The forward model and the reconstruction run once over the stack of
-    all units, the coherence factor and the model once per channel, and
-    ``monte_carlo_error`` rescores the stack's bootstrap resamples in slices.
-    Each unit draws its counts and resamples from its own streams, so its
-    values do not depend on the other units.  In expected-counts mode
-    every sigma is exactly 0.
+    The coherence factor and the model run once per channel.  Rates, counts, point estimates
+    and ``monte_carlo_error`` run over tiles of at most ``tomography._SEED_BLOCK`` whole units,
+    so no array of the pass grows with the grid.  Each unit draws its counts and resamples
+    from its own streams, so its values depend neither on the other units nor on the tile.
+    In expected-counts mode every sigma is exactly 0.
     """
     idx, times, keys, efficiency = _unit_physics(cfg, units)
-    stokes, _ = _input_set()
-    gamma, model, sigma = np.empty(len(units)), np.empty(len(units)), np.zeros(len(units))
+    stokes, tile = _input_set()[0], tomography._SEED_BLOCK
+    gamma, model, fidelity, sigma = np.zeros((4, len(units)))
     for i in sorted(set(idx.tolist())):
         at, channel = idx == i, cfg.channels[i]
         gamma[at] = dephasing_factor(times[at], channel, cfg.memory)
         params = channel_model(channel, cfg.memory, cfg.detection)
         model[at] = closed_form_fidelity(times[at], **params)
-    rates = expected_rates(dephase(stokes, gamma[:, None]), efficiency[:, None], cfg.detection)
-    counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx, None if expected else keys, rates)
-    del rates  # the kernel below holds the largest arrays of the pass
-    fidelity = _reconstruct(counts).process_fidelity
-    if not expected:
-        # Unit k's resample j is keyed (seed, 2, channel, t_ps, j).
-        resample_keys = derive_rng(cfg.seed, _DOMAIN_RESAMPLE, idx, keys)
-        sigma = monte_carlo_error(counts, cfg.mc_resamples, resample_keys)
+    for u in (slice(k, k + tile) for k in range(0, len(units), tile)):
+        rates = expected_rates(dephase(stokes, gamma[u, None]), efficiency[u, None], cfg.detection)
+        counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx[u], None if expected else keys[u], rates)
+        fidelity[u] = _reconstruct(counts).process_fidelity
+        if not expected:
+            # Unit k's resample j is keyed (seed, 2, channel, t_ps, j).
+            resample_keys = derive_rng(cfg.seed, _DOMAIN_RESAMPLE, idx[u], keys[u])
+            sigma[u] = monte_carlo_error(counts, cfg.mc_resamples, resample_keys)
     return {"fidelity": fidelity.tolist(), "sigma": sigma.tolist(), "model": model.tolist()}
 
 

@@ -26,8 +26,8 @@ expected_rates(dephase(S, gamma), R, detection) start from, and
 projection, ``_solve_chi``, ``_project_chi`` (one batched eigh, skipped
 when a Gershgorin bound proves that no chi of the stack is projected),
 then the projected chi[0, 0] (the fidelity to the identity process), in
-one pass over a (..., 4, 3, 2) count stack.  A scenario scores all its
-units in one call.  ``monte_carlo_error`` takes units in chunks, draws
+one pass over a (..., 4, 3, 2) count stack.  A scenario scores tiles of at
+most _SEED_BLOCK units.  ``monte_carlo_error`` takes units in chunks, draws
 each chunk's bootstrap resamples with ``streams.poisson`` and scores the
 unit-major draws in slices of at most _SLICE_UNITS, one call each.  The
 map is applied as a stacked real (32, 16) matrix-vector product per
@@ -66,9 +66,9 @@ _CERTIFY_SLACK = 2.0**-40
 _LOWER = np.tril_indices(4, -1)
 _RADII = np.eye(4)[_LOWER[0]] + np.eye(4)[_LOWER[1]]
 
-#: Keys the bootstrap draws at once: all R resamples of max(1, _SEED_BLOCK // R) units, or
-#: _SEED_BLOCK of one unit's; one ``reconstruct_from_records`` call scores at most
-#: _SLICE_UNITS of those draws.
+#: Units ``scenarios.tomography_points`` takes at once, and keys the bootstrap draws at once:
+#: all R resamples of max(1, _SEED_BLOCK // R) units, or _SEED_BLOCK of one unit's; one
+#: ``reconstruct_from_records`` call scores at most _SLICE_UNITS of those draws.
 _SEED_BLOCK, _SLICE_UNITS = 4096, 256
 
 _PAULIS = np.array(PAULI_BASIS)
@@ -95,19 +95,21 @@ def stokes_from_counts(counts: np.ndarray) -> np.ndarray:
     """Stokes vectors from (..., 3, 2) counts (basis x (+, -)).
 
     Each basis contributes S = (n_plus - n_minus)/(n_plus + n_minus) on
-    its own axis.  An error names the first bad basis in input order.
+    its own axis.  An error names the first bad basis in input order: a
+    non-finite or negative count, or a zero total.
     """
     counts = np.asarray(counts)
     if counts.shape[-2:] != (len(MEASUREMENT_BASES), 2):
         raise ValueError(f"counts must end in shape (3, 2), got {counts.shape}")
     plus, minus = counts[..., 0], counts[..., 1]
-    total = plus + minus
-    if counts.min(initial=0) < 0 or total.min(initial=1) <= 0:
-        negative = (counts < 0).any(axis=-1)
-        first = tuple(np.argwhere(negative | (total <= 0))[0])
-        kind = "negative" if negative[first] else "zero total"
-        raise ValueError(f"{kind} counts in basis {MEASUREMENT_BASES[first[-1]]}")
-    return (plus - minus) / total
+    if counts.min(initial=0) >= 0:  # NaN fails; with no negative count, no total is inf - inf
+        total = plus + minus
+        if total.min(initial=1) > 0 and total.max(initial=0) < np.inf:
+            return (plus - minus) / total
+    negative, finite = (counts < 0).any(axis=-1), np.isfinite(counts).all(axis=-1)
+    first = tuple(np.argwhere(negative | ~finite | (counts == 0).all(axis=-1))[0])
+    kind = "non-finite" if not finite[first] else "negative" if negative[first] else "zero total"
+    raise ValueError(f"{kind} counts in basis {MEASUREMENT_BASES[first[-1]]}")
 
 
 def state_estimate(stokes: np.ndarray) -> TomographyResult:
@@ -309,11 +311,13 @@ def monte_carlo_error(counts: np.ndarray, resamples: int, keys: np.ndarray) -> n
     basis raises for the first unit, then resample, that has one.  A chunk's (c, R)
     fidelities are C-contiguous, so ``np.std`` reads each unit's R values in a row.
     """
-    lam = np.asarray(counts, dtype=float)
+    lam, keys = np.asarray(counts, dtype=float), np.asarray(keys)
     if lam.ndim != 4:
         raise ValueError(f"counts must be a (units, 4, 3, 2) stack, got {lam.shape}")
     if resamples < 2:
         raise ValueError(f"need at least 2 resamples, got {resamples}")
+    if keys.dtype != np.uint64:  # poisson refuses others; a copy into uint64 would wrap them
+        raise ValueError(f"keys must be uint64, got {keys.dtype}")
     if keys.ndim != 2 or len(keys) != len(lam) or not keys.shape[1]:
         raise ValueError(f"keys must be ({len(lam)}, L >= 1), one row per unit, got {keys.shape}")
     sigma = np.empty(len(lam))

@@ -167,8 +167,9 @@ class TestBootstrapSeedWords:
 
 @pytest.mark.parametrize("block", [4096, 35, 1])
 def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
-    # 4096 takes the 5 units in one chunk; 35 // 20 resamples takes one unit
-    # a chunk, and 1 draws one resample a call.
+    # 4096 and 35 take the 5 units in one tile, and 4096 in one chunk; 35 // 20
+    # resamples takes one unit a chunk, and 1 takes one unit a tile and draws
+    # one resample a call.
     monkeypatch.setattr(tomography, "_SEED_BLOCK", block)
     times = (0.0, 4.294967295, 4.294967296, 6.0)
     cfg = small_cfg(seed=2**40 + 7, storage_times=times, mc_resamples=20)
@@ -176,14 +177,20 @@ def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
     got = tomography_points(cfg, units)["sigma"]
 
     channels = [cfg.channel_index(c) for c, _ in units]
+    handed = []
 
     def numpy_bootstrap(counts, resamples, keys):
-        # Every (unit, resample) from numpy's own stream, one rescoring per resample.
+        # The pass hands the units over in order, a tile a call.  Every (unit,
+        # resample) comes from numpy's own stream of the unit's key, not of
+        # ``keys``, and one rescoring per resample.
+        tile = range(len(handed), len(handed) + len(counts))
+        handed.extend(tile)
         fidelities = np.empty((len(counts), resamples))
         for j in range(resamples):
             draws = [
-                numpy_stream(cfg.seed, _DOMAIN_RESAMPLE, i, _time_key(t), j).poisson(unit)
-                for i, (_, t), unit in zip(channels, units, counts)
+                numpy_stream(cfg.seed, _DOMAIN_RESAMPLE, channels[k], _time_key(units[k][1]), j)
+                .poisson(unit)
+                for k, unit in zip(tile, counts)
             ]
             fidelities[:, j] = reconstruct_from_records(np.array(draws))
         return np.std(fidelities, axis=1, ddof=1)
@@ -191,7 +198,29 @@ def test_bootstrap_sigma_equals_derive_rng_streams(monkeypatch, block):
     monkeypatch.setattr(scenarios, "monte_carlo_error", numpy_bootstrap)
     want = tomography_points(cfg, units)["sigma"]
     assert got == want
+    assert handed == list(range(len(units)))
     assert all(s > 0.0 for s in got)
+
+
+@pytest.mark.parametrize("expected", [False, True], ids=["sampled", "expected"])
+@pytest.mark.parametrize("tile", [1, 5, 7])
+def test_pass_takes_whole_units_in_tiles(monkeypatch, tile, expected):
+    # 12 units: tiles of 1, 5 + 5 + 2 and 7 + 5 whole units, in order, each
+    # drawn and scored on its own; no row may move.
+    cfg = small_cfg(pulses_per_setting=10**5, mc_resamples=3)
+    units = [(c, t) for c in ("S0", "S4") for t in (0.0, 0.5, 1.0, 2.0, 4.0, 6.0)]
+    want = tomography_points(cfg, units, expected)
+
+    seen = []
+
+    def wrap(fn):
+        return lambda arr, *rest: seen.append(len(arr)) or fn(arr, *rest)
+
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", tile)
+    monkeypatch.setattr(scenarios, "poisson", wrap(scenarios.poisson))
+    monkeypatch.setattr(scenarios, "_reconstruct", wrap(scenarios._reconstruct))
+    assert tomography_points(cfg, units, expected) == want
+    assert seen and max(seen) <= tile
 
 
 @pytest.mark.parametrize("times", [(0.5, 1e10), (0.5, LARGEST_TIME_MS)])

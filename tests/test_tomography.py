@@ -130,6 +130,17 @@ def test_stokes_from_counts_names_the_first_bad_basis_of_a_stack():
         stokes_from_counts(counts)
     with pytest.raises(ValueError, match="negative counts in basis DA"):
         reconstruct_from_records(counts[1, [0, 1, 3, 2]])
+    # Non-finite counts are refused before any inf - inf can warn; -inf is non-finite first.
+    counts = counts.astype(float)
+    counts[0, 0, 2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite counts in basis RL"):
+        stokes_from_counts(counts)
+    counts[0, 0, 1] = (np.inf, np.inf)
+    with pytest.raises(ValueError, match="non-finite counts in basis DA"):
+        reconstruct_from_records(counts)
+    counts[0, 0, 0] = (1.0, -np.inf)
+    with pytest.raises(ValueError, match="non-finite counts in basis HV"):
+        stokes_from_counts(counts)
 
 
 def _reference_chi(inputs, outputs):
@@ -798,6 +809,19 @@ def test_monte_carlo_error_needs_one_key_row_per_unit(shape):
     message = f"keys must be (2, L >= 1), one row per unit, got {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         monte_carlo_error(counts, 10, np.zeros(shape, dtype=np.uint64))
+
+
+@pytest.mark.parametrize(
+    "keys, dtype",
+    [(np.array([[7, -1], [7, 2]]), "int64"), (np.array([[7.9, 1.2], [7.0, 2.0]]), "float64"),
+     ([[7, 1], [7, 2]], "int64")],
+)  # fmt: skip
+def test_monte_carlo_error_needs_uint64_keys(keys, dtype):
+    # A copy into uint64 would draw -1 as the stream of 2**64 - 1 and 7.9 as
+    # that of 7; numpy's SeedSequence refuses both, and so does poisson.
+    counts = np.tile([(700, 300), (500, 500), (400, 600)], (2, 4, 1, 1))
+    with pytest.raises(ValueError, match=f"^keys must be uint64, got {dtype}$"):
+        monte_carlo_error(counts, 10, keys)
 
 
 def _reference_reconstruct(counts):
