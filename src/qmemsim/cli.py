@@ -114,19 +114,20 @@ def _scenario_from_args(cfg: ScenarioConfig, args: argparse.Namespace) -> Scenar
 
 
 def _load_dataset(path: str) -> DecayDataset:
+    # A JSON dataset is read as a config is, with the same error mapping.
+    data = _read_json(path, "dataset") if path.endswith(".json") else None
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            if path.endswith(".json"):
-                data = json.load(fh)
-                if not isinstance(data, dict) or "times" not in data or "values" not in data:
-                    raise ConfigError(f"{path}: expected an object with times and values")
-                extra = [key for key in data if key not in ("times", "values", "sigmas")]
-                if extra:
-                    raise ConfigError(f"{path}: unknown key {extra[0]}")
-                # Each column follows the config's leaf rules; null sigmas fit unweighted.
-                keys = ["times", "values"] + (["sigmas"] if data.get("sigmas") is not None else [])
-                columns = [_build(tuple[float, ...], data[key], f"{path}: {key}") for key in keys]
-            else:
+        if path.endswith(".json"):
+            if not isinstance(data, dict) or "times" not in data or "values" not in data:
+                raise ConfigError(f"{path}: expected an object with times and values")
+            extra = [key for key in data if key not in ("times", "values", "sigmas")]
+            if extra:
+                raise ConfigError(f"{path}: unknown key {extra[0]}")
+            # Each column follows the config's leaf rules; null sigmas fit unweighted.
+            keys = ["times", "values"] + (["sigmas"] if data.get("sigmas") is not None else [])
+            columns = [_build(tuple[float, ...], data[key], f"{path}: {key}") for key in keys]
+        else:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
                 reader = csv.reader(fh)
                 header = next(reader, None)
                 if header is None:
@@ -140,10 +141,12 @@ def _load_dataset(path: str) -> DecayDataset:
                     if len(row) != ncol:
                         raise ConfigError(f"{where}: expected {ncol} cells, got {len(row)}")
                     # Each cell is a JSON number under the config's leaf rules.
-                    try:
-                        rows.append([_build(float, json.loads(cell), where) for cell in row])
-                    except json.JSONDecodeError as exc:
-                        raise ConfigError(f"{where}: {exc.doc!r} is not a JSON number") from None
+                    rows.append([])
+                    for cell in row:
+                        try:
+                            rows[-1].append(_build(float, json.loads(cell), where))
+                        except (json.JSONDecodeError, RecursionError):
+                            raise ConfigError(f"{where}: {cell!r} is not a JSON number") from None
                 if not rows:
                     raise ConfigError(f"{path}: no data rows after the header")
                 columns = list(zip(*rows))

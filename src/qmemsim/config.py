@@ -182,13 +182,14 @@ def config_from_dict(data: dict) -> ScenarioConfig:
 
 def _read_json(path: str, what: str):
     """The JSON value in the file at ``path``, the ``what`` of a run: an unreadable file raises
-    IOError (exit 4), malformed JSON or text that is not UTF-8 a ConfigError (exit 2)."""
+    IOError (exit 4); malformed JSON, text that is not UTF-8 or nesting deeper than the
+    parser's recursion limit a ConfigError (exit 2)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise IOError(f"cannot read {what} {path}: {exc}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
 
 

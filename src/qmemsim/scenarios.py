@@ -2,8 +2,9 @@
 
 Each scenario maps a configured measurement plan onto the simulation
 pipeline and packs the results into a RunArtifact.  A unit is one
-channel at one storage time, one table row; ``tomography_points`` runs them in
-tiles of at most ``tomography._SEED_BLOCK``, ``efficiency_points`` in one pass.
+channel at one storage time, one table row; every count pass
+(``tomography_points``, ``efficiency_points``) walks its units in the tiles of
+``_tiles``, at most ``tomography._SEED_BLOCK`` whole units each.
 Every stochastic unit of work (a unit's counts, or one Monte Carlo resample)
 draws from its own fresh RNG stream, numpy.random's PCG64 stream of the key
 (seed, domain, unit key[, resample]) (``derive_rng`` checks the key parts,
@@ -123,6 +124,13 @@ def _unit_physics(cfg: ScenarioConfig, units: Sequence[tuple[str, float]]) -> tu
     return idx, times, keys, efficiency
 
 
+def _tiles(n: int):
+    """Slices of at most ``tomography._SEED_BLOCK`` whole units, in order, that cover n units:
+    a count pass holds one tile's arrays at a time, so none of them grows with the grid."""
+    tile = tomography._SEED_BLOCK
+    return (slice(k, k + tile) for k in range(0, n, tile))
+
+
 def _unit_counts(cfg: ScenarioConfig, domain: int, idx, keys, rates) -> np.ndarray:
     """Counts of units' ``rates``: the means if ``keys`` is None, else each a Poisson draw
     from its unit's stream, keyed by the unit's channel index and time key."""
@@ -140,20 +148,20 @@ def tomography_points(
     """Lists "fidelity", its Monte Carlo error "sigma" and "model" of units (channel_id, t).
 
     The coherence factor and the model run once per channel.  Rates, counts, point estimates
-    and ``monte_carlo_error`` run over tiles of at most ``tomography._SEED_BLOCK`` whole units,
-    so no array of the pass grows with the grid.  Each unit draws its counts and resamples
-    from its own streams, so its values depend neither on the other units nor on the tile.
+    and ``monte_carlo_error`` run per ``_tiles`` tile.  Each unit draws its counts and
+    resamples from its own streams, so its values depend neither on the other units nor on
+    the tile.
     In expected-counts mode every sigma is exactly 0.
     """
     idx, times, keys, efficiency = _unit_physics(cfg, units)
-    stokes, tile = _input_set()[0], tomography._SEED_BLOCK
+    stokes = _input_set()[0]
     gamma, model, fidelity, sigma = np.zeros((4, len(units)))
     for i in sorted(set(idx.tolist())):
         at, channel = idx == i, cfg.channels[i]
         gamma[at] = dephasing_factor(times[at], channel, cfg.memory)
         params = channel_model(channel, cfg.memory, cfg.detection)
         model[at] = closed_form_fidelity(times[at], **params)
-    for u in (slice(k, k + tile) for k in range(0, len(units), tile)):
+    for u in _tiles(len(units)):
         rates = expected_rates(dephase(stokes, gamma[u, None]), efficiency[u, None], cfg.detection)
         counts = _unit_counts(cfg, _DOMAIN_TOMOGRAPHY, idx[u], None if expected else keys[u], rates)
         fidelity[u] = _reconstruct(counts).process_fidelity
@@ -181,14 +189,19 @@ def efficiency_points(
 ) -> dict[str, list[float]]:
     """Lists "efficiency_true", "counts", "efficiency_est" and "sigma" of units (channel_id, t).
 
-    Counts sum both detectors; the estimate inverts counts = M (eta R + 2 N), and
-    its one-sigma error is the Poisson plug-in sqrt(counts) / (M eta).
+    Counts sum both detectors and are drawn per ``_tiles`` tile; the estimate inverts
+    counts = M (eta R + 2 N), and its one-sigma error is the Poisson plug-in
+    sqrt(counts) / (M eta).
     """
     idx, _, keys, efficiency = _unit_physics(cfg, units)
     det, pulses = cfg.detection, cfg.pulses_per_setting
     eta = det.eta_total
-    rates = eta * efficiency + 2.0 * det.background_n
-    counts = _unit_counts(cfg, _DOMAIN_EFFICIENCY, idx, None if expected else keys, rates)
+    counts = np.empty(len(units))
+    for u in _tiles(len(units)):
+        rates = eta * efficiency[u] + 2.0 * det.background_n
+        counts[u] = _unit_counts(
+            cfg, _DOMAIN_EFFICIENCY, idx[u], None if expected else keys[u], rates
+        )
     estimate = (counts / pulses - 2.0 * det.background_n) / eta
     sigma = np.sqrt(np.maximum(counts, 1.0)) / (pulses * eta)
     names = ("efficiency_true", "counts", "efficiency_est", "sigma")

@@ -579,6 +579,22 @@ class TestCalibrate:
         assert "outside achievable range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, suffix",
+    [(["simulate", "--config"], ".json"), (["calibrate", "--targets"], ".json"),
+     (["fit"], ".json"), (["fit"], ".csv")],
+    ids=["config", "targets", "json-dataset", "csv-dataset"],
+)
+def test_deeply_nested_json_exits_2_in_one_line(tmp_path, capsys, argv, suffix):
+    # 100,000 open arrays pass json's recursion limit, in a whole file or in one CSV cell.
+    path, deep = tmp_path / f"deep{suffix}", "[" * 100_000
+    path.write_text(f"t_ms,value\n{deep},1\n" if suffix == ".csv" else deep + "]" * 100_000)
+    assert main([*argv, str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "calibrate"])
 def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, command):
     if command == "fit":

@@ -223,6 +223,23 @@ def test_pass_takes_whole_units_in_tiles(monkeypatch, tile, expected):
     assert seen and max(seen) <= tile
 
 
+@pytest.mark.parametrize("tile", [1, 5, 7])
+def test_fig4_pass_takes_whole_units_in_tiles(monkeypatch, tile):
+    # fig4's 12 units walk the same tiles as tomography_points: no count draw
+    # takes more than a tile, every unit is drawn once, and no value moves.
+    cfg = small_cfg(pulses_per_setting=10**5)
+    units = [(c, t) for c in ("S0", "S4") for t in (0.0, 0.5, 1.0, 2.0, 4.0, 6.0)]
+    want = efficiency_points(cfg, units)
+
+    seen = []
+    monkeypatch.setattr(tomography, "_SEED_BLOCK", tile)
+    monkeypatch.setattr(
+        scenarios, "poisson", lambda keys, means: seen.append(len(keys)) or poisson(keys, means)
+    )
+    assert efficiency_points(cfg, units) == want
+    assert sum(seen) == len(units) and max(seen) <= tile
+
+
 @pytest.mark.parametrize("times", [(0.5, 1e10), (0.5, LARGEST_TIME_MS)])
 def test_unit_counts_are_numpys_draws_past_64_bit_time_keys(times):
     # 1e10 ms is 1e19 ps, between 2**63 and 2**64; the largest accepted time
@@ -401,7 +418,7 @@ class TestSimulate:
 
 @pytest.mark.parametrize("expected", [False, True], ids=["sampled", "expected"])
 def test_batched_rows_equal_single_unit_points(expected):
-    # A scenario scores its whole grid in one pass; each row must equal
+    # A scenario scores this whole grid in one tile; each row must equal
     # its unit scored on its own, bit for bit.
     cfg = small_cfg(mc_resamples=3, storage_times=(0.005, 0.8, 2.5, 6.0))
     simulate = run_simulate(cfg, expected_counts=expected)
