@@ -39,6 +39,11 @@ EXIT_CONFIG = 2
 EXIT_FIT = 3
 EXIT_IO = 4
 
+#: An error line longer than this keeps its first and last MAX_ERROR_CHARS // 2 characters;
+#: its C0, DEL and C1 control characters are escaped as repr escapes them.
+MAX_ERROR_CHARS = 400
+_ESCAPES = {c: repr(chr(c))[1:-1] for c in [*range(32), *range(127, 160)]}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -184,8 +189,7 @@ def _run(args: argparse.Namespace) -> int:
         for path in emit(artifact, cfg.output_dir, formats):
             print(path)
         if "error" in artifact.meta.get("fit", {}):
-            print(f"fit failed: {artifact.meta['fit']['error']}", file=sys.stderr)
-            return EXIT_FIT
+            return _fail("fit failed", artifact.meta["fit"]["error"], EXIT_FIT)
         return EXIT_OK
 
     if args.command == "fit":
@@ -211,28 +215,32 @@ def _run(args: argparse.Namespace) -> int:
         return _report(calibrate_table(cfg, targets), args.out, "calibration.json")
 
 
+def _fail(kind: str, message: object, code: int) -> int:
+    """Print "kind: message" to stderr as one line, cut in the middle past MAX_ERROR_CHARS."""
+    line, half = f"{kind}: {message}".translate(_ESCAPES), MAX_ERROR_CHARS // 2
+    if len(line) > MAX_ERROR_CHARS:
+        line = f"{line[:half]} ... [{len(line) - 2 * half} characters left out] ... {line[-half:]}"
+    print(line, file=sys.stderr)
+    return code
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail("config error", exc, EXIT_CONFIG)
     except FitError as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
+        return _fail("fit error", exc, EXIT_FIT)
     except (IOError, OSError) as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return _fail("io error", exc, EXIT_IO)
     except (ValueError, ArithmeticError) as exc:
         # Model or estimator failures on valid input, such as a basis
         # with zero total counts or a fit that overflows.
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_FIT
+        return _fail("numerical error", exc, EXIT_FIT)
     except MemoryError as exc:
         # A grid too large for this machine: numpy names the array it could not allocate.
-        print(f"memory error: {exc or 'out of memory'}", file=sys.stderr)
-        return EXIT_FIT
+        return _fail("memory error", str(exc) or "out of memory", EXIT_FIT)
 
 
 if __name__ == "__main__":

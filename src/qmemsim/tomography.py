@@ -23,8 +23,8 @@ expected_rates(dephase(S, gamma), R, detection) start from, and
 ``process_matrix`` builds the map of the states it is given.
 
 ``_reconstruct`` is the kernel for counts: Stokes rows, their
-projection, ``_solve_chi``, ``_project_chi`` (one batched eigh, skipped
-when a Gershgorin bound proves that no chi of the stack is projected),
+projection, ``_solve_chi``, ``_project_chi`` (one batched eigh over the
+chi that a per-unit Cholesky certificate cannot prove unprojected),
 then the projected chi[0, 0] (the fidelity to the identity process), in
 one pass over a (..., 4, 3, 2) count stack.  A scenario scores tiles of at
 most _SEED_BLOCK units.  ``monte_carlo_error`` takes units in chunks, draws
@@ -59,12 +59,8 @@ from .streams import poisson
 DEFAULT_INPUT_LABELS = ("H", "V", "D", "R")
 
 _PROJECT_EIG_TOL = 1e-12
-#: The slack of ``_no_unit_fires``'s bound relative to the stack's largest Gershgorin row sum.
-_CERTIFY_SLACK = 2.0**-40
-# The strictly lower (row, column) pairs of a 4x4 chi, and the 0/1 (6, 4) matrix that adds
-# each pair's modulus to the Gershgorin radius of its row and of its column.
-_LOWER = np.tril_indices(4, -1)
-_RADII = np.eye(4)[_LOWER[0]] + np.eye(4)[_LOWER[1]]
+#: The shift s = tol - e - c of ``_certified``'s Cholesky test; its docstring derives e and c.
+_CERTIFY_SHIFT = _PROJECT_EIG_TOL - 2.0**-45 - 2.0**-48
 
 #: Units ``scenarios.tomography_points`` takes at once, and keys the bootstrap draws at once:
 #: all R resamples of max(1, _SEED_BLOCK // R) units, or _SEED_BLOCK of one unit's; one
@@ -186,57 +182,58 @@ def _solve_chi(chi_map: np.ndarray, stokes: np.ndarray) -> np.ndarray:
 def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp the negative eigenvalues of unit-trace Hermitian chi (..., 4, 4) and renormalize.
 
-    Only units with an eigenvalue below -_PROJECT_EIG_TOL change: eigh's path
-    clamps and renormalizes those alone and writes them into a copy of chi, so
-    every other unit comes back bit for bit.  Returns the projected chi and the
-    mask (...) of the changed units.
-
-    A stack for which ``_no_unit_fires`` holds skips eigh: it returns what
-    eigh's path returns then, chi and an all-False mask, after checking each
-    trace as a diagonal sum.  The bound costs about 9 us a call plus 0.04 us
-    a chi, eigh about 5 us plus 1.9 us a chi (numpy 2.4, OpenBLAS at 1
-    thread, Xeon), and a stack that holds one firing chi pays the bound for
-    nothing.  A bootstrap slice of _SLICE_UNITS chi almost always holds one
-    that fires and pays about 3%, while a 7 x 200 expected-count grid (1400
-    chi, certified) takes 21% less time.  The bound is tried on every stack:
-    the small ones, such as the point estimates of a sampled table1's 7
-    units, come once a run.
+    Only units with an eigenvalue below -_PROJECT_EIG_TOL change, in a copy of chi, so
+    every other unit comes back bit for bit.  Returns the projected chi and the mask (...)
+    of the changed units.  The units ``_certified`` passes skip eigh and have their traces
+    checked as diagonal sums; eigh runs on the rest alone, and its one LAPACK call per
+    matrix gives each unit what a call on the whole stack would.  The test costs ~0.1 us
+    a chi and ~60 us a call, eigh ~2.9 us a chi (numpy 2.4, OpenBLAS at one thread, Xeon).
     """
-    if _no_unit_fires(chi):
-        _check_unit_trace("chi", chi.diagonal(0, -2, -1).real.sum(axis=-1))
-        return chi, np.zeros(chi.shape[:-2], dtype=bool)
-    vals, vecs = np.linalg.eigh(chi)
-    _check_unit_trace("chi", vals.sum(axis=-1))
-    applied = vals[..., 0] < -_PROJECT_EIG_TOL
-    clamped, vecs = np.maximum(vals[applied], 0.0), vecs[applied]
-    lam = clamped / clamped.sum(axis=-1, keepdims=True)
-    projected = chi.copy()
-    projected[applied] = (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    certified = _certified(chi)
+    _check_unit_trace("chi", chi[certified].diagonal(0, -2, -1).real.sum(axis=-1))
+    projected, applied = chi.copy(), np.zeros(certified.shape, dtype=bool)
+    if not certified.all():
+        vals, vecs = np.linalg.eigh(chi[~certified])
+        _check_unit_trace("chi", vals.sum(axis=-1))
+        fires = vals[:, 0] < -_PROJECT_EIG_TOL
+        applied[~certified] = fires
+        clamped, vecs = np.maximum(vals[fires], 0.0), vecs[fires]
+        lam = clamped / clamped.sum(axis=-1, keepdims=True)
+        projected[applied] = (vecs * lam[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
     return projected, applied
 
 
-def _no_unit_fires(chi: np.ndarray) -> bool:
-    """Whether a Gershgorin bound proves that eigh finds no eigenvalue below -_PROJECT_EIG_TOL
-    in any chi of the stack (..., 4, 4).
+def _certified(chi: np.ndarray) -> np.ndarray:
+    """Mask (...) of the chi (..., 4, 4) in which eigh provably finds no eigenvalue below -tol.
 
-    eigh reads the Hermitian H of chi's lower triangle and real diagonal.  By Gershgorin's
-    theorem every eigenvalue of H is >= g = min_i (H_ii - r_i), r_i = sum_{j != i} |H_ij|; the
-    bound holds when g > slack - tol, with slack = 2**-40 N, N the stack's largest |H_ii| + r_i,
-    and tol = _PROJECT_EIG_TOL.  Why the slack suffices: N >= ||H||_2 of every chi, and LAPACK's
-    computed eigenvalues lie within p(n) eps ||H||_2 of the exact ones (LAPACK Users' Guide
-    4.7), with eps <= 2**-52 and p(n) a modestly growing function of n: p(4) <= 64 makes
-    <= 2**-46 N.  With u = 2**-53, each modulus (hypot) is within 2 u of |H_ij|, and the two
-    additions of a radius and the subtraction H_ii - r_i add <= 3 u, so the computed g is
-    within 6 u N of g; computing N, slack and slack - tol moves the right side by < u N (N >=
-    1/4 for any chi that passes the trace check).  So eigh's smallest eigenvalue exceeds
-    -tol + (2**-40 - 2**-46 - 7 u) N > -tol: 2**-40 leaves a factor 60.  A non-finite entry
-    that eigh reads fails the comparison.  The diagonal sum of H, which the certified path
-    checks as the trace, is within 2**-42 N of the eigenvalue sum that eigh's path checks.
+    eigh reads the Hermitian H of chi's lower triangle and real diagonal; a unit passes when the
+    floating-point Cholesky factorization L L+ of A = H + sI, s = _CERTIFY_SHIFT, meets four
+    positive finite pivots (a NaN or inf read fails one).  Proof for a unit that passes the trace
+    check, u = 2**-53, gamma_k = k u / (1 - k u), tol = _PROJECT_EIG_TOL (Rump, BIT Numer. Math.
+    46, 433 (2006)): A's diagonal is H's plus s rounded once, so ||A - H - sI||_2 <= gamma_1 tr(A).
+    A complex product errs by < gamma_3 relative, fused multiply-add or not (Higham, Accuracy and
+    Stability, 2nd ed., Lemma 3.5), any other operation by <= u; as L's diagonal holds the exact
+    roots of the pivots, each entry of L L+ - A unrolls to <= 7 such factors and is within gamma_7
+    (|L| |L+|)_ij (Higham, Thm. 10.3).  L is nonsingular, so lambda_min(A) > -gamma_7 ||L||_F^2 >=
+    -gamma_7 tr(A) / (1 - gamma_7), less < 2**-1000 for underflow.  With tr(A) < 1.01 from the
+    trace check, lambda_min(H) > -s - c, c = 2**-48 > 1.01 (gamma_7 / (1 - gamma_7) + gamma_1) +
+    2**-1000; H's eigenvalues lie in (-tol, 2), and LAPACK's within e = p(4) 2**-52 ||H||_2 <= 64 *
+    2**-51 = 2**-45 of them (LAPACK Users' Guide 4.7): eigh's smallest is > -s - c - e = -tol.
+    The diagonal sum is within 2**-42 of the eigenvalue sum eigh would check as the trace.
     """
-    diag = chi.diagonal(0, -2, -1).real
-    radii = np.abs(chi[..., _LOWER[0], _LOWER[1]]) @ _RADII
-    scale = (np.abs(diag) + radii).max(initial=0.0)
-    return bool((diag - radii).min(initial=np.inf) > _CERTIFY_SLACK * scale - _PROJECT_EIG_TOL)
+    with np.errstate(all="ignore"):
+        h, pivots, low = np.moveaxis(chi, (-2, -1), (0, 1)), [], {}  # h[i, j]: each unit's (i, j)
+        for j in range(4):
+            pivot, col = h[j, j].real + _CERTIFY_SHIFT, {i: h[i, j] for i in range(j + 1, 4)}
+            for k in range(j):
+                conj = low[j, k].conj()
+                pivot = pivot - (low[j, k] * conj).real
+                for i in col:
+                    col[i] = col[i] - low[i, k] * conj
+            root = 1.0 / np.sqrt(pivot)
+            low.update(((i, j), entry * root) for i, entry in col.items())
+            pivots.append((0.0 < pivot) & (pivot < np.inf))
+        return np.all(pivots, axis=0)
 
 
 def process_matrix(pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmemsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, main
+from qmemsim.cli import EXIT_CONFIG, EXIT_FIT, EXIT_IO, EXIT_OK, MAX_ERROR_CHARS, main
 from qmemsim.config import config_from_dict, effective_config
 from qmemsim.fitting import closed_form_fidelity
 from qmemsim.memory import DEFAULT_CHANNELS
@@ -150,7 +151,7 @@ class TestReproduce:
         code = main(["reproduce", "table1", "--out", str(out)])
         assert code == EXIT_FIT
         err = capsys.readouterr().err
-        assert err == f"memory error: {error or 'out of memory'}\n"
+        assert err == f"memory error: {str(error) or 'out of memory'}\n"
         assert not out.exists()
 
     def test_too_many_resamples_exit_2_without_traceback(self, tmp_path):
@@ -595,6 +596,46 @@ def test_deeply_nested_json_exits_2_in_one_line(tmp_path, capsys, argv, suffix):
     assert not (tmp_path / "out").exists()
 
 
+_LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, config, data, left_out",
+    [
+        (["fit"], None, f"t_ms,value\n0,1\n{_LONG},1\n", True),
+        (["simulate"], {_LONG: 1}, None, True),
+        (["simulate"], {"channels": [{"id": _LONG, "theta": 91}]}, None, True),
+        (["reproduce", "fig4", "--channel", _LONG[:50_000]], None, None, True),
+        (["simulate"], {"channels": [{"id": "S\n2", "theta": 91}]}, None, False),
+        (["simulate"], {"memory": {"ta\nu": 1}}, None, False),
+    ],
+    ids=["csv-cell", "config-key", "theta-channel", "channel-flag", "newline-id", "newline-key"],
+)
+def test_user_text_in_an_error_prints_one_bounded_line(
+    tmp_path, capsys, command, config, data, left_out
+):
+    # A long cell, key or channel id is cut in the middle, and a newline in
+    # one is escaped, so every error is one line of at most about
+    # MAX_ERROR_CHARS characters.
+    argv = [*command, "--out", str(tmp_path / "out")]
+    if data is not None:
+        (tmp_path / "data.csv").write_text(data)
+        argv.insert(1, str(tmp_path / "data.csv"))
+    if config is not None:
+        argv += ["--config", write_json(tmp_path / "config.json", config)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and err.endswith("\n")
+    cut = re.search(r" \.\.\. \[(\d+) characters left out\] \.\.\. ", err)
+    assert bool(cut) == left_out
+    assert len(err) <= MAX_ERROR_CHARS + (len(cut[0]) if cut else 0) + 1
+    if cut:
+        assert int(cut[1]) > len(_LONG if data or config else _LONG[:50_000]) - MAX_ERROR_CHARS
+    else:
+        assert "\\n" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "calibrate"])
 def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys, command):
     if command == "fit":
@@ -695,7 +736,11 @@ def test_fit_exit_codes_on_generated_datasets(dataset, model):
         path = os.path.join(tmp, "data" + suffix)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        assert main(["fit", path, "--model", model]) in {EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_IO}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["fit", path, "--model", model])
+        assert code in {EXIT_OK, EXIT_CONFIG, EXIT_FIT, EXIT_IO}
+        assert err.getvalue().count("\n") == (code != EXIT_OK), err.getvalue()
 
 
 _scenario_configs = st.fixed_dictionaries(

@@ -1,5 +1,6 @@
 import functools
 import re
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -316,13 +317,17 @@ def test_project_process_matrix_clamps():
 
 
 def _unitary_chi(rng, vals):
-    # chi = U diag(vals) U+ for a random unitary U: its off-diagonal moduli
-    # fail the Gershgorin bound, so _project_chi takes eigh's path.
+    # chi = U diag(vals) U+ for a random unitary U.
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     return (q * vals) @ q.conj().T
 
 
-def test_project_chi_writes_back_only_the_chi_that_fire(rng):
+def _certify_none(chi):
+    # The forced-off certificate: every chi goes through eigh.
+    return np.zeros(chi.shape[:-2], dtype=bool)
+
+
+def test_project_chi_writes_back_only_the_chi_that_fire(rng, monkeypatch):
     # A stack (2, 3) that mixes chi that fire with chi that do not: those
     # that do not come back bit for bit, each that fires as it is projected
     # alone, as a single (4, 4) chi, and the input is left as it was.
@@ -337,49 +342,55 @@ def test_project_chi_writes_back_only_the_chi_that_fire(rng):
         assert mask.shape == () and bool(mask) == applied[k]
         assert np.array_equal(projected[k], alone)
         assert np.array_equal(projected[k], chi[k]) != applied[k]
-    # No chi fires in an uncertified stack: chi comes back and the mask is
-    # all False, as on the certified path.
+    # No chi fires in the quiet stack: chi comes back and the mask is all
+    # False, whether the certificate passes every chi or eigh sees them all.
     quiet = chi[~np.array(fires)]
-    assert not tomography._no_unit_fires(quiet)
-    projected, applied = _project_chi(quiet)
-    assert np.array_equal(projected, quiet) and applied.shape == (4,) and not applied.any()
+    assert tomography._certified(quiet).all()
+    for certify in (tomography._certified, _certify_none):
+        monkeypatch.setattr(tomography, "_certified", certify)
+        projected, applied = _project_chi(quiet)
+        assert np.array_equal(projected, quiet) and applied.shape == (4,) and not applied.any()
 
 
 def _both_paths(monkeypatch, fn, arg):
-    # fn(arg) with the Gershgorin bound tried and with it failing on every
-    # stack, and whether eigh ran under the first.
-    eigh, calls = np.linalg.eigh, []
+    # fn(arg) with the certificate and with it forced off, and the mask the
+    # certificate gave; eigh must have seen exactly the chi it did not pass.
+    eigh, certify, shapes, masks = np.linalg.eigh, tomography._certified, [], []
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        m.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+        m.setattr(tomography, "_certified", lambda chi: masks.append(certify(chi)) or masks[-1])
         certified = fn(arg)
+    (mask,) = masks
+    assert shapes == ([] if mask.all() else [(int(np.sum(~mask)), 4, 4)])
     with monkeypatch.context() as m:
-        m.setattr(tomography, "_no_unit_fires", lambda chi: False)
-        return certified, fn(arg), bool(calls)
+        m.setattr(tomography, "_certified", _certify_none)
+        return certified, fn(arg), mask
 
 
 def _assert_same_projection(monkeypatch, chi):
-    (chi_a, mask_a), (chi_b, mask_b), ran_eigh = _both_paths(monkeypatch, _project_chi, chi)
+    (chi_a, mask_a), (chi_b, mask_b), certified = _both_paths(monkeypatch, _project_chi, chi)
     assert chi_a.shape == chi_b.shape == chi.shape and mask_a.shape == mask_b.shape
-    assert np.array_equal(chi_a, chi_b) and np.array_equal(mask_a, mask_b)
-    return mask_a, ran_eigh
+    assert np.array_equal(chi_a, chi_b, equal_nan=True) and np.array_equal(mask_a, mask_b)
+    return mask_a, certified
 
 
 def _assert_same_result(monkeypatch, counts):
-    a, b, ran_eigh = _both_paths(monkeypatch, _reconstruct, counts)
+    a, b, certified = _both_paths(monkeypatch, _reconstruct, counts)
     for name in ("process_fidelity", "raw_chi00", "projection_applied"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    return a.projection_applied, ran_eigh
+    return a.projection_applied, certified
 
 
-def test_gershgorin_certificate_changes_no_bit(monkeypatch):
+def test_certificate_changes_no_bit(monkeypatch):
     # The default simulate --expected-counts stack: every chi is certified,
-    # and the result equals eigh's path bit for bit.
+    # eigh does not run, and the result equals eigh's path bit for bit.
     seen = []
     monkeypatch.setattr(scenarios, "_reconstruct", lambda c: seen.append(c) or _reconstruct(c))
     run_simulate(ScenarioConfig(), expected_counts=True)
-    applied, ran_eigh = _assert_same_result(monkeypatch, seen[0])
-    assert seen[0].shape == (84, 4, 3, 2) and not applied.any() and not ran_eigh
-    # A sampled stack that mixes firing and non-firing chi is not certified.
+    applied, certified = _assert_same_result(monkeypatch, seen[0])
+    assert seen[0].shape == (84, 4, 3, 2) and not applied.any() and certified.all()
+    # A sampled stack that mixes firing and non-firing chi is partly
+    # certified, and eigh sees only the rest.
     cfg, det = MemoryConfig(), DetectionConfig()
     s2, s6 = DEFAULT_CHANNELS[2], DEFAULT_CHANNELS[6]
     stack = np.array(
@@ -389,45 +400,113 @@ def test_gershgorin_certificate_changes_no_bit(monkeypatch):
             for seed, (ch, t, m) in enumerate([(s2, 3.0, 3000), (s6, 6.0, 10**5)] * 4)
         ]
     )
-    applied, ran_eigh = _assert_same_result(monkeypatch, stack)
-    assert applied.any() and not applied.all() and ran_eigh
-    _, ran_eigh = _assert_same_projection(monkeypatch, np.zeros((0, 4, 4), dtype=complex))
-    assert not ran_eigh
+    applied, certified = _assert_same_result(monkeypatch, stack)
+    assert applied.any() and not applied.all()
+    assert certified.any() and not certified.all() and not (certified & applied).any()
+    _, certified = _assert_same_projection(monkeypatch, np.zeros((0, 4, 4), dtype=complex))
+    assert certified.shape == (0,)
 
 
-def test_gershgorin_certificate_at_its_edges(monkeypatch):
-    # Diagonal chi: eigh's smallest eigenvalue is the last entry.  The
-    # projection fires below -tol, and the bound certifies above its
-    # threshold slack - tol, slack = 2**-40 times the largest entry.
+def test_certificate_at_its_edges(monkeypatch):
+    # Diagonal chi: eigh's smallest eigenvalue is the last entry, and so is
+    # the Cholesky test's last pivot, shifted by s.  The projection fires
+    # below -tol, and the certificate passes above -s > -tol, not at it.
     def chi_with(lam):
         return np.diag([0.9, 0.06, 0.04, lam]).astype(complex)[None].repeat(3, axis=0)
 
-    edge = -_PROJECT_EIG_TOL
-    threshold = tomography._CERTIFY_SLACK * 0.9 - _PROJECT_EIG_TOL
+    tol, s = _PROJECT_EIG_TOL, tomography._CERTIFY_SHIFT
+    assert 0.9 * tol < s < tol
     cases = [
-        (np.nextafter(edge, -np.inf), True, False),
-        (edge, False, False),
-        (np.nextafter(edge, np.inf), False, False),
-        (np.nextafter(threshold, -np.inf), False, False),
-        (threshold, False, False),
-        (np.nextafter(threshold, np.inf), False, True),
+        (np.nextafter(-tol, -np.inf), True, False),
+        (-tol, False, False),
+        (np.nextafter(-tol, np.inf), False, False),
+        (np.nextafter(-s, -np.inf), False, False),
+        (-s, False, False),
+        (np.nextafter(-s, np.inf), False, True),
     ]
-    for lam, fires, certified in cases:
-        mask, ran_eigh = _assert_same_projection(monkeypatch, chi_with(lam))
-        assert mask.tolist() == [fires] * 3 and ran_eigh != certified, lam
+    for lam, fires, passes in cases:
+        mask, certified = _assert_same_projection(monkeypatch, chi_with(lam))
+        assert mask.tolist() == [fires] * 3 and certified.tolist() == [passes] * 3, lam
 
 
-def test_gershgorin_certificate_keeps_the_errors(monkeypatch):
-    # A NaN off the diagonal leaves every trace at 1 but fails the bound, so
-    # eigh's path raises its trace error; a positive chi of trace 2 passes
-    # the bound and fails the diagonal-sum trace check.  Both paths raise.
-    chi = np.diag([0.9, 0.05, 0.04, 0.01]).astype(complex)[None].repeat(2, axis=0)
+def test_certificate_reads_what_eigh_reads(monkeypatch):
+    # eigh reads the lower triangle and the real diagonal.  A NaN above the
+    # diagonal or in a diagonal entry's imaginary part is not read, so the
+    # chi is certified and comes back as it was; an indefinite lower
+    # triangle under a clean upper one fires, and is not certified.
+    chi = np.diag([0.5, 0.3, 0.15, 0.05]).astype(complex)[None].repeat(3, axis=0)
+    chi[0, 0, 1] = np.nan
+    chi[1, 2, 2] = complex(0.15, np.nan)
+    chi[2, 1, 0] = 0.6
+    mask, certified = _assert_same_projection(monkeypatch, chi)
+    assert mask.tolist() == [False, False, True] and certified.tolist() == [True, True, False]
+
+
+def test_certificate_keeps_the_errors(monkeypatch):
+    # A NaN below the diagonal leaves every trace at 1 but fails the
+    # certificate, so eigh's path raises its trace error; a positive chi of
+    # trace 2 passes the certificate and fails the diagonal-sum trace check.
+    # An inf below the diagonal fails the certificate too, and eigh raises.
+    # Both paths raise the same error.
+    chi = np.diag([0.9, 0.05, 0.04, 0.01]).astype(complex)[None].repeat(3, axis=0)
     chi[1, 2, 1] = chi[1, 1, 2] = np.nan
-    for bound in (tomography._no_unit_fires, lambda c: False):
-        monkeypatch.setattr(tomography, "_no_unit_fires", bound)
-        for bad in (chi, 2.0 * chi[:1]):
-            with pytest.raises(ValueError, match="^chi is not trace-normalized$"):
+    chi[2, 3, 0] = chi[2, 0, 3] = np.inf
+    assert tomography._certified(chi).tolist() == [True, False, False]
+    trace = "^chi is not trace-normalized$"
+    cases = [(chi[1:2], trace), (2.0 * chi[:1], trace), (chi[2:], "^Eigenvalues did not converge$")]
+    for certify in (tomography._certified, _certify_none):
+        monkeypatch.setattr(tomography, "_certified", certify)
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
                 _project_chi(bad)
+
+
+_near_edge_chi = st.tuples(
+    st.integers(0, 2**32 - 1),
+    st.floats(-3 * _PROJECT_EIG_TOL, 3 * _PROJECT_EIG_TOL),
+    st.floats(0.01, 1.0),
+    st.lists(st.just(0.0) | st.floats(0.0, 1.0), min_size=2, max_size=2),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(case=_near_edge_chi)
+def test_certified_chi_never_fire_and_keep_every_bit(case):
+    # Unit-trace chi = U diag(lam) U+ with lam_min within 3 tol of 0; zeros
+    # among the other eigenvalues make it rank-deficient.  A chi that is
+    # certified has eigh's smallest eigenvalue >= -tol, and every chi comes
+    # back from _project_chi as from the forced-off path, bit for bit.
+    seed, lam_min, first, rest = case
+    weights = np.array([first, *rest])
+    chi = _unitary_chi(
+        np.random.default_rng(seed), [lam_min, *(weights * (1.0 - lam_min) / weights.sum())]
+    )
+    if tomography._certified(chi):
+        assert np.linalg.eigh(chi)[0][0] >= -_PROJECT_EIG_TOL
+    projected, applied = _project_chi(chi)
+    with unittest.mock.patch.object(tomography, "_certified", _certify_none):
+        forced, forced_applied = _project_chi(chi)
+    assert np.array_equal(projected, forced) and applied == forced_applied
+
+
+def test_default_simulate_chi_replay_certifies_every_chi_eigh_finds_positive(monkeypatch):
+    # Every chi stack of a default simulate at 50 resamples (84 units, 4284
+    # chi): the projection equals the forced-off path bit for bit, and every
+    # chi whose eigh eigenvalues are all >= 0 is certified.
+    stacks = []
+    monkeypatch.setattr(
+        tomography, "_project_chi", lambda chi: stacks.append(chi) or _project_chi(chi)
+    )
+    run_simulate(ScenarioConfig(mc_resamples=50))
+    monkeypatch.undo()
+    assert sum(len(chi) for chi in stacks) == 84 * 51
+    certified = positive = 0
+    for chi in stacks:
+        mask, passed = _assert_same_projection(monkeypatch, chi)
+        nonnegative = np.linalg.eigh(chi)[0][:, 0] >= 0.0
+        assert passed[nonnegative].all() and not (passed & mask).any()
+        certified, positive = certified + passed.sum(), positive + nonnegative.sum()
+    assert positive > 1000 and certified >= positive
 
 
 def test_process_fidelity_rank_one_ideal_is_chi00(rng):
