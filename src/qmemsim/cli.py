@@ -45,8 +45,15 @@ MAX_ERROR_CHARS = 400
 _ESCAPES = {c: repr(chr(c))[1:-1] for c in [*range(32), *range(127, 160)]}
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Print the usage, then the error as ``_fail`` prints every error line; exit 2."""
+        self.print_usage(sys.stderr)
+        self.exit(_fail(f"{self.prog}: error", message, EXIT_CONFIG))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmemsim",
         description="Deterministic quantum-memory simulator and estimation toolkit",
     )

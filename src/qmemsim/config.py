@@ -19,6 +19,7 @@ echo loads back as the same config.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -112,8 +113,9 @@ class ScenarioConfig:
         raise ConfigError(f"unknown channel {channel_id!r} (configured: {known})")
 
 
+@functools.cache
 def _fields(cls) -> dict:
-    """Field name -> resolved type hint of a config dataclass, in order."""
+    """Field name -> resolved type hint of a config dataclass, in order (resolved once)."""
     hints = get_type_hints(cls)
     return {f.name: hints[f.name] for f in fields(cls)}
 

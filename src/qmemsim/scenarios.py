@@ -23,8 +23,11 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
+from itertools import chain
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -369,24 +372,59 @@ def calibrate_table(cfg: ScenarioConfig, targets: dict[str, float] | None = None
     return {"memory": {"static_gamma": gammas}}
 
 
-def _format_cell(value) -> str:
+#: ``writerow`` returns what ``write`` returns: here the CSV line of the fields, quoted.
+_CSV_LINE = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+_JSON_CELL = json.JSONEncoder(allow_nan=False).encode
+
+
+def _csv_cells(cells, width: int) -> list[str]:
+    """CSV fields of ``cells`` as ``csv.writer`` writes them in a row ``width`` fields wide."""
     # isinstance, not type() is float: np.float64 subclasses float.
-    return f"{value:.9g}" if isinstance(value, float) else str(value)
+    texts = [f"{v:.9g}" if isinstance(v, float) else str(v) for v in cells]
+    if all(texts) and frozenset(',"\r\n').isdisjoint("".join(texts)):
+        return texts  # no field to quote
+    # An empty field alone in its row is written as "", among others as nothing.
+    pad = () if width == 1 else ("",)
+    return [_CSV_LINE((text, *pad))[: -1 - len(pad)] for text in texts]
 
 
-#: Encodes flat rows on json's C path (``indent`` would rule it out).  An
-#: encoded scalar holds no raw newline, so this item separator lays a row
-#: out as indent=2 does, and every "],\n      [" is a boundary between rows.
-_ROW_ENCODER = json.JSONEncoder(allow_nan=False, separators=(",\n      ", ": "))
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of encoded items as indent=2 lays it out at ``indent``."""
+    return f"[\n{indent}  " + f",\n{indent}  ".join(items) + f"\n{indent}]" if items else "[]"
 
 
-def _rows_json(rows: list) -> str:
-    """The "rows" value of an artifact's JSON file, byte for byte as indent=2 writes it."""
-    if not rows:
-        return "[]"
-    body = _ROW_ENCODER.encode(rows)[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
-    # An empty row comes out as "[\n      \n    ]"; indent=2 writes "[]".
-    return ("[\n    [\n      " + body + "\n    ]\n  ]").replace("[\n      \n    ]", "[]")
+#: Per format: the spec of a column of floats, the encoder of other cells
+#: (``encode(cells, row_width)``), and the template of a row from its specs
+#: and of the table from its row templates.
+_LAYOUTS = {
+    "csv": ("%.9g", _csv_cells, lambda specs: ",".join(specs) + "\n", "".join),
+    "json": (
+        "%r",
+        lambda cells, width: map(_JSON_CELL, cells),
+        lambda specs: _json_list(specs, "    "),
+        lambda rows: _json_list(rows, "  "),
+    ),
+}
+
+
+def _render(rows: list, fmt: str) -> str:
+    """The text of ``rows`` in ``fmt``: one ``%`` template applied to all cells (see ``emit``)."""
+    spec, encode, join_row, join_table = _LAYOUTS[fmt]
+    widths = set(map(len, rows))
+    if len(widths) != 1:  # no rows, or rows of several widths
+        template = join_table([join_row(["%s"] * len(row)) for row in rows])
+        return template % tuple(chain.from_iterable(encode(row, len(row)) for row in rows))
+    (width,) = widths
+    cells = list(chain.from_iterable(rows))
+    specs = [spec] * width
+    for j in range(width):
+        column = cells[j::width]
+        # A sum is finite only if every term is (one that overflows sends the
+        # column to the encoder, which writes the same text).
+        if set(map(type, column)) != {float} or not math.isfinite(sum(column)):
+            specs[j] = "%s"
+            cells[j::width] = encode(column, width)
+    return join_table([join_row(specs)] * len(rows)) % tuple(cells)
 
 
 @contextlib.contextmanager
@@ -437,6 +475,14 @@ def emit(
     wall-clock time, so equal (config, seed) runs produce byte-identical
     files.  The set is written all or nothing (``_staged_files``): on any
     error no artifact is replaced and no temporary file is left.
+
+    Both formats write their rows through one renderer (``_render``): a
+    single ``%`` template, applied once to the flattened cells.  A column
+    of finite floats of exact type float is formatted by the template
+    (``%.9g`` in CSV, ``%r``, the float's repr, in JSON).  Every other
+    column, and every cell of a ragged table, is encoded cell by cell:
+    ``.9g`` or ``str`` and csv's quoting, or the JSON encoder.  The bytes
+    are those ``csv.writer`` and ``json.dumps(indent=2)`` write.
     """
     for fmt in formats:
         if fmt not in ("csv", "json"):
@@ -445,9 +491,8 @@ def emit(
     with _staged_files(out_dir, paths) as stage:
         if "csv" in formats:
             with stage(f"{artifact.name}.csv", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(artifact.columns)
-                writer.writerows(map(_format_cell, row) for row in artifact.rows)
+                csv.writer(fh, lineterminator="\n").writerow(artifact.columns)
+                fh.write(_render(artifact.rows, "csv"))
         if "json" in formats:
             head = {
                 "format_version": FORMAT_VERSION,
@@ -459,7 +504,7 @@ def emit(
             # "rows" sorts last: it goes in after the other keys, before the closing brace.
             text = json.dumps(head, sort_keys=True, indent=2, allow_nan=False)[:-2]
             with stage(f"{artifact.name}.json") as fh:
-                fh.write(f'{text},\n  "rows": {_rows_json(artifact.rows)}\n}}\n')
+                fh.write(f'{text},\n  "rows": {_render(artifact.rows, "json")}\n}}\n')
         else:
             # The JSON artifact embeds the scenario echo; a CSV-only run
             # still needs the echo on disk to be self-describing.

@@ -247,9 +247,28 @@ class TestReproduce:
         assert code == EXIT_IO
         assert "io error" in capsys.readouterr().err
 
-    def test_bad_target_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
+    def test_bad_target_rejected_by_parser(self, capsys):
+        with pytest.raises(SystemExit) as stop:
             main(["reproduce", "fig9"])
+        assert stop.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("usage: qmemsim reproduce ")
+        assert err[-1] == (
+            "qmemsim reproduce: error: argument target: invalid choice: 'fig9' "
+            "(choose from 'fig3', 'fig4', 'fig5', 'table1')"
+        )
+
+    def test_long_parser_error_is_cut_to_one_line(self, capsys):
+        # argparse quotes the value whole (int() refuses past 4300 digits): the
+        # line is escaped and cut as every error line is, after the usage.
+        with pytest.raises(SystemExit) as stop:
+            main(["simulate", "--seed", "9" * 4999 + "\n"])
+        assert stop.value.code == EXIT_CONFIG
+        usage, line = capsys.readouterr().err.split("\nqmemsim simulate: error: ")
+        assert usage.startswith("usage: qmemsim simulate ")
+        assert line.startswith("argument --seed: invalid int value: '999")
+        assert line.endswith("999\\n'\n") and line.count("\n") == 1
+        assert " characters left out] ... " in line and len(line) < MAX_ERROR_CHARS + 40
 
     @pytest.mark.parametrize("target", ["fig4", "fig5"])
     def test_channel_flag_runs_a_config_without_s2(self, tmp_path, capsys, target):

@@ -4,6 +4,7 @@ from dataclasses import fields, is_dataclass
 
 import pytest
 
+from qmemsim import config
 from qmemsim.config import (
     ScenarioConfig,
     config_from_dict,
@@ -244,6 +245,22 @@ def test_effective_config_round_trips():
     every_leaf = config_from_dict(_non_default(effective_config(cfg)))
     assert list(_same_fields(cfg, every_leaf)) == []
     assert config_from_dict(effective_config(every_leaf)) == every_leaf
+
+
+def test_type_hints_are_resolved_once_per_class(tmp_path, monkeypatch):
+    # Resolving a dataclass's hints evaluates its string annotations again:
+    # loading the full default echo builds ten dataclasses of four classes.
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps(effective_config(ScenarioConfig())))
+    calls, resolve = [], config.get_type_hints
+    monkeypatch.setattr(config, "get_type_hints", lambda cls: calls.append(cls) or resolve(cls))
+    config._fields.cache_clear()
+    try:
+        assert load_config(str(path)) == load_config(str(path)) == ScenarioConfig()
+    finally:
+        config._fields.cache_clear()
+    names = ["ChannelSpec", "DetectionConfig", "MemoryConfig", "ScenarioConfig"]
+    assert sorted(cls.__name__ for cls in calls) == names
 
 
 def test_channel_lookup():

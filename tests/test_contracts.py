@@ -44,3 +44,28 @@ def test_certified_chi_stack_matches_the_model(tmp_path, monkeypatch):
     f, m = (art["columns"].index(c) for c in ("fidelity", "model_fidelity"))
     worst = max(abs(row[f] - row[m]) for row in art["rows"])
     assert len(art["rows"]) == 1400 and worst <= 1e-6, worst
+
+
+def test_config_echo_reproduces_its_run(tmp_path):
+    # The "config" echo of an artifact is a complete config: a rerun with it
+    # as --config, into the same --out, writes the same bytes.  Checked on
+    # every runner that builds its artifact through the shared count-runner
+    # builder: simulate, table1, fig4 and fig5.
+    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
+
+    def run(cmd, config, out):
+        argv = [sys.executable, "-m", "qmemsim", *cmd, "--config", str(config), "--out", str(out)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    mc50 = tmp_path / "mc50.json"
+    mc50.write_text(json.dumps({"mc_resamples": 50}))
+    for cmd in (["simulate"], ["reproduce", "table1"], ["reproduce", "fig4"], ["reproduce", "fig5"]):
+        target = cmd[-1]
+        out, echo, first = (tmp_path / f"echo-{target}{end}" for end in ("", ".json", "-first"))
+        run(cmd, mc50, out)
+        echo.write_text(json.dumps(json.loads((out / f"{target}.json").read_text())["config"]))
+        out.rename(first)
+        run(cmd, echo, out)
+        for name in (f"{target}.csv", f"{target}.json"):
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name

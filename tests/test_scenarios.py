@@ -1,11 +1,13 @@
+import csv
 import dataclasses
+import io
 import json
 import os
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qmemsim import scenarios
@@ -477,19 +479,46 @@ class TestCalibration:
 
 
 # Cells of the generated artifacts: strings that an encoder could confuse
-# with the layout (quotes, newlines, a row boundary), non-ASCII text and
-# floats at the edges of the double range.
+# with the layout (quotes, newlines, a row boundary, csv's delimiter),
+# non-ASCII text and floats at the edges of the double range.
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e308, -1e308, 0.1]
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_texts = st.text(alphabet=st.characters(codec="utf-8"), max_size=12) | st.sampled_from(
+    ['"', "\\", "\n", "\r", ",", " ", "", "\u2028", "Φ≈0.94 µs", "],\n      [", "[\n      \n    ]"]
+)
 _cells = st.one_of(
-    st.text(alphabet=st.characters(codec="utf-8"), max_size=12),
-    st.sampled_from(
-        ['"', "\\", "\n", "\u2028", "Φ≈0.94 µs", "],\n      [", "[\n      \n    ]"]
-    ),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from([-0.0, 5e-324, 1e308, -1e308]),
+    _texts,
+    _floats,
+    # np.float64 subclasses float, but its repr is not the float's.
+    _floats.map(np.float64),
     st.integers(min_value=-(2**70), max_value=2**70),
     st.booleans(),
     st.none(),
 )
+
+
+@st.composite
+def _tables(draw):
+    """Rows of one width whose columns each hold one kind of cell, as the runners' do."""
+    n, width = draw(st.integers(0, 8)), draw(st.integers(0, 6))
+    kinds = [_floats, _texts, _floats.map(np.float64), _cells]
+    columns = [
+        draw(st.lists(draw(st.sampled_from(kinds)), min_size=n, max_size=n)) for _ in range(width)
+    ]
+    return list(zip(*columns)) if width else [()] * n
+
+
+#: Ragged rows of any cells, or a table of uniform columns.
+_rows = st.lists(st.lists(_cells, max_size=6).map(tuple), max_size=8) | _tables()
+
+#: A column of floats, two of text with csv's specials and empty cells
+#: (csv.writer writes nothing for an empty cell among others), one of np.float64.
+_EDGE_ROWS = [
+    (x, a, b, np.float64(1.0))
+    for x, a, b in zip(_EDGE_FLOATS, ["", '"', "\n", "a", "", "a b"], [",", "\r", " ", "", "", "x"])
+]
+#: csv.writer writes a lone empty cell as "", so that its row is not blank.
+_LONE_EMPTY_ROWS = [("",), ("a",), ("",)]
 
 
 def _reference_json(artifact: RunArtifact) -> str:
@@ -503,6 +532,16 @@ def _reference_json(artifact: RunArtifact) -> str:
         "config": artifact.config,
     }
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _reference_csv(artifact: RunArtifact) -> str:
+    """The CSV artifact as ``csv.writer`` writes it, floats at 9 significant digits."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(artifact.columns)
+    for row in artifact.rows:
+        writer.writerow([format(v, ".9g") if isinstance(v, float) else str(v) for v in row])
+    return fh.getvalue()
 
 
 class TestEmit:
@@ -569,10 +608,12 @@ class TestEmit:
 
     @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_cell_raises_and_leaves_no_file(self, tmp_path, cell):
-        artifact = RunArtifact("bad", ("a", "b"), [(1.0, 2.0), ("x", cell)], {}, {})
-        with pytest.raises(ValueError, match="JSON compliant"):
-            emit(artifact, str(tmp_path))
-        assert os.listdir(tmp_path) == []
+        # In a column of mixed cells, and in a column of floats only.
+        for rows in ([(1.0, 2.0), ("x", cell)], [(1.0, 2.0), (3.0, cell)]):
+            artifact = RunArtifact("bad", ("a", "b"), rows, {}, {})
+            with pytest.raises(ValueError, match="JSON compliant"):
+                emit(artifact, str(tmp_path))
+            assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("runner", [run_fig3, run_fig4, run_fig5, run_table1, run_simulate])
     def test_every_runner_json_equals_indent2_reference(self, tmp_path, runner):
@@ -585,10 +626,12 @@ class TestEmit:
     @settings(derandomize=True, database=None, max_examples=200, deadline=None)
     @given(
         name=st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
-        rows=st.lists(st.lists(_cells, max_size=6).map(tuple), max_size=8),
+        rows=_rows,
         meta=st.dictionaries(st.text(max_size=5), _cells, max_size=4),
         config=st.dictionaries(st.text(max_size=5), _cells, max_size=4),
     )
+    @example(name="edges", rows=_EDGE_ROWS, meta={}, config={})
+    @example(name="lone", rows=_LONE_EMPTY_ROWS, meta={}, config={})
     def test_json_equals_indent2_reference_on_generated_payloads(self, name, rows, meta, config):
         columns = tuple(f"c{i}" for i in range(max(map(len, rows), default=0)))
         artifact = RunArtifact(name, columns, rows, config, meta)
@@ -596,6 +639,18 @@ class TestEmit:
             emit(artifact, tmp, formats=("json",))
             with open(os.path.join(tmp, f"{name}.json"), "rb") as fh:
                 assert fh.read() == _reference_json(artifact).encode("utf-8")
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(rows=_rows)
+    @example(rows=_EDGE_ROWS)
+    @example(rows=_LONE_EMPTY_ROWS)
+    def test_csv_equals_csv_writer_reference_on_generated_rows(self, rows):
+        columns = tuple(f"c{i}" for i in range(max(map(len, rows), default=0)))
+        artifact = RunArtifact("table", columns, rows, {}, {})
+        with tempfile.TemporaryDirectory() as tmp:
+            emit(artifact, tmp, formats=("csv",))
+            with open(os.path.join(tmp, "table.csv"), "rb") as fh:
+                assert fh.read() == _reference_csv(artifact).encode("utf-8")
 
     def test_rerun_replaces_existing_set_byte_identically(self, tmp_path):
         first, rerun = tmp_path / "first", tmp_path / "rerun"
