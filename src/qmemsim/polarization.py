@@ -52,6 +52,18 @@ NAMED_KETS = {
 
 STATE_LABELS = tuple(NAMED_KETS)
 
+#: Exact Stokes vector of each named state, on the axes of ``stokes_of``: the
+#: +1 eigenstates H, D, R of the three Paulis are +e0, +e1, +e2, and their
+#: partners V, A, L are -e0, -e1, -e2.
+NAMED_STOKES = {
+    "H": (1, 0, 0),
+    "V": (-1, 0, 0),
+    "D": (0, 1, 0),
+    "A": (0, -1, 0),
+    "R": (0, 0, 1),
+    "L": (0, 0, -1),
+}
+
 
 def ket_from_named(label: str) -> np.ndarray:
     """Return the amplitude pair (c_R, c_L) for one of H, V, D, A, R, L."""
@@ -102,7 +114,8 @@ def check_stokes(stokes: np.ndarray) -> np.ndarray:
     stokes = np.asarray(stokes, dtype=float)
     if not np.all(np.isfinite(stokes)):
         raise ValueError("Stokes vector contains non-finite values")
-    if np.any(np.linalg.norm(stokes, axis=-1) > 1.0 + 2.0 * EIG_TOL):  # (1 - |S|)/2 < -EIG_TOL
+    length = np.sqrt((stokes * stokes).sum(axis=-1))  # np.linalg.norm's sum, bit for bit
+    if np.any(length > 1.0 + 2.0 * EIG_TOL):  # (1 - |S|)/2 < -EIG_TOL
         raise ValueError("Stokes vector lies outside the unit ball")
     return stokes
 

@@ -14,12 +14,14 @@ basis PAULI_BASIS:  rho_out = sum_mn chi[m, n] sigma_m rho_in sigma_n+,
 with Tr(chi) = 1 for post-selected (trace-renormalized) maps.  Four
 informationally complete inputs give the 16 real constraints needed, so
 chi is one linear solve (Chuang & Nielsen, J. Mod. Opt. 44, 2455 (1997)).
-The design matrix depends only on the inputs, and so does the whole
-linear map from the output Stokes rows (1, S_k) to the Hermitized chi.
-Every chi here is ``_solve_chi`` applying a ``_chi_map``: ``_input_set``
-caches the map of the fixed H, V, D, R input quartet next to the inputs'
-Stokes vectors S that the simulated rates
-expected_rates(dephase(S, gamma), R, detection) start from, and
+The solve depends only on the inputs: ``_transfer_map`` writes it in
+Pauli-transfer form as one real linear map from the output Stokes rows
+(1, S_k) to chi, from the exact inverse of the inputs' rows (1, s_k) and a
+table of Pauli traces.  Every chi here is ``_solve_chi`` applying such a
+map: ``_input_set`` caches the map of the fixed H, V, D, R input quartet,
+built from the exact ``NAMED_STOKES`` axes, so each entry is exactly 0,
++-1/8 or +-1/4, next to the inputs' Stokes vectors S that the simulated
+rates expected_rates(dephase(S, gamma), R, detection) start from; and
 ``process_matrix`` builds the map of the states it is given.
 
 ``_reconstruct`` is the kernel for counts: Stokes rows, their
@@ -30,10 +32,12 @@ one pass over a (..., 4, 3, 2) count stack.  A scenario scores tiles of at
 most _SEED_BLOCK units.  ``monte_carlo_error`` takes units in chunks, draws
 each chunk's bootstrap resamples with ``streams.poisson`` and scores the
 unit-major draws in slices of at most _SLICE_UNITS, one call each.  The
-map is applied as a stacked real (32, 16) matrix-vector product per
-unit, not as one matrix product over all units, whose BLAS blocking (and
-so the last bits of a row) depends on the unit count: like eigh's
-per-matrix LAPACK calls, it makes every row batch-independent.
+map is applied by numpy's own einsum loop, which sums each entry of chi in
+a fixed order whatever the unit count and calls no BLAS, so a unit's row
+depends neither on the other units nor on the CPU's BLAS kernel.  Only the
+chi that the certificate cannot pass reach LAPACK, through eigh's one call
+per matrix, which is batch-independent too; so a stack of certified chi,
+such as every expected-count run's, touches neither LAPACK nor BLAS.
 """
 
 from __future__ import annotations
@@ -45,14 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .detection import MEASUREMENT_BASES
-from .polarization import (
-    PAULI_BASIS,
-    check_density,
-    density_from_stokes,
-    density_of,
-    ket_from_named,
-    stokes_of,
-)
+from .polarization import NAMED_STOKES, PAULI_BASIS, check_density, density_from_stokes, stokes_of
 from .streams import poisson
 
 #: The input preparation quartet of every tomography run (informationally complete).
@@ -66,8 +63,6 @@ _CERTIFY_SHIFT = _PROJECT_EIG_TOL - 2.0**-45 - 2.0**-48
 #: all R resamples of max(1, _SEED_BLOCK // R) units, or _SEED_BLOCK of one unit's; one
 #: ``reconstruct_from_records`` call scores at most _SLICE_UNITS of those draws.
 _SEED_BLOCK, _SLICE_UNITS = 4096, 256
-
-_PAULIS = np.array(PAULI_BASIS)
 
 
 @dataclass(frozen=True)
@@ -135,48 +130,84 @@ def _project_stokes(stokes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _chi_map(states: np.ndarray) -> np.ndarray:
-    """Real (32, 16) map from the output rows (1, S_k) of four input states (4, 2, 2) to chi.
+    """``_transfer_map`` of four input states (4, 2, 2), refused unless informationally complete.
 
-    The map takes the rows x_k = (1, S_k), flattened, to the Hermitized
-    vec chi: the Bloch map rho_k = sum_i x_ki sigma_i / 2 folded into the
-    inverse of the 16x16 design matrix, whose rank is checked first.  For
-    real x, chi+ comes from the conjugated map with the rows of (m, n) and
-    (n, m) swapped.  Rows 2j and 2j + 1 hold the real and imaginary parts
-    of complex row j.
+    The states are informationally complete when their rows (1, s_k) have rank 4.
     """
-    # Row 4k + 2i + o, column 4m + n holds (sigma_m rho_in_k sigma_n+)[i, o].
-    a = np.einsum("mij,kjl,nol->kiomn", _PAULIS, states, _PAULIS.conj()).reshape(16, 16)
-    if np.linalg.matrix_rank(a) < 16:
+    stokes = np.array([stokes_of(rho) for rho in states])
+    if np.linalg.matrix_rank(np.concatenate((np.ones((4, 1)), stokes), axis=1)) < 4:
         raise ValueError("degenerate input set: states are not informationally complete")
-    # Row 4k + 2a + b, column 4l + i holds delta_kl sigma_i[a, b] / 2.
-    bloch = np.einsum("kl,iab->kabli", np.eye(4), _PAULIS / 2.0).reshape(16, 16)
-    chi_map = np.linalg.inv(a) @ bloch
-    swapped = chi_map.reshape(4, 4, 16).transpose(1, 0, 2).reshape(16, 16)
-    chi_map = (chi_map + swapped.conj()) / 2.0
+    return _transfer_map(stokes)
+
+
+def _transfer_map(stokes: np.ndarray) -> np.ndarray:
+    """Real (32, 16) map to chi from the output rows (1, S_k) of inputs with Stokes vectors (4, 3).
+
+    Pauli-transfer form (Greenbaum, arXiv:1509.02921): a channel takes sigma_j to
+    sum_i R[i, j] sigma_i, so the outputs' rows, as the columns of X, are R B^T, where B has
+    the rows (1, s_k), and R = X B^-T.  vec R = K vec chi with K[(i, j), (m, n)] =
+    Tr(sigma_i sigma_m sigma_j sigma_n) / 2, and K+ K = 4 I, so vec chi = K+ vec R / 4.  For
+    each (i, m, n) one j has a nonzero K, one of +-1 and +-1j, so each entry of the map is
+    +-B^-1[j, k] / 4, real or imaginary: B^-1 comes from exact integer arithmetic, rounded
+    once, and the map is exact wherever B^-1 is.  For the NAMED_STOKES axes B^-1 holds 0,
+    +-1/2 and 1, so the map holds 0, +-1/8 and +-1/4.  Row 2(4m + n) holds the real part of
+    chi[m, n], row 2(4m + n) + 1 its imaginary part; column 4k + i takes X[i, k].  Rows
+    (m, n) and (n, m) are conjugate, so a real X gives a Hermitian chi.
+    """
+    paulis = np.array(PAULI_BASIS)
+    k = np.einsum("iab,mbc,jcd,nda->ijmn", paulis, paulis, paulis, paulis) / 2.0
+    b = np.ones((4, 4))
+    b[:, 1:] = stokes
+    chi_map = np.einsum("ijmn,jk->mnki", k.conj(), _exact_inverse(b)).reshape(16, 16) / 4.0
     return np.stack((chi_map.real, chi_map.imag), axis=1).reshape(32, 16)
+
+
+def _exact_inverse(b: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular float matrix (n, n), each entry the exact one rounded once.
+
+    b = m / q, q the largest denominator (a power of 2) of its entries and m integer.
+    Gauss-Jordan on [m | I] in Python integers, with no division, leaves each row r with
+    d_r on the diagonal of its left half and d_r times row r of m^-1 in its right half, so
+    each entry of b^-1 = q m^-1 is one correctly rounded integer division.
+    """
+    n, ratios = len(b), [x.as_integer_ratio() for x in b.ravel().tolist()]
+    q = max(den for _, den in ratios)
+    eye = np.eye(n, dtype=int).tolist()
+    rows = [[num * (q // den) for num, den in ratios[n * r : n * r + n]] + eye[r] for r in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        d = rows[c][c]
+        for r in range(n):
+            f = rows[r][c]
+            if r != c and f:
+                rows[r] = [x * d - f * y for x, y in zip(rows[r], rows[c])]
+    return np.array([[x * q / row[r] for x in row[n:]] for r, row in enumerate(rows)])
 
 
 @functools.cache
 def _input_set() -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Stokes vectors (4, 3) of the DEFAULT_INPUT_LABELS inputs and their ``_chi_map``."""
-    states = np.array([density_of(ket_from_named(lbl)) for lbl in DEFAULT_INPUT_LABELS])
-    stokes = np.array([stokes_of(rho) for rho in states])
-    chi_map = _chi_map(states)
+    """Read-only Stokes vectors (4, 3) of the DEFAULT_INPUT_LABELS inputs and their exact map."""
+    stokes = np.array([NAMED_STOKES[lbl] for lbl in DEFAULT_INPUT_LABELS], dtype=float)
+    chi_map = _transfer_map(stokes)
     for arr in (stokes, chi_map):
         arr.setflags(write=False)
     return stokes, chi_map
 
 
 def _solve_chi(chi_map: np.ndarray, stokes: np.ndarray) -> np.ndarray:
-    """Raw chi (..., 4, 4) of output Stokes vectors (..., 4, 3) through a ``_chi_map``.
+    """Raw chi (..., 4, 4) of output Stokes vectors (..., 4, 3) through a ``_transfer_map``.
 
-    No projection: ``_project_chi`` takes the result to the physical cone.
+    The map is applied to each unit's flattened rows (1, S_k) by numpy's own einsum loop,
+    with no BLAS call, summing each entry in the same order for every unit, so no bit of a
+    unit's chi depends on the other units or on the CPU kernel.  No projection:
+    ``_project_chi`` takes the result to the physical cone.
     """
     lead = stokes.shape[:-2]
     rows = np.ones(stokes.shape[:-1] + (4,))
     rows[..., 1:] = stokes
-    vec_chi = np.matmul(chi_map, rows.reshape(lead + (16, 1)))
-    return vec_chi.reshape(lead + (32,)).view(complex).reshape(lead + (4, 4))
+    vec_chi = np.einsum("ij,...j->...i", chi_map, rows.reshape(lead + (16,)))
+    return vec_chi.view(complex).reshape(lead + (4, 4))
 
 
 def _project_chi(chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,8 @@ and channels, and the scalar sampling and post-selection chain that the
 batched code paths are checked against.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from qmemsim.detection import MEASUREMENT_BASES, expected_counts
@@ -103,3 +105,51 @@ def postselected_state(state_deph: np.ndarray, efficiency: float, det) -> np.nda
         raise ValueError("post-selection undefined: zero signal and zero background")
     p = signal / denom
     return p * state_deph + (1.0 - p) * np.eye(2, dtype=complex) / 2.0
+
+
+def fraction_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix of Fractions, by Gauss-Jordan with row swaps."""
+    n = len(matrix)
+    rows = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        head = rows[c][c]
+        rows[c] = [x / head for x in rows[c]]
+        for r in range(n):
+            factor = rows[r][c]
+            if r != c and factor != 0:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    return [row[n:] for row in rows]
+
+
+def fraction_chi_map(stokes) -> list[list[Fraction]]:
+    """The (32, 16) chi map of inputs with exact Stokes vectors (4, 3), in Fractions.
+
+    Chuang & Nielsen's route: the 16x16 complex design matrix of the inputs
+    (I + s_k . sigma)/2, its inverse times the Bloch map of the output rows
+    (1, S_k), Hermitized.  Complex matrices Z = X + iY are carried as the
+    real blocks [[X, -Y], [Y, X]]; the design matrix and the Bloch map have
+    Gaussian-integer multiples of 1/2 as entries, exact in float.
+    """
+    paulis = np.array(PAULI_BASIS)
+    rho = (paulis[0] + np.einsum("ki,iab->kab", np.asarray(stokes, dtype=float), paulis[1:])) / 2
+    design = np.einsum("mij,kjl,nol->kiomn", paulis, rho, paulis.conj()).reshape(16, 16)
+    bloch = np.einsum("kl,iab->kabli", np.eye(4), paulis / 2).reshape(16, 16)
+
+    def blocks(z):
+        x, y = ([[Fraction(v) for v in row] for row in part.tolist()] for part in (z.real, z.imag))
+        return [rx + [-v for v in ry] for rx, ry in zip(x, y)] + [ry + rx for rx, ry in zip(x, y)]
+
+    inverse, bl = fraction_inverse(blocks(design)), blocks(bloch)
+    product = [[sum(a * b for a, b in zip(row, col)) for col in zip(*bl)] for row in inverse]
+    re = [row[:16] for row in product[:16]]
+    im = [row[:16] for row in product[16:]]
+    out = [[Fraction(0)] * 16 for _ in range(32)]
+    for m in range(4):
+        for n in range(4):
+            for col in range(16):
+                # chi[m, n] and conj(chi[n, m]) averaged: Hermitian for real output rows.
+                out[2 * (4 * m + n)][col] = (re[4 * m + n][col] + re[4 * n + m][col]) / 2
+                out[2 * (4 * m + n) + 1][col] = (im[4 * m + n][col] - im[4 * n + m][col]) / 2
+    return out

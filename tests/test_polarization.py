@@ -3,6 +3,7 @@ import pytest
 
 from qmemsim.polarization import (
     NAMED_KETS,
+    NAMED_STOKES,
     PAULI_BASIS,
     SIGMA_1,
     SIGMA_2,
@@ -63,6 +64,14 @@ def test_stokes_of_named_states():
     for label, stokes in expected.items():
         rho = density_of(ket_from_named(label))
         assert np.allclose(stokes_of(rho), stokes, atol=1e-14)
+
+
+def test_named_stokes_table_is_stokes_of_the_named_states():
+    # The exact axis table that the tomography inputs start from.
+    assert tuple(NAMED_STOKES) == STATE_LABELS
+    for label, stokes in NAMED_STOKES.items():
+        got = stokes_of(density_of(ket_from_named(label)))
+        assert np.max(np.abs(got - stokes)) <= 1e-15, label
 
 
 def test_unknown_label_rejected():

@@ -1,6 +1,7 @@
 import functools
 import re
 import unittest.mock
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qmemsim.memory import (
     retrieval_efficiency,
 )
 from qmemsim.polarization import (
+    NAMED_STOKES,
     PAULI_BASIS,
     density_from_stokes,
     density_of,
@@ -34,9 +36,11 @@ from qmemsim.tomography import (
     _PROJECT_EIG_TOL,
     DEFAULT_INPUT_LABELS,
     _chi_map,
+    _exact_inverse,
     _input_set,
     _project_chi,
     _reconstruct,
+    _solve_chi,
     identity_chi,
     monte_carlo_error,
     process_fidelity,
@@ -49,6 +53,8 @@ from reference_impl import (
     apply_kraus,
     apply_process,
     chi_from_kraus,
+    fraction_chi_map,
+    fraction_inverse,
     numpy_stream,
     postselected_state,
     random_cptp_kraus,
@@ -165,11 +171,16 @@ def _reference_chi(inputs, outputs):
 def test_cached_chi_map_matches_the_linear_solve(rng, labels):
     # The map takes the rows (1, S_k) to the same Hermitized chi as the
     # design-matrix solve on the density matrices (I + S_k . sigma)/2.
-    # The cached map serves the fixed quartet; process_matrix builds the
-    # map of any other informationally complete set.
+    # The cached map serves the fixed quartet and is exact: it must equal,
+    # bit for bit, the design-matrix map computed in Fractions from the
+    # exact Stokes axes.  process_matrix builds the map of any other
+    # informationally complete set, checked against a least-squares solve.
     inputs = [density_of(ket_from_named(l)) for l in labels]
     if labels == DEFAULT_INPUT_LABELS:
-        _, chi_map = _input_set()
+        stokes, chi_map = _input_set()
+        exact = fraction_chi_map([NAMED_STOKES[l] for l in labels])
+        assert np.array_equal(stokes, [NAMED_STOKES[l] for l in labels])
+        assert np.array_equal(chi_map, [[float(x) for x in row] for row in exact])
     else:
         chi_map = _chi_map(np.array(inputs))
     for _ in range(200):
@@ -177,9 +188,10 @@ def test_cached_chi_map_matches_the_linear_solve(rng, labels):
         stokes = directions / np.linalg.norm(directions, axis=1, keepdims=True)
         stokes *= rng.uniform(0.0, 1.0, size=(4, 1))
         rows = np.concatenate((np.ones((4, 1)), stokes), axis=1)
-        want = _reference_chi(inputs, [density_from_stokes(s) for s in stokes])
         got = (chi_map @ rows.reshape(16)).view(complex).reshape(4, 4)
-        assert np.max(np.abs(got - want)) < 1e-15
+        if labels != DEFAULT_INPUT_LABELS:
+            want = _reference_chi(inputs, [density_from_stokes(s) for s in stokes])
+            assert np.max(np.abs(got - want)) < 1e-15
         assert np.array_equal(got, got.conj().T)
 
 
@@ -270,6 +282,29 @@ def test_process_matrix_rejects_degenerate_inputs():
     pairs = [(density_of(ket_from_named(l)),) * 2 for l in labels]
     with pytest.raises(ValueError, match="informationally complete"):
         process_matrix(pairs)
+
+
+@pytest.mark.parametrize("units", [1, 7, 256, 4096])
+def test_solve_chi_is_batch_independent(rng, units):
+    # numpy's einsum loop sums each entry of chi in one fixed order, so a
+    # unit solved in a stack of any size equals it solved alone, bit for bit.
+    _, chi_map = _input_set()
+    stokes = rng.uniform(-1.0, 1.0, size=(units, 4, 3))
+    alone = np.array([_solve_chi(chi_map, unit) for unit in stokes])
+    assert _solve_chi(chi_map, stokes).tobytes() == alone.tobytes()
+
+
+def test_exact_inverse_swaps_rows_and_is_exact(rng):
+    # The rows (1, s_k) of H, V, R, D meet a zero pivot in the third column,
+    # so the elimination swaps rows; every entry of the inverse is exact.
+    b = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 0, 1], [1, 0, 1, 0]], dtype=float)
+    inverse = _exact_inverse(b)
+    assert np.array_equal(inverse @ b, np.eye(4)) and np.array_equal(b @ inverse, np.eye(4))
+    # Any float matrix, its rows of far apart magnitudes: the exact inverse,
+    # rounded once to the nearest floats.
+    b = rng.normal(size=(4, 4)) * np.array([[1.0], [2.0**-60], [3.0], [2.0**40]])
+    want = fraction_inverse([[Fraction(x) for x in row] for row in b.tolist()])
+    assert np.array_equal(_exact_inverse(b), [[float(x) for x in row] for row in want])
 
 
 def test_cached_constants_are_read_only():
