@@ -24,7 +24,8 @@ from .errors import ConfigError, FitError
 from .fitting import DecayDataset, channel_model, fit_exponential, fit_sigma_gamma
 from .scenarios import (
     FIGURE_CHANNEL,
-    _staged_files,
+    _json_text,
+    _write_files,
     calibrate_table,
     emit,
     run_fig3,
@@ -170,11 +171,11 @@ def _load_dataset(path: str) -> DecayDataset:
 
 
 def _report(payload: dict, out_dir: str | None, filename: str) -> int:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    """Print the payload's JSON text and, given out_dir, write the same text to filename there."""
+    text = _json_text(payload) + "\n"
+    sys.stdout.write(text)
     if out_dir:
-        with _staged_files(out_dir, []) as stage, stage(filename) as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_files(out_dir, {filename: text})
     return EXIT_OK
 
 

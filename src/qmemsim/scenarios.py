@@ -407,14 +407,9 @@ _LAYOUTS = {
 }
 
 
-def _render(rows: list, fmt: str) -> str:
-    """The text of ``rows`` in ``fmt``: one ``%`` template applied to all cells (see ``emit``)."""
+def _render(rows: list, width: int, fmt: str) -> str:
+    """The text of ``rows``, ``width`` cells each, in ``fmt``: one ``%`` template (see ``emit``)."""
     spec, encode, join_row, join_table = _LAYOUTS[fmt]
-    widths = set(map(len, rows))
-    if len(widths) != 1:  # no rows, or rows of several widths
-        template = join_table([join_row(["%s"] * len(row)) for row in rows])
-        return template % tuple(chain.from_iterable(encode(row, len(row)) for row in rows))
-    (width,) = widths
     cells = list(chain.from_iterable(rows))
     specs = [spec] * width
     for j in range(width):
@@ -424,32 +419,34 @@ def _render(rows: list, fmt: str) -> str:
         if set(map(type, column)) != {float} or not math.isfinite(sum(column)):
             specs[j] = "%s"
             cells[j::width] = encode(column, width)
-    return join_table([join_row(specs)] * len(rows)) % tuple(cells)
+    # The list goes before the text is made: emit holds one text while it renders the next.
+    template, cells = join_table([join_row(specs)] * len(rows)), tuple(cells)
+    return template % cells
 
 
-@contextlib.contextmanager
-def _staged_files(out_dir: str, paths: list[str]):
-    """Write a set of files under out_dir all or nothing.
+def _json_text(obj) -> str:
+    """``obj`` as JSON with sorted keys and a two-space indent; a non-finite float raises."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
-    Yields ``stage(filename, newline=None)``, which appends the final
-    path to the empty list ``paths`` and opens a temporary
-    ``<file>.<pid>.tmp`` beside it for writing.  Only when the block
-    completes are the staged files renamed into place, and only if no
-    target exists as anything but a regular file; on any error the
-    temporary files are removed and no file is replaced.
+
+def _write_files(out_dir: str, texts: dict[str, str]) -> list[str]:
+    """Write each text to its file name under out_dir, all or nothing; the paths written.
+
+    Creates out_dir and writes every text, as is, to a temporary
+    ``<file>.<pid>.tmp`` beside its target.  Only then, and only if no
+    target exists as anything but a regular file, is each renamed into
+    place.  On any error every temporary file is removed and no file is
+    replaced.
     """
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IOError(f"cannot create output directory {out_dir}: {exc}") from None
-    tmp = f".{os.getpid()}.tmp"
-
-    def stage(filename: str, newline: str | None = None):
-        paths.append(os.path.join(out_dir, filename))
-        return open(paths[-1] + tmp, "w", encoding="utf-8", newline=newline)
-
+    paths, tmp = [os.path.join(out_dir, name) for name in texts], f".{os.getpid()}.tmp"
     try:
-        yield stage
+        for path, text in zip(paths, texts.values()):
+            with open(path + tmp, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
         for path in paths:
             if os.path.exists(path) and not os.path.isfile(path):
                 raise OSError(f"{path} is not a regular file")
@@ -461,6 +458,7 @@ def _staged_files(out_dir: str, paths: list[str]):
         for path in paths:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path + tmp)
+    return paths
 
 
 def emit(
@@ -473,42 +471,42 @@ def emit(
     CSV cells carry 9 significant digits; the JSON artifact keeps full
     binary precision and a format_version.  Nothing written depends on
     wall-clock time, so equal (config, seed) runs produce byte-identical
-    files.  The set is written all or nothing (``_staged_files``): on any
-    error no artifact is replaced and no temporary file is left.
+    files.  Each row must hold one cell per column.  Every text is built
+    before any file or directory is touched (a misfit row, or a cell JSON
+    cannot hold, raises a ValueError), then the set is written all or
+    nothing (``_write_files``).
 
     Both formats write their rows through one renderer (``_render``): a
     single ``%`` template, applied once to the flattened cells.  A column
     of finite floats of exact type float is formatted by the template
     (``%.9g`` in CSV, ``%r``, the float's repr, in JSON).  Every other
-    column, and every cell of a ragged table, is encoded cell by cell:
-    ``.9g`` or ``str`` and csv's quoting, or the JSON encoder.  The bytes
-    are those ``csv.writer`` and ``json.dumps(indent=2)`` write.
+    column is encoded cell by cell: ``.9g`` or ``str`` and csv's quoting,
+    or the JSON encoder.  The bytes are those ``csv.writer`` and
+    ``json.dumps(indent=2)`` write.
     """
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
-    paths: list[str] = []
-    with _staged_files(out_dir, paths) as stage:
-        if "csv" in formats:
-            with stage(f"{artifact.name}.csv", newline="") as fh:
-                csv.writer(fh, lineterminator="\n").writerow(artifact.columns)
-                fh.write(_render(artifact.rows, "csv"))
-        if "json" in formats:
-            head = {
-                "format_version": FORMAT_VERSION,
-                "name": artifact.name,
-                "columns": list(artifact.columns),
-                "meta": artifact.meta,
-                "config": artifact.config,
-            }
-            # "rows" sorts last: it goes in after the other keys, before the closing brace.
-            text = json.dumps(head, sort_keys=True, indent=2, allow_nan=False)[:-2]
-            with stage(f"{artifact.name}.json") as fh:
-                fh.write(f'{text},\n  "rows": {_render(artifact.rows, "json")}\n}}\n')
-        else:
-            # The JSON artifact embeds the scenario echo; a CSV-only run
-            # still needs the echo on disk to be self-describing.
-            with stage(f"{artifact.name}.config.json") as fh:
-                json.dump(artifact.config, fh, sort_keys=True, indent=2, allow_nan=False)
-                fh.write("\n")
-    return paths
+    name, rows, width = artifact.name, artifact.rows, len(artifact.columns)
+    misfits = set(map(len, rows)) - {width}
+    if misfits:
+        raise ValueError(f"artifact {name!r}: rows of {sorted(misfits)} cells, not {width}")
+    texts = {}
+    if "csv" in formats:
+        texts[f"{name}.csv"] = _CSV_LINE(artifact.columns) + _render(rows, width, "csv")
+    if "json" in formats:
+        head = {
+            "format_version": FORMAT_VERSION,
+            "name": name,
+            "columns": list(artifact.columns),
+            "meta": artifact.meta,
+            "config": artifact.config,
+        }
+        # "rows" sorts last: it goes in after the other keys, before the closing brace.
+        text = f'{_json_text(head)[:-2]},\n  "rows": {_render(rows, width, "json")}\n}}\n'
+        texts[f"{name}.json"] = text
+    else:
+        # The JSON artifact embeds the scenario echo; a CSV-only run
+        # still needs the echo on disk to be self-describing.
+        texts[f"{name}.config.json"] = _json_text(artifact.config) + "\n"
+    return _write_files(out_dir, texts)

@@ -187,6 +187,17 @@ class TestReproduce:
         )
         assert not out.exists()
 
+    def test_largest_accepted_storage_time_runs_without_a_numpy_warning(self, tmp_path):
+        # 18446744073.70955 ms keys to just below 2**64 ps; any numpy warning
+        # on the way (an overflow in the decay, say) fails the test.
+        cfg = write_json(
+            tmp_path / "far.json",
+            {"storage_times": [0.005, 18446744073.70955], "mc_resamples": 50},
+        )
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(json.loads((out / "simulate.json").read_text())["rows"]) == 14
+
     @pytest.mark.parametrize(
         "config, path",
         [
@@ -197,6 +208,14 @@ class TestReproduce:
             ({"memory": {"r0_overrides": {"0.8": 0.127}}}, "memory.r0_overrides"),
             ({"detection": {"n_bar": 1.0}}, "detection.n_bar"),
             ({"memory": {"theta_w": 6.684}}, "memory.theta_w"),
+            (
+                {
+                    "channels": [{"id": "S2", "theta": 0.8}],
+                    "storage_times": [0.005],
+                    "memory": {"static_gamma": {"s2": 0.5}},
+                },
+                "memory.static_gamma.s2",
+            ),
         ],
         ids=[
             "input_states",
@@ -206,13 +225,14 @@ class TestReproduce:
             "r0_overrides",
             "n_bar",
             "theta_w",
+            "static_gamma_typo",
         ],
     )
     def test_removed_keys_exit_2_writing_nothing(self, tmp_path, capsys, config, path):
         # The input quartet is fixed, eta_total is the one efficiency (the mean
         # photon number is 1) and the measured R0, the rep rate and the
         # walk-off width are constants, so a config that still sets the old
-        # keys is refused.
+        # keys is refused, as is a static_gamma key that names no channel.
         out = tmp_path / "out"
         cfg = write_json(tmp_path / "old.json", config)
         code = main(["simulate", "--config", cfg, "--out", str(out)])
@@ -670,11 +690,10 @@ def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, capsy
     assert main([*argv, "--out", str(existing)]) == EXIT_OK
     before = (existing / name).read_bytes()
 
-    def failing_dump(obj, fh, **kwargs):
-        fh.write('{"partial": ')
+    def failing_replace(src, dst):
         raise OSError("disk full")
 
-    monkeypatch.setattr(json, "dump", failing_dump)
+    monkeypatch.setattr(os, "replace", failing_replace)
     for out in (fresh, existing):
         assert main([*argv, "--out", str(out)]) == EXIT_IO
     assert "io error" in capsys.readouterr().err

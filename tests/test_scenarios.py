@@ -7,7 +7,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qmemsim import scenarios
@@ -508,8 +508,13 @@ def _tables(draw):
     return list(zip(*columns)) if width else [()] * n
 
 
-#: Ragged rows of any cells, or a table of uniform columns.
-_rows = st.lists(st.lists(_cells, max_size=6).map(tuple), max_size=8) | _tables()
+#: Rows of one width of any cells, or a table of uniform columns.
+_rows = (
+    st.integers(0, 6).flatmap(lambda n: st.lists(st.tuples(*[_cells] * n), max_size=8))
+    | _tables()
+)
+#: Rows of any widths, of any cells.
+_ragged_rows = st.lists(st.lists(_cells, max_size=6).map(tuple), max_size=8)
 
 #: A column of floats, two of text with csv's specials and empty cells
 #: (csv.writer writes nothing for an empty cell among others), one of np.float64.
@@ -589,7 +594,7 @@ class TestEmit:
         for out in (fresh, existing):
             with pytest.raises(ValueError, match="dump failed"):
                 emit(stale, str(out))
-        assert os.listdir(fresh) == []
+        assert not fresh.exists()
         assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
 
     def test_target_that_is_no_regular_file_fails_the_whole_set(self, tmp_path):
@@ -614,6 +619,34 @@ class TestEmit:
             with pytest.raises(ValueError, match="JSON compliant"):
                 emit(artifact, str(tmp_path))
             assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("cell", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_cell_creates_no_output_directory(self, tmp_path, cell):
+        # Every text is built before the directory is made.
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            emit(RunArtifact("bad", ("a", "b"), [(1.0, 2.0), (3.0, cell)], {}, {}), str(out))
+        assert not out.exists()
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(
+        name=st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True),
+        rows=_ragged_rows,
+        width=st.integers(0, 6),
+        formats=st.sampled_from([("csv",), ("json",), ("csv", "json")]),
+    )
+    @example(name="x", rows=[(1.0, 2.0, 3.0), (4.0,)], width=2, formats=("csv", "json"))
+    @example(name="one", rows=[(1.0, 2.0)] * 3, width=3, formats=("csv", "json"))
+    def test_rows_that_do_not_fit_the_columns_raise_and_write_nothing(
+        self, name, rows, width, formats
+    ):
+        assume(any(len(row) != width for row in rows))
+        artifact = RunArtifact(name, tuple(f"c{i}" for i in range(width)), rows, {}, {})
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            with pytest.raises(ValueError, match=f"artifact '{name}': rows of "):
+                emit(artifact, out, formats)
+            assert not os.path.exists(out)
 
     @pytest.mark.parametrize("runner", [run_fig3, run_fig4, run_fig5, run_table1, run_simulate])
     def test_every_runner_json_equals_indent2_reference(self, tmp_path, runner):
