@@ -430,34 +430,47 @@ def _json_text(obj) -> str:
 
 
 def _write_files(out_dir: str, texts: dict[str, str]) -> list[str]:
-    """Write each text to its file name under out_dir, all or nothing; the paths written.
+    """Write each text to its file name under out_dir; the paths written.
 
     Creates out_dir and writes every text, as is, to a temporary
     ``<file>.<pid>.tmp`` beside its target.  Only then, and only if no
     target exists as anything but a regular file, is each renamed into
-    place.  On any error every temporary file is removed and no file is
-    replaced.
+    place, one at a time.  On any error every temporary file is removed,
+    and so is each directory this call created, deepest first, if it is
+    empty.  An error before the first rename replaces no file; a rename
+    that fails after an earlier one succeeded leaves the files renamed
+    before it new and the rest as they were.
     """
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise IOError(f"cannot create output directory {out_dir}: {exc}") from None
+    made, head = [], out_dir  # the directories os.makedirs creates, deepest first
+    while head and not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
     paths, tmp = [os.path.join(out_dir, name) for name in texts], f".{os.getpid()}.tmp"
     try:
-        for path, text in zip(paths, texts.values()):
-            with open(path + tmp, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise IOError(f"cannot create output directory {out_dir}: {exc}") from None
+        try:
+            for path, text in zip(paths, texts.values()):
+                with open(path + tmp, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            for path in paths:
+                if os.path.exists(path) and not os.path.isfile(path):
+                    raise OSError(f"{path} is not a regular file")
+            for path in paths:
+                os.replace(path + tmp, path)
+        except OSError as exc:
+            raise IOError(f"cannot write artifact under {out_dir}: {exc}") from None
+    except BaseException:
+        # The first error is the one raised: a cleanup step that fails is skipped.
         for path in paths:
-            if os.path.exists(path) and not os.path.isfile(path):
-                raise OSError(f"{path} is not a regular file")
-        for path in paths:
-            os.replace(path + tmp, path)
-    except OSError as exc:
-        raise IOError(f"cannot write artifact under {out_dir}: {exc}") from None
-    finally:
-        for path in paths:
-            with contextlib.suppress(FileNotFoundError):
+            with contextlib.suppress(OSError):
                 os.remove(path + tmp)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
+        raise
     return paths
 
 
@@ -473,8 +486,9 @@ def emit(
     wall-clock time, so equal (config, seed) runs produce byte-identical
     files.  Each row must hold one cell per column.  Every text is built
     before any file or directory is touched (a misfit row, or a cell JSON
-    cannot hold, raises a ValueError), then the set is written all or
-    nothing (``_write_files``).
+    cannot hold, raises a ValueError), then the set is written through
+    temporary files, each renamed into place once all are complete
+    (``_write_files``).
 
     Both formats write their rows through one renderer (``_render``): a
     single ``%`` template, applied once to the flattened cells.  A column

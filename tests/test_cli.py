@@ -697,7 +697,7 @@ def test_failed_report_write_leaves_no_partial_file(tmp_path, monkeypatch, capsy
     for out in (fresh, existing):
         assert main([*argv, "--out", str(out)]) == EXIT_IO
     assert "io error" in capsys.readouterr().err
-    assert os.listdir(fresh) == []
+    assert not fresh.exists()
     assert os.listdir(existing) == [name]
     assert (existing / name).read_bytes() == before
 

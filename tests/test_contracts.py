@@ -80,11 +80,18 @@ def test_config_echo_reproduces_its_run(tmp_path):
     # The "config" echo of an artifact is a complete config: a rerun with it
     # as --config, into the same --out, writes the same bytes.  Checked on
     # every runner that builds its artifact through the shared count-runner
-    # builder: simulate, table1, fig4 and fig5.
-    env = {**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"}
+    # builder: simulate, table1, fig4 and fig5.  The first run has BLAS on 1
+    # thread and the rerun on 2, so the same bytes also show that no row,
+    # each scenario's units taken in batched tiles and the bootstrap's draws
+    # scored in batched slices, depends on how many threads BLAS uses.
 
-    def run(cmd, config, out):
+    def run(cmd, config, out, threads):
         argv = [sys.executable, "-m", "qmemsim", *cmd, "--config", str(config), "--out", str(out)]
+        env = {
+            **os.environ,
+            "OPENBLAS_NUM_THREADS": str(threads),
+            "PYTHONWARNINGS": "error::RuntimeWarning",
+        }
         proc = subprocess.run(argv, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
 
@@ -93,10 +100,10 @@ def test_config_echo_reproduces_its_run(tmp_path):
     for cmd in (["simulate"], ["reproduce", "table1"], ["reproduce", "fig4"], ["reproduce", "fig5"]):
         target = cmd[-1]
         out, echo, first = (tmp_path / f"echo-{target}{end}" for end in ("", ".json", "-first"))
-        run(cmd, mc50, out)
+        run(cmd, mc50, out, threads=1)
         echo.write_text(json.dumps(json.loads((out / f"{target}.json").read_text())["config"]))
         out.rename(first)
-        run(cmd, echo, out)
+        run(cmd, echo, out, threads=2)
         for name in (f"{target}.csv", f"{target}.json"):
             assert (out / name).read_bytes() == (first / name).read_bytes(), name
 

@@ -242,6 +242,29 @@ def test_fig4_pass_takes_whole_units_in_tiles(monkeypatch, tile):
     assert sum(seen) == len(units) and max(seen) <= tile
 
 
+@pytest.mark.parametrize(
+    "points, channels, n",
+    [(tomography_points, ("S0", "S1", "S2", "S3", "S4", "S5", "S6"), 600),
+     (efficiency_points, ("S2",), 4200)],
+    ids=["tomography", "efficiency"],
+)  # fmt: skip
+def test_grid_larger_than_one_tile_reproduces_the_values_of_its_halves(points, channels, n):
+    # At the real tile size: 7 channels x 600 storage times, and S2 x 4200,
+    # are 4200 units, two tiles; each half of the times fits in one.  Every
+    # value of the full run must equal that of the same unit in a half.
+    assert len(channels) * n == 4200 and tomography._SEED_BLOCK == 4096
+    cfg = dataclasses.replace(ScenarioConfig(), mc_resamples=2)
+    times = [6.0 * i / (n - 1) for i in range(n)]
+
+    def by_unit(part):
+        units = [(c, t) for c in channels for t in part]
+        return {name: dict(zip(units, v)) for name, v in points(cfg, units).items()}
+
+    full, low, high = map(by_unit, (times, times[: n // 2], times[n // 2 :]))
+    for name, values in full.items():
+        assert len(values) == 4200 and values == {**low[name], **high[name]}, name
+
+
 @pytest.mark.parametrize("times", [(0.5, 1e10), (0.5, LARGEST_TIME_MS)])
 def test_unit_counts_are_numpys_draws_past_64_bit_time_keys(times):
     # 1e10 ms is 1e19 ps, between 2**63 and 2**64; the largest accepted time
@@ -347,9 +370,12 @@ class TestFig4:
         assert art.columns[0] == "t_ms"
         assert len(art.rows) == len(ScenarioConfig().storage_times)
         fit = art.meta["fit"]
-        assert fit["converged"]
+        assert fit["converged"] and not fit["at_bound"]
         assert fit["params"]["r0"] == pytest.approx(0.127, abs=1e-6)
         assert fit["params"]["tau"] == pytest.approx(2.9, abs=1e-6)
+        # Relative bounds as well: neither replaces the absolute one above.
+        assert abs(fit["params"]["r0"] / 0.127 - 1.0) <= 1e-6
+        assert abs(fit["params"]["tau"] / 2.9 - 1.0) <= 1e-6
 
     def test_single_point_keeps_rows_and_records_fit_error(self):
         cfg = dataclasses.replace(ScenarioConfig(), storage_times=(0.005,))
@@ -596,6 +622,34 @@ class TestEmit:
                 emit(stale, str(out))
         assert not fresh.exists()
         assert {p.name: p.read_bytes() for p in existing.iterdir()} == before
+
+    def test_failed_rename_removes_only_the_directories_it_created(self, tmp_path, monkeypatch):
+        # A fresh nested --out a/b goes whole; under a directory that existed
+        # before, only the b and c this write created go.
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "file").write_text("x")
+
+        def tree():
+            return {
+                p.relative_to(tmp_path): p.read_bytes() if p.is_file() else None
+                for p in tmp_path.rglob("*")
+            }
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        artifact = run_fig3(ScenarioConfig())
+        for out in ("a/b", "kept/b/c"):
+            before = tree()
+            with monkeypatch.context() as m:
+                m.setattr(os, "replace", failing_replace)
+                with pytest.raises(IOError, match="disk full"):
+                    emit(artifact, str(tmp_path / out))
+            assert tree() == before
+        # os.makedirs makes a, then fails: a 300-byte name passes NAME_MAX (255).
+        with pytest.raises(IOError, match="cannot create output directory"):
+            emit(artifact, str(tmp_path / "a" / ("x" * 300)))
+        assert tree() == before
 
     def test_target_that_is_no_regular_file_fails_the_whole_set(self, tmp_path):
         emit(run_fig3(ScenarioConfig()), str(tmp_path))

@@ -280,7 +280,7 @@ def test_largest_mean_draws_as_numpy_with_a_table_of_at_most_2_16_entries(monkey
 
 
 def test_high_count_grid_draws_as_numpy_with_no_table(monkeypatch):
-    # The high-count grid of tests/default_grid_check.py (S2 at M = 10**9 pulses over four
+    # The high-count grid of tests/test_bootstrap_grids.py (S2 at M = 10**9 pulses over four
     # storage times) has means of 7e5 to 3e7, none below 2**16, so no log-gamma table is
     # built: every loggam is an attempt's own, at x near its mean.  A mean of 100 among
     # them sizes the table alone, to x below 100 + 10 sqrt(100) + 16.
